@@ -1,16 +1,34 @@
 """Margin-aware sequential backtest engine and performance indicators.
 
-Replay walks minute bars built from the tick stream. Every decision at a bar
-close uses only data that ended strictly before that instant: volatility
-state advances on each completed session return, VPIN reads the latest
-completed bucket, and the bucket size and price-change scale are frozen on
-the warmup day. Entries fill passively at the signalled book side; stops and
-margin calls pay the spread. Cash, margin and fees move through a
-double-entry ledger whose residual is tracked and exposed.
+A run has two stages.
+
+The market-state pass walks the minute bars once and computes everything
+that no layer switch can change: the bars and their session returns; the
+VPIN buckets, series and bucket fluctuations, with bucket size and
+price-change scale frozen on the warmup day; the GARCH refits and, at each
+trading bar, the one-step mean and variance forecasts (the standardized
+forecast and return feed the delta1 grid and the SVM features); the delta1
+recalibration every `delta1_every` bars. When a requested variant uses the
+VPIN layer it also fits the daily (delta2, delta3) thresholds, and when one
+uses the SVM layer it builds the feature rows and trains the daily model.
+Failed refits keep the previous model and are counted.
+
+The replay runs once per variant over that state. It owns what the layers
+change: the VPIN pull on delta1 and its daily extremes, the SVM gate,
+position sizing, stops, margin calls, the double-entry ledger and the
+performance indicators. `run_variants` therefore shares one market-state
+pass among its four replays.
+
+Every decision at a bar close uses only data that ended strictly before that
+instant: volatility state advances on each completed session return and VPIN
+reads the latest completed bucket. Entries fill passively at the signalled
+book side; stops and margin calls pay the spread. Cash, margin and fees move
+through a double-entry ledger whose residual is tracked and exposed.
 """
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 from dataclasses import dataclass, field, replace
 
@@ -34,7 +52,7 @@ from .strategy import (
     stop_loss_check,
     svm_gate,
 )
-from .svm import Kernel, Scaler, train_smo
+from .svm import DEFAULT_TOL, Kernel, Scaler, SvmModel, train_smo
 from .volatility import GarchSpec, fit_garch
 from .vpin import (
     DEFAULT_BUCKETS_PER_DAY,
@@ -48,6 +66,8 @@ from .vpin import (
 VARIANTS = ("G", "G+S", "G+V", "G+V+S")
 
 MINUTE_NS = 60_000_000_000
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -91,6 +111,7 @@ class EngineConfig:
     vpin_window: int = DEFAULT_WINDOW
     svm_kernel_sigma: float = 1.0
     svm_c: float = 1.0
+    svm_tol: float = DEFAULT_TOL
     svm_min_rows: int = 60
     svm_max_rows: int = 1500
     trading_days_per_year: int = 244
@@ -166,6 +187,8 @@ class BacktestResult:
     margin_calls: int
     max_ledger_residual: float
     data_hash: str
+    garch_failures: int  # refits that raised; the previous fit stays in use
+    svm_failures: int  # the same for SVM refits; 0 when the gate is off
 
 
 class Account:
@@ -339,36 +362,40 @@ class _GarchState:
 
 
 # ---------------------------------------------------------------------------
-# Engine
+# Market-state pass: everything the variants share
 # ---------------------------------------------------------------------------
 
 
-def run_backtest(ticks: TickSeries, cfg: StrategyConfig,
-                 costs: CostModel | None = None,
-                 engine: EngineConfig | None = None) -> BacktestResult:
-    """Sequential replay of the layered strategy over one tick stream."""
-    if not cfg.use_garch:
-        raise DataError("the direction layer cannot be disabled")
-    costs = costs if costs is not None else CostModel()
-    eng = engine if engine is not None else EngineConfig()
+@dataclass(frozen=True)
+class _MarketState:
+    """What the replay reads at each bar that no layer switch can change.
 
-    bars = resample(ticks, eng.bar_interval_ns)
-    n_bars = len(bars)
-    day_codes = bars.ts // NS_PER_DAY
-    days = np.unique(day_codes)
-    if days.shape[0] < eng.warmup_days + 1:
-        raise DataError(f"need at least {eng.warmup_days + 1} trading days, "
-                        f"got {days.shape[0]}")
-    day_ord = np.searchsorted(days, day_codes)
-    n_sess = len(ticks.calendar.sessions)
-    bar_uid = day_codes * n_sess + ticks.calendar.session_index(bars.ts)
-    closes = bars.close
-    decision_ts = bars.ts + eng.bar_interval_ns
-    rets = np.full(n_bars, np.nan)
-    same = bar_uid[1:] == bar_uid[:-1]
-    rets[1:][same] = np.log(closes[1:][same] / closes[:-1][same])
+    The bar-keyed dicts hold an entry only where the pass produced one: a
+    one-step (mean, variance) forecast once a GARCH fit exists, a delta1 at
+    each recalibration, and new VPIN thresholds, a new SVM model with its
+    scaler, or the gate's feature vector where those were computed.
+    """
 
-    # VPIN stream with scale parameters frozen on the warmup day
+    ticks: TickSeries
+    data_hash: str
+    decision_ts: np.ndarray
+    closes: np.ndarray
+    day_ord: np.ndarray
+    first_trading: int
+    price_idx: list[int]
+    vpin_now: list[float]
+    forecasts: dict[int, tuple[float, float]]
+    delta1_fits: dict[int, float]
+    thresholds: dict[int, tuple[float, float]]
+    svm_models: dict[int, tuple[SvmModel, Scaler]]
+    gate_features: dict[int, np.ndarray]
+    garch_failures: int
+    svm_failures: int
+
+
+def _vpin_stream(ticks: TickSeries, days: np.ndarray, eng: EngineConfig):
+    """VPIN values with their end times, and each bucket's end time and
+    relative price move; bucket size and sigma are frozen on the warmup days."""
     warm_mask = (ticks.ts // NS_PER_DAY) < days[eng.warmup_days]
     n_warm = int(warm_mask.sum())
     warm_ticks = TickSeries(ticks.ts[:n_warm], ticks.price[:n_warm],
@@ -392,131 +419,224 @@ def run_backtest(ticks: TickSeries, cfg: StrategyConfig,
     bucket_fluct = np.full(len(buckets), np.nan)
     if len(buckets) > 1:
         bucket_fluct[1:] = np.abs(bucket_end_price[1:] / bucket_end_price[:-1] - 1.0)
+    return vpin_values, vpin_end_ts, bucket_end_ts, bucket_fluct
 
-    account = Account(costs)
-    trades: list[Trade] = []
-    signal_log: list[SignalRecord] = []
-    margin_calls = 0
+
+def _vpin_thresholds(vpin_values: np.ndarray, bucket_end_ts: np.ndarray,
+                     bucket_fluct: np.ndarray, now_ns: int,
+                     cfg: StrategyConfig, window: int):
+    """(delta2, delta3) fit on the pairs complete before `now_ns`, or None."""
+    # vpin value i belongs to bucket j = i + w - 1; fluct looks 2 ahead
+    pairs_v, pairs_f = [], []
+    for i in range(vpin_values.shape[0]):
+        j = i + window - 1 + cfg.basket_delay
+        if j >= bucket_end_ts.shape[0] or bucket_end_ts[j] >= now_ns:
+            break
+        if math.isfinite(bucket_fluct[j]):
+            pairs_v.append(vpin_values[i])
+            pairs_f.append(bucket_fluct[j])
+    if not (len(pairs_v) >= 30 and np.ptp(pairs_v) > 0):
+        return None
+    th = calibrate_vpin_thresholds(np.asarray(pairs_v), np.asarray(pairs_f),
+                                   cfg.fluct_hi, cfg.fluct_lo)
+    return th.delta2, th.delta3
+
+
+def _train_svm(rows: tuple[list[float], ...], eng: EngineConfig):
+    """Model and scaler on the trailing rows; None while too few or one-sided."""
+    fz, rz, vp, nxt = rows
+    if len(nxt) < eng.svm_min_rows:
+        return None
+    lo = max(0, len(nxt) - eng.svm_max_rows)
+    X, y = make_svm_dataset(fz[lo:], rz[lo:], vp[lo:], nxt[lo:])
+    if np.unique(y).shape[0] < 2:
+        return None
+    scaler = Scaler.fit(X)
+    model = train_smo(scaler.transform(X), y, c=eng.svm_c,
+                      kernel=Kernel.rbf(eng.svm_kernel_sigma), tol=eng.svm_tol)
+    return model, scaler
+
+
+def _market_state(ticks: TickSeries, cfg: StrategyConfig, eng: EngineConfig,
+                  *, vpin: bool, svm: bool) -> _MarketState:
+    """One pass over the bars computing what every variant reads.
+
+    VPIN thresholds are recalibrated only with `vpin`, and SVM models and
+    their feature rows built only with `svm`, so a run pays for no layer it
+    does not use. Refits that fail keep the previous model; each failure is
+    counted and logged at debug level.
+    """
+    bars = resample(ticks, eng.bar_interval_ns)
+    n_bars = len(bars)
+    day_codes = bars.ts // NS_PER_DAY
+    days = np.unique(day_codes)
+    if days.shape[0] < eng.warmup_days + 1:
+        raise DataError(f"need at least {eng.warmup_days + 1} trading days, "
+                        f"got {days.shape[0]}")
+    day_ord = np.searchsorted(days, day_codes)
+    first_trading = int(np.searchsorted(day_ord, eng.warmup_days))
+    n_sess = len(ticks.calendar.sessions)
+    bar_uid = day_codes * n_sess + ticks.calendar.session_index(bars.ts)
+    closes = bars.close
+    decision_ts = bars.ts + eng.bar_interval_ns
+    rets = np.full(n_bars, np.nan)
+    same = bar_uid[1:] == bar_uid[:-1]
+    rets[1:][same] = np.log(closes[1:][same] / closes[:-1][same])
+
+    vpin_values, vpin_end_ts, bucket_end_ts, bucket_fluct = \
+        _vpin_stream(ticks, days, eng)
+    # latest completed VPIN at each decision instant
+    k = np.searchsorted(vpin_end_ts, decision_ts, side="left").tolist()
+    vpin_now = [float(vpin_values[i - 1]) if i > 0 else math.nan for i in k]
+
+    forecasts: dict[int, tuple[float, float]] = {}
+    delta1_fits: dict[int, float] = {}
+    thresholds: dict[int, tuple[float, float]] = {}
+    svm_models: dict[int, tuple[SvmModel, Scaler]] = {}
+    gate_features: dict[int, np.ndarray] = {}
+    garch_failures = svm_failures = 0
 
     garch: _GarchState | None = None
     ret_stream: list[float] = []
     bars_since_fit = 0
-    delta1 = eng.initial_delta1
-    day_min_d1 = day_max_d1 = delta1
-    delta2, delta3 = cfg.delta2, cfg.delta3
     pair_f: list[float] = []
     pair_r: list[float] = []
     pending_pair_z: float | None = None
     z_hist: list[float] = []
     rz_hist: list[float] = []
-    svm_rows_f: list[float] = []
-    svm_rows_r: list[float] = []
-    svm_rows_v: list[float] = []
-    svm_rows_next: list[float] = []
+    svm_rows: tuple[list[float], ...] = ([], [], [], [])  # z, rz, vpin, next ret
     pending_svm: tuple[float, float, float] | None = None
-    svm_model = None
-    svm_scaler = None
     current_day = -1
 
-    def quote_price(tick_idx: int, book_side: str) -> float:
-        arr = ticks.bid1 if book_side == "bid" else ticks.ask1
-        if arr is not None and math.isfinite(arr[tick_idx]):
-            return float(arr[tick_idx])
-        px = float(ticks.price[tick_idx])
-        half = costs.tick_size / 2.0
-        return px - half if book_side == "bid" else px + half
-
-    def latest_vpin(now_ns: int) -> float:
-        k = int(np.searchsorted(vpin_end_ts, now_ns, side="left"))
-        return float(vpin_values[k - 1]) if k > 0 else math.nan
-
-    def recalibrate_vpin_thresholds(now_ns: int):
-        nonlocal delta2, delta3
-        w = eng.vpin_window
-        # vpin value i belongs to bucket j = i + w - 1; fluct looks 2 ahead
-        pairs_v, pairs_f = [], []
-        for i in range(vpin_values.shape[0]):
-            j = i + w - 1 + cfg.basket_delay
-            if j >= len(buckets) or bucket_end_ts[j] >= now_ns:
-                break
-            if math.isfinite(bucket_fluct[j]):
-                pairs_v.append(vpin_values[i])
-                pairs_f.append(bucket_fluct[j])
-        if len(pairs_v) >= 30 and np.ptp(pairs_v) > 0:
-            th = calibrate_vpin_thresholds(np.asarray(pairs_v),
-                                           np.asarray(pairs_f),
-                                           cfg.fluct_hi, cfg.fluct_lo)
-            delta2, delta3 = th.delta2, th.delta3
-
-    def refit_svm():
-        nonlocal svm_model, svm_scaler
-        if len(svm_rows_next) < eng.svm_min_rows:
-            return
-        lo = max(0, len(svm_rows_next) - eng.svm_max_rows)
-        try:
-            X, y = make_svm_dataset(svm_rows_f[lo:], svm_rows_r[lo:],
-                                    svm_rows_v[lo:], svm_rows_next[lo:])
-            if np.unique(y).shape[0] < 2:
-                return
-            scaler = Scaler.fit(X)
-            model = train_smo(scaler.transform(X), y, c=eng.svm_c,
-                              kernel=Kernel.rbf(eng.svm_kernel_sigma))
-        except (DataError, NonConvergenceError):
-            return
-        svm_model, svm_scaler = model, scaler
-
-    def refit_garch():
-        nonlocal garch, bars_since_fit
-        window = ret_stream[-eng.garch_window:]
-        if len(window) < eng.garch_min_obs:
-            return
-        try:
-            garch = _GarchState(fit_garch(np.asarray(window), eng.garch_spec))
-        except (DataError, NonConvergenceError):
-            return
-        bars_since_fit = 0
-
     for t in range(n_bars):
-        now = int(decision_ts[t])
-        trading = day_ord[t] >= eng.warmup_days
+        r = float(rets[t])
+        trading = t >= first_trading
 
         # fold in the bar that just closed
         h_t = math.nan
-        if math.isfinite(rets[t]):
-            ret_stream.append(float(rets[t]))
+        if math.isfinite(r):
+            ret_stream.append(r)
             if garch is not None:
-                h_t = garch.update(float(rets[t]))
+                h_t = garch.update(r)
         bars_since_fit += 1
 
-        if day_ord[t] != current_day:
+        if trading and day_ord[t] != current_day:
             current_day = int(day_ord[t])
-            day_min_d1 = day_max_d1 = delta1
-            if trading:
-                if cfg.use_vpin and vpin_values.shape[0]:
-                    recalibrate_vpin_thresholds(now)
-                if cfg.use_svm:
-                    refit_svm()
+            if vpin and vpin_values.shape[0]:
+                th = _vpin_thresholds(vpin_values, bucket_end_ts, bucket_fluct,
+                                      int(decision_ts[t]), cfg, eng.vpin_window)
+                if th is not None:
+                    thresholds[t] = th
+            if svm:
+                try:
+                    fitted = _train_svm(svm_rows, eng)
+                except (DataError, NonConvergenceError) as exc:
+                    svm_failures += 1
+                    log.debug("SVM refit at bar %d failed: %s", t, exc)
+                else:
+                    if fitted is not None:
+                        svm_models[t] = fitted
 
         if garch is None or bars_since_fit >= eng.garch_refit_every:
-            refit_garch()
+            window = ret_stream[-eng.garch_window:]
+            if len(window) >= eng.garch_min_obs:
+                try:
+                    garch = _GarchState(fit_garch(np.asarray(window), eng.garch_spec))
+                except (DataError, NonConvergenceError) as exc:
+                    garch_failures += 1
+                    log.debug("GARCH refit at bar %d failed: %s", t, exc)
+                else:
+                    bars_since_fit = 0
 
-        # settle pending next-return bookkeeping before issuing a new signal
-        if math.isfinite(rets[t]):
+        # settle pending next-return bookkeeping before issuing a new forecast
+        if math.isfinite(r):
             if pending_pair_z is not None:
                 pair_f.append(pending_pair_z)
-                pair_r.append(float(rets[t]))
+                pair_r.append(r)
             if pending_svm is not None:
-                svm_rows_f.append(pending_svm[0])
-                svm_rows_r.append(pending_svm[1])
-                svm_rows_v.append(pending_svm[2])
-                svm_rows_next.append(float(rets[t]))
+                for col, value in zip(svm_rows, pending_svm + (r,)):
+                    col.append(value)
         pending_pair_z = None
         pending_svm = None
 
         if not trading:
             continue
 
-        price_idx = int(np.searchsorted(ticks.ts, now, side="left")) - 1
+        if t % eng.delta1_every == 0 and len(pair_f) >= 30:
+            lo = max(0, len(pair_f) - eng.delta1_window)
+            if len(pair_f) - lo >= 30:
+                delta1_fits[t] = calibrate_delta1(np.asarray(pair_f[lo:]),
+                                                  np.asarray(pair_r[lo:]), cfg)
+
+        if garch is None:
+            continue
+        var_fc = garch.variance_forecast()
+        mean_fc = garch.mean_forecast()
+        forecasts[t] = (mean_fc, var_fc)
+        z = mean_fc / math.sqrt(var_fc)
+        z_hist.append(z)
+        if math.isfinite(h_t) and h_t > 0:
+            rz_hist.append(r / math.sqrt(h_t))
+        pending_pair_z = z
+
+        if svm and len(z_hist) >= SVM_FEATURE_LAGS \
+                and len(rz_hist) >= SVM_FEATURE_LAGS:
+            v = vpin_now[t] if math.isfinite(vpin_now[t]) else 0.5
+            gate_features[t] = np.concatenate([z_hist[-SVM_FEATURE_LAGS:],
+                                               rz_hist[-SVM_FEATURE_LAGS:], [v]])
+            pending_svm = (z, rz_hist[-1], v)
+
+    return _MarketState(
+        ticks=ticks, data_hash=_data_hash(ticks), decision_ts=decision_ts,
+        closes=closes, day_ord=day_ord, first_trading=first_trading,
+        price_idx=(np.searchsorted(ticks.ts, decision_ts, side="left") - 1).tolist(),
+        vpin_now=vpin_now, forecasts=forecasts, delta1_fits=delta1_fits,
+        thresholds=thresholds, svm_models=svm_models,
+        gate_features=gate_features, garch_failures=garch_failures,
+        svm_failures=svm_failures)
+
+
+# ---------------------------------------------------------------------------
+# Replay: one variant's decisions and accounting
+# ---------------------------------------------------------------------------
+
+
+def _quote_price(ticks: TickSeries, costs: CostModel, tick_idx: int,
+                 book_side: str) -> float:
+    """The book quote at a tick, or its trade price -+ half a tick without one."""
+    arr = ticks.bid1 if book_side == "bid" else ticks.ask1
+    if arr is not None and math.isfinite(arr[tick_idx]):
+        return float(arr[tick_idx])
+    px = float(ticks.price[tick_idx])
+    half = costs.tick_size / 2.0
+    return px - half if book_side == "bid" else px + half
+
+
+def _replay(state: _MarketState, cfg: StrategyConfig, costs: CostModel,
+            eng: EngineConfig) -> BacktestResult:
+    """Walk the trading bars of `state` as the variant `cfg` selects."""
+    ticks, closes = state.ticks, state.closes
+    account = Account(costs)
+    trades: list[Trade] = []
+    signal_log: list[SignalRecord] = []
+    margin_calls = 0
+    delta1 = eng.initial_delta1
+    day_min_d1 = day_max_d1 = delta1
+    delta2, delta3 = cfg.delta2, cfg.delta3
+    svm_model = svm_scaler = None
+    current_day = -1
+
+    for t in range(state.first_trading, closes.shape[0]):
+        now = int(state.decision_ts[t])
+        if state.day_ord[t] != current_day:
+            current_day = int(state.day_ord[t])
+            day_min_d1 = day_max_d1 = delta1
+        if cfg.use_vpin and t in state.thresholds:
+            delta2, delta3 = state.thresholds[t]
+        if cfg.use_svm and t in state.svm_models:
+            svm_model, svm_scaler = state.svm_models[t]
+
+        price_idx = state.price_idx[t]
         mark_price = closes[t]
         equity = account.mark(now, mark_price)
 
@@ -525,8 +645,9 @@ def run_backtest(ticks: TickSeries, cfg: StrategyConfig,
                 * costs.maintenance
             if equity < maint:
                 book = "bid" if account.position > 0 else "ask"
-                trades.append(account.close(now, quote_price(price_idx, book),
-                                            kind="margin-call"))
+                trades.append(account.close(
+                    now, _quote_price(ticks, costs, price_idx, book),
+                    kind="margin-call"))
                 margin_calls += 1
             else:
                 lo = max(0, t - eng.sigma_window)
@@ -538,17 +659,15 @@ def run_backtest(ticks: TickSeries, cfg: StrategyConfig,
                         cfg.stop_loss_sigmas, side):
                     book = "bid" if account.position > 0 else "ask"
                     trades.append(account.close(
-                        now, quote_price(price_idx, book), kind="stop"))
+                        now, _quote_price(ticks, costs, price_idx, book),
+                        kind="stop"))
 
-        if t % eng.delta1_every == 0 and len(pair_f) >= 30:
-            lo = max(0, len(pair_f) - eng.delta1_window)
-            if len(pair_f) - lo >= 30:
-                delta1 = calibrate_delta1(np.asarray(pair_f[lo:]),
-                                          np.asarray(pair_r[lo:]), cfg)
-                day_min_d1 = min(day_min_d1, delta1)
-                day_max_d1 = max(day_max_d1, delta1)
+        if t in state.delta1_fits:
+            delta1 = state.delta1_fits[t]
+            day_min_d1 = min(day_min_d1, delta1)
+            day_max_d1 = max(day_max_d1, delta1)
 
-        vpin_now = latest_vpin(now)
+        vpin_now = state.vpin_now[t]
         vpin_trace: tuple[str, ...] = ()
         if cfg.use_vpin and math.isfinite(vpin_now):
             if vpin_now > delta2:
@@ -560,35 +679,24 @@ def run_backtest(ticks: TickSeries, cfg: StrategyConfig,
             day_min_d1 = min(day_min_d1, delta1)
             day_max_d1 = max(day_max_d1, delta1)
 
-        if garch is None:
+        forecast = state.forecasts.get(t)
+        if forecast is None:
             continue
-        var_fc = garch.variance_forecast()
-        mean_fc = garch.mean_forecast()
-        z = mean_fc / math.sqrt(var_fc)
-        z_hist.append(z)
-        if math.isfinite(h_t) and h_t > 0:
-            rz_hist.append(float(rets[t]) / math.sqrt(h_t))
-        pending_pair_z = z
-
-        sig = garch_signal((mean_fc, var_fc), delta1, timestamp=now)
+        sig = garch_signal(forecast, delta1, timestamp=now)
+        feats = state.gate_features.get(t)
         if cfg.use_svm and sig.side != SIDE_NONE and svm_model is not None \
-                and len(z_hist) >= SVM_FEATURE_LAGS \
-                and len(rz_hist) >= SVM_FEATURE_LAGS:
-            feats = np.concatenate([z_hist[-SVM_FEATURE_LAGS:],
-                                    rz_hist[-SVM_FEATURE_LAGS:],
-                                    [vpin_now if math.isfinite(vpin_now) else 0.5]])
+                and feats is not None:
             sig = svm_gate(svm_model, svm_scaler.transform(feats[None, :])[0], sig)
-        if len(z_hist) >= SVM_FEATURE_LAGS and len(rz_hist) >= SVM_FEATURE_LAGS:
-            pending_svm = (z, rz_hist[-1],
-                           vpin_now if math.isfinite(vpin_now) else 0.5)
 
         if sig.side == SIDE_SELL and account.position > 0:
-            trades.append(account.close(now, quote_price(price_idx, "ask")))
+            trades.append(account.close(
+                now, _quote_price(ticks, costs, price_idx, "ask")))
         elif sig.side == SIDE_BUY and account.position < 0:
-            trades.append(account.close(now, quote_price(price_idx, "bid")))
+            trades.append(account.close(
+                now, _quote_price(ticks, costs, price_idx, "bid")))
         if sig.side != SIDE_NONE and account.position == 0:
             book = "bid" if sig.side == SIDE_BUY else "ask"
-            px = quote_price(price_idx, book)
+            px = _quote_price(ticks, costs, price_idx, book)
             commitment = position_size(
                 max(account.cash, 0.0), vpin_now if math.isfinite(vpin_now) else 0.5,
                 delta2, delta3, fraction=cfg.position_fraction,
@@ -606,7 +714,7 @@ def run_backtest(ticks: TickSeries, cfg: StrategyConfig,
     equity = np.asarray(account.equity)
     if equity.shape[0] < 2:
         raise DataError("not enough trading bars to evaluate")
-    mark_idx = np.searchsorted(decision_ts, equity_ts)
+    mark_idx = np.searchsorted(state.decision_ts, equity_ts)
     bench_px = closes[mark_idx]
     benchmark = costs.capital * bench_px / bench_px[0]
     bars_per_day = ticks.calendar.seconds_per_day() \
@@ -624,18 +732,43 @@ def run_backtest(ticks: TickSeries, cfg: StrategyConfig,
                           signal_log=tuple(signal_log),
                           margin_calls=margin_calls,
                           max_ledger_residual=account.max_residual,
-                          data_hash=_data_hash(ticks))
+                          data_hash=state.data_hash,
+                          garch_failures=state.garch_failures,
+                          svm_failures=state.svm_failures if cfg.use_svm else 0)
+
+
+# ---------------------------------------------------------------------------
+# Entry points
+# ---------------------------------------------------------------------------
+
+
+def run_backtest(ticks: TickSeries, cfg: StrategyConfig,
+                 costs: CostModel | None = None,
+                 engine: EngineConfig | None = None) -> BacktestResult:
+    """Sequential replay of the layered strategy over one tick stream."""
+    if not cfg.use_garch:
+        raise DataError("the direction layer cannot be disabled")
+    eng = engine if engine is not None else EngineConfig()
+    state = _market_state(ticks, cfg, eng, vpin=cfg.use_vpin, svm=cfg.use_svm)
+    return _replay(state, cfg, costs if costs is not None else CostModel(), eng)
 
 
 def run_variants(ticks: TickSeries, cfg: StrategyConfig,
                  costs: CostModel | None = None,
                  engine: EngineConfig | None = None) -> dict[str, BacktestResult]:
-    """The four layer combinations on identical data, keyed by variant tag."""
+    """The four layer combinations on identical data, keyed by variant tag.
+
+    One market-state pass serves all four replays, so every GARCH window is
+    fit and every SVM trained once.
+    """
+    costs = costs if costs is not None else CostModel()
+    eng = engine if engine is not None else EngineConfig()
+    state = _market_state(ticks, cfg, eng, vpin=True, svm=True)
     out: dict[str, BacktestResult] = {}
     for use_vpin, use_svm in ((False, False), (False, True),
                               (True, False), (True, True)):
         variant_cfg = replace(cfg, use_garch=True, use_vpin=use_vpin,
                               use_svm=use_svm)
-        result = run_backtest(ticks, variant_cfg, costs, engine)
+        result = _replay(state, variant_cfg, costs, eng)
         out[result.report.variant] = result
     return out

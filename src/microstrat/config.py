@@ -180,6 +180,7 @@ class RunConfig:
                             vpin_window=v["window"],
                             svm_kernel_sigma=s["kernel_sigma"],
                             svm_c=s["c"],
+                            svm_tol=s["tol"],
                             svm_min_rows=s["min_rows"],
                             svm_max_rows=s["max_rows"],
                             trading_days_per_year=b["trading_days_per_year"])

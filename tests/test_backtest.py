@@ -1,9 +1,11 @@
+import logging
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import microstrat.backtest as bt
 from microstrat.backtest import (
     Account,
     BacktestReport,
@@ -14,7 +16,8 @@ from microstrat.backtest import (
     run_variants,
     variant_tag,
 )
-from microstrat.errors import DataError
+from microstrat.config import load_config
+from microstrat.errors import DataError, NonConvergenceError
 from microstrat.marketdata import NS_PER_DAY, SynthSpec, TickSeries, synth_ticks
 from microstrat.strategy import SIDE_BUY, SIDE_SELL, StrategyConfig
 from microstrat.volatility import GarchSpec
@@ -30,6 +33,27 @@ def ticks():
 @pytest.fixture(scope="module")
 def full_run(ticks):
     return run_backtest(ticks, StrategyConfig())
+
+
+def _count_calls(monkeypatch, calls, name):
+    """Replace the engine's binding of `name` with one that counts calls."""
+    fn = getattr(bt, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(bt, name, counted)
+
+
+@pytest.fixture(scope="module")
+def variants(ticks):
+    """run_variants results, with the engine's GARCH fits and SMO runs counted."""
+    calls: dict[str, int] = {}
+    with pytest.MonkeyPatch.context() as mp:
+        _count_calls(mp, calls, "fit_garch")
+        _count_calls(mp, calls, "train_smo")
+        return run_variants(ticks, StrategyConfig()), calls
 
 
 # -- account ledger ---------------------------------------------------------
@@ -225,8 +249,8 @@ def test_margin_call_forces_flat(ticks):
             assert tr.position_after == 0
 
 
-def test_variants_share_data_and_tags(ticks):
-    vs = run_variants(ticks, StrategyConfig())
+def test_variants_share_data_and_tags(variants):
+    vs, _ = variants
     assert sorted(vs) == ["G", "G+S", "G+V", "G+V+S"]
     hashes = {r.data_hash for r in vs.values()}
     assert len(hashes) == 1
@@ -234,6 +258,70 @@ def test_variants_share_data_and_tags(ticks):
     d1_g = [s.delta1 for s in vs["G"].signal_log]
     d1_gs = [s.delta1 for s in vs["G+S"].signal_log]
     assert d1_g == d1_gs  # the veto layer must not touch calibration
+
+
+def test_variants_equal_separate_runs_and_share_one_pass(ticks, full_run,
+                                                         variants, monkeypatch):
+    vs, shared_calls = variants
+    calls: dict[str, int] = {}
+    _count_calls(monkeypatch, calls, "fit_garch")
+    _count_calls(monkeypatch, calls, "train_smo")
+    separate = {"G+V+S": full_run}
+    counts = {}
+    for tag, use_vpin, use_svm in (("G", False, False), ("G+S", False, True),
+                                   ("G+V", True, False)):
+        calls.clear()
+        separate[tag] = run_backtest(ticks, StrategyConfig(use_vpin=use_vpin,
+                                                           use_svm=use_svm))
+        counts[tag] = dict(calls)
+    for tag, res in separate.items():
+        for f in fields(res):
+            a, b = getattr(vs[tag], f.name), getattr(res, f.name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b), (tag, f.name)
+            else:
+                assert a == b, (tag, f.name)
+    assert shared_calls["fit_garch"] == counts["G"]["fit_garch"] > 0
+    assert shared_calls["train_smo"] == counts["G+S"]["train_smo"] > 0
+    assert "train_smo" not in counts["G"]
+
+
+def test_failed_garch_refit_is_counted_and_logged(ticks, monkeypatch, caplog):
+    fit = bt.fit_garch
+    calls = []
+
+    def second_fails(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NonConvergenceError("budget spent", iterations=7)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(bt, "fit_garch", second_fails)
+    cfg = StrategyConfig(use_vpin=False, use_svm=False)
+    with caplog.at_level(logging.DEBUG, logger="microstrat.backtest"):
+        res = run_backtest(ticks, cfg)
+    assert res.garch_failures == 1
+    assert res.svm_failures == 0
+    assert len(calls) > 2
+    assert res.report.trade_count == len(res.trades)
+    assert sum("budget spent" in r.getMessage() for r in caplog.records) == 1
+
+
+def test_svm_tol_reaches_engine(ticks, tmp_path, monkeypatch):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[svm]\ntol = 0.01\n")
+    engine = load_config(str(ini)).engine_config()
+    assert engine.svm_tol == 0.01
+    train = bt.train_smo
+    tols = []
+
+    def spy(*args, **kwargs):
+        tols.append(kwargs["tol"])
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(bt, "train_smo", spy)
+    run_backtest(ticks, StrategyConfig(use_vpin=False), engine=engine)
+    assert tols and set(tols) == {0.01}
 
 
 def test_no_lookahead_signals_unchanged_by_future_shift(ticks, full_run):
