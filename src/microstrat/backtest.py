@@ -53,13 +53,14 @@ from .strategy import (
     svm_gate,
 )
 from .svm import DEFAULT_TOL, Kernel, Scaler, SvmModel, train_smo
-from .volatility import GarchSpec, fit_garch
+from .volatility import GarchSpec, GarchState, fit_garch
 from .vpin import (
     DEFAULT_BUCKETS_PER_DAY,
     DEFAULT_WINDOW,
     bucket_fill,
     classify_buckets,
     compute_vpin,
+    default_bucket_volume,
     sigma_delta_p,
 )
 
@@ -314,54 +315,6 @@ def variant_tag(cfg: StrategyConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Volatility state advanced return by return
-# ---------------------------------------------------------------------------
-
-
-class _GarchState:
-    def __init__(self, fit):
-        self.fit = fit
-        spec = fit.spec
-        self.p, self.q = spec.p, spec.q
-        self.leverage = spec.leverage
-        self.mean_model = spec.mean_model
-        k = max(self.p, 1)
-        self.e2 = [float(v) for v in (fit.residuals[::-1][:k] ** 2)]
-        self.neg = [bool(v) for v in (fit.residuals[::-1][:k] < 0)]
-        self.h = [float(v) for v in fit.cond_variance[::-1][:max(self.q, 1)]]
-        self.r_last = fit.last_return
-
-    def variance_forecast(self) -> float:
-        f = self.fit
-        v = f.omega
-        for i in range(self.p):
-            v += f.alphas[i] * self.e2[i]
-        if self.leverage:
-            v += f.leverage_coef * self.e2[0] * self.neg[0]
-        for j in range(self.q):
-            v += f.gammas[j] * self.h[j]
-        return v
-
-    def mean_forecast(self) -> float:
-        if self.mean_model == "zero":
-            return 0.0
-        if self.mean_model == "constant":
-            return float(self.fit.mean_params[0])
-        mu, phi = self.fit.mean_params
-        return float(mu + phi * self.r_last)
-
-    def update(self, r_new: float) -> float:
-        """Absorb one session return; returns its conditional variance."""
-        h_new = self.variance_forecast()
-        eps = r_new - self.mean_forecast()
-        self.e2 = [eps * eps] + self.e2[:-1]
-        self.neg = [eps < 0.0] + self.neg[:-1]
-        self.h = [h_new] + self.h[:-1]
-        self.r_last = r_new
-        return h_new
-
-
-# ---------------------------------------------------------------------------
 # Market-state pass: everything the variants share
 # ---------------------------------------------------------------------------
 
@@ -404,8 +357,7 @@ def _vpin_stream(ticks: TickSeries, days: np.ndarray, eng: EngineConfig):
                             None if ticks.ask1 is None else ticks.ask1[:n_warm],
                             ticks.instrument, ticks.calendar)
     sigma_dp = sigma_delta_p(warm_ticks)
-    bucket_volume = max(1.0, round(float(ticks.volume[:n_warm].sum())
-                                   / eng.warmup_days / eng.buckets_per_day))
+    bucket_volume = default_bucket_volume(warm_ticks, eng.buckets_per_day)
     buckets = classify_buckets(bucket_fill(ticks, bucket_volume), sigma_dp)
     vpin_values = np.empty(0)
     vpin_end_ts = np.empty(0, dtype=np.int64)
@@ -496,7 +448,7 @@ def _market_state(ticks: TickSeries, cfg: StrategyConfig, eng: EngineConfig,
     gate_features: dict[int, np.ndarray] = {}
     garch_failures = svm_failures = 0
 
-    garch: _GarchState | None = None
+    garch: GarchState | None = None
     ret_stream: list[float] = []
     bars_since_fit = 0
     pair_f: list[float] = []
@@ -541,7 +493,7 @@ def _market_state(ticks: TickSeries, cfg: StrategyConfig, eng: EngineConfig,
             window = ret_stream[-eng.garch_window:]
             if len(window) >= eng.garch_min_obs:
                 try:
-                    garch = _GarchState(fit_garch(np.asarray(window), eng.garch_spec))
+                    garch = GarchState(fit_garch(np.asarray(window), eng.garch_spec))
                 except (DataError, NonConvergenceError) as exc:
                     garch_failures += 1
                     log.debug("GARCH refit at bar %d failed: %s", t, exc)
@@ -746,8 +698,6 @@ def run_backtest(ticks: TickSeries, cfg: StrategyConfig,
                  costs: CostModel | None = None,
                  engine: EngineConfig | None = None) -> BacktestResult:
     """Sequential replay of the layered strategy over one tick stream."""
-    if not cfg.use_garch:
-        raise DataError("the direction layer cannot be disabled")
     eng = engine if engine is not None else EngineConfig()
     state = _market_state(ticks, cfg, eng, vpin=cfg.use_vpin, svm=cfg.use_svm)
     return _replay(state, cfg, costs if costs is not None else CostModel(), eng)
@@ -767,8 +717,7 @@ def run_variants(ticks: TickSeries, cfg: StrategyConfig,
     out: dict[str, BacktestResult] = {}
     for use_vpin, use_svm in ((False, False), (False, True),
                               (True, False), (True, True)):
-        variant_cfg = replace(cfg, use_garch=True, use_vpin=use_vpin,
-                              use_svm=use_svm)
+        variant_cfg = replace(cfg, use_vpin=use_vpin, use_svm=use_svm)
         result = _replay(state, variant_cfg, costs, eng)
         out[result.report.variant] = result
     return out

@@ -224,7 +224,7 @@ def cmd_backtest(args, cfg: RunConfig, out_dir: str) -> int:
     ticks = load_ticks(args.data)
     costs, engine = cfg.cost_model(), cfg.engine_config()
     if args.variants:
-        results = run_variants(ticks, cfg.strategy_config(use_garch=True),
+        results = run_variants(ticks, cfg.strategy_config(),
                                costs=costs, engine=engine)
         ordered = [(tag, results[tag]) for tag in VARIANTS]
     else:

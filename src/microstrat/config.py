@@ -18,7 +18,7 @@ from .backtest import CostModel, EngineConfig
 from .errors import ConfigError
 from .marketdata import SynthSpec
 from .strategy import StrategyConfig
-from .svm import DEFAULT_TOL, Kernel
+from .svm import DEFAULT_TOL
 from .volatility import GarchSpec
 
 _SYNTH = SynthSpec()
@@ -90,10 +90,8 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "size_boost": (float, _STRAT.size_boost),
         "size_cap": (float, _STRAT.size_cap),
         "stop_loss_sigmas": (float, _STRAT.stop_loss_sigmas),
-        "use_garch": (_bool, _STRAT.use_garch),
         "use_vpin": (_bool, _STRAT.use_vpin),
         "use_svm": (_bool, _STRAT.use_svm),
-        "svm_training_days": (int, _STRAT.svm_training_days),
     },
     "backtest": {
         "capital": (float, _COSTS.capital),
@@ -148,9 +146,6 @@ class RunConfig:
         g = self.values["garch"]
         return GarchSpec(p=g["p"], q=g["q"], leverage=g["leverage"],
                          mean_model=g["mean_model"])
-
-    def svm_kernel(self) -> Kernel:
-        return Kernel.rbf(self.values["svm"]["kernel_sigma"])
 
     def strategy_config(self, **overrides) -> StrategyConfig:
         return StrategyConfig(**{**self.values["strategy"], **overrides})

@@ -26,7 +26,6 @@ CSI300_SESSIONS: tuple[tuple[int, int], ...] = (
 )
 
 TICK_CSV_HEADER = ("ts_ns", "price", "volume", "bid1", "ask1")
-BAR_CSV_HEADER = ("ts_ns", "open", "high", "low", "close", "volume")
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +132,17 @@ class TickSeries:
                 col = np.ascontiguousarray(col, dtype=np.float64)
                 if col.shape[0] != n:
                     raise DataError("tick columns must have equal length")
+                # NaN marks a missing quote; an infinite one is bad input
+                if np.any(np.isinf(col)):
+                    i = int(np.flatnonzero(np.isinf(col))[0])
+                    raise DataError(f"{name} {col[i]} at tick {i} is infinite")
                 object.__setattr__(self, name, col)
         if n == 0:
             return
-        if not np.all(price > 0):
-            i = int(np.flatnonzero(~(price > 0))[0])
-            raise DataError(f"non-positive price at tick {i}")
+        bad = ~((price > 0) & np.isfinite(price))
+        if np.any(bad):
+            i = int(np.flatnonzero(bad)[0])
+            raise DataError(f"price {price[i]} at tick {i} is not positive and finite")
         if not np.all(volume >= 1):
             i = int(np.flatnonzero(volume < 1)[0])
             raise DataError(f"volume < 1 at tick {i}")
@@ -173,25 +177,6 @@ class TickSeries:
     def day_index(self) -> np.ndarray:
         """Calendar day (epoch days) per tick."""
         return self.ts // NS_PER_DAY
-
-    def session_uid(self) -> np.ndarray:
-        """Globally unique session id per tick (day and intraday session)."""
-        n_sess = len(self.calendar.sessions)
-        return self.day_index() * n_sess + self.calendar.session_index(self.ts)
-
-    @classmethod
-    def from_ticks(cls, ticks: Sequence[Tick], instrument: str = "SYN",
-                   calendar: SessionCalendar = DEFAULT_CALENDAR) -> "TickSeries":
-        if not ticks:
-            return cls(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64),
-                       None, None, instrument, calendar)
-        has_q = any(t.bid1 is not None or t.ask1 is not None for t in ticks)
-        bid = np.array([math.nan if t.bid1 is None else t.bid1 for t in ticks]) if has_q else None
-        ask = np.array([math.nan if t.ask1 is None else t.ask1 for t in ticks]) if has_q else None
-        return cls(np.array([t.ts for t in ticks], np.int64),
-                   np.array([t.price for t in ticks]),
-                   np.array([t.volume for t in ticks], np.int64),
-                   bid, ask, instrument, calendar)
 
 
 @dataclass(frozen=True)
@@ -294,8 +279,9 @@ def load_ticks(path: str, instrument: str = "SYN",
                 a = float(row[4]) if has_quotes and row[4] != "" else math.nan
             except ValueError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from None
-            if not p > 0:
-                raise DataError(f"{path}: line {lineno}: price must be positive")
+            if not 0 < p < math.inf:
+                raise DataError(f"{path}: line {lineno}: price must be positive "
+                                "and finite")
             if v < 1:
                 raise DataError(f"{path}: line {lineno}: volume must be >= 1")
             ts.append(t)
@@ -322,42 +308,6 @@ def save_ticks(path: str, ticks: TickSeries) -> None:
             if has_quotes:
                 row += [f"{ticks.bid1[i]:.12g}", f"{ticks.ask1[i]:.12g}"]
             writer.writerow(row)
-
-
-def load_bars(path: str, interval_ns: int) -> BarSeries:
-    """Load a bar CSV (``ts_ns,open,high,low,close,volume``)."""
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        if tuple(h.strip() for h in header) != BAR_CSV_HEADER:
-            raise DataError(f"{path}: unrecognized bar header {tuple(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 6:
-                raise DataError(f"{path}: line {lineno}: expected 6 fields")
-            try:
-                rows.append((int(row[0]), float(row[1]), float(row[2]),
-                             float(row[3]), float(row[4]), int(row[5])))
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    a = np.array(rows, dtype=np.float64)
-    return BarSeries(interval_ns, a[:, 0].astype(np.int64), a[:, 1], a[:, 2],
-                     a[:, 3], a[:, 4], a[:, 5].astype(np.int64))
-
-
-def save_bars(path: str, bars: BarSeries) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(BAR_CSV_HEADER)
-        for i in range(len(bars)):
-            writer.writerow([int(bars.ts[i]), f"{bars.open[i]:.12g}", f"{bars.high[i]:.12g}",
-                             f"{bars.low[i]:.12g}", f"{bars.close[i]:.12g}", int(bars.volume[i])])
 
 
 # ---------------------------------------------------------------------------

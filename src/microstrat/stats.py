@@ -81,10 +81,6 @@ class OlsFit:
     def ssr(self) -> float:
         return float(self.residuals @ self.residuals)
 
-    def t_stats(self) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self.coefficients / self.standard_errors
-
 
 @dataclass(frozen=True)
 class TestResult:

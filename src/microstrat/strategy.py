@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import DataError
 from .svm import SvmModel, predict
-from .volatility import Forecast
 from .vpin import VpinSeries
 
 SIDE_BUY = "buy"
@@ -25,7 +24,6 @@ SIDE_SELL = "sell"
 SIDE_NONE = "none"
 
 SVM_FEATURE_LAGS = 5
-SVM_FEATURE_COUNT = 2 * SVM_FEATURE_LAGS + 1
 
 
 @dataclass(frozen=True)
@@ -45,10 +43,8 @@ class StrategyConfig:
     size_boost: float = 1.5
     size_cap: float = 0.20
     stop_loss_sigmas: float = 2.0
-    use_garch: bool = True
     use_vpin: bool = True
     use_svm: bool = True
-    svm_training_days: int = 30
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.delta3 <= self.delta2 <= 1.0):
@@ -66,8 +62,6 @@ class StrategyConfig:
             raise DataError("stop_loss_sigmas must be positive")
         if self.basket_delay < 0:
             raise DataError("basket_delay must be >= 0")
-        if self.svm_training_days < 1:
-            raise DataError("svm_training_days must be >= 1")
 
     def delta1_grid(self) -> np.ndarray:
         n = int(round((self.delta1_hi - self.delta1_lo) / self.delta1_step)) + 1
@@ -106,16 +100,10 @@ class LiquidityQuote:
     spread: float
 
 
-def _forecast_head(forecast) -> tuple[float, float]:
-    if isinstance(forecast, Forecast):
-        return float(forecast.mean_path[0]), float(forecast.variance_path[0])
-    mean, variance = forecast
-    return float(mean), float(variance)
-
-
-def garch_signal(forecast, delta1: float, timestamp: int = 0) -> Signal:
-    """Buy above +delta1, sell below -delta1 on the standardized forecast."""
-    mean, variance = _forecast_head(forecast)
+def garch_signal(forecast: tuple[float, float], delta1: float,
+                 timestamp: int = 0) -> Signal:
+    """Buy above +delta1, sell below -delta1 on the (mean, variance) forecast."""
+    mean, variance = map(float, forecast)
     if not (math.isfinite(mean) and math.isfinite(variance) and variance > 0):
         raise DataError(f"bad forecast mean={mean} variance={variance}")
     if not (math.isfinite(delta1) and delta1 > 0):

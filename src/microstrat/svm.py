@@ -11,7 +11,6 @@ separately because the RBF width is only meaningful on a fixed scale.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +21,6 @@ DEFAULT_C = 1.0
 DEFAULT_TOL = 1e-3
 _BOUND_EPS = 1e-12
 _SV_EPS = 1e-10
-
-MODEL_FORMAT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -55,18 +52,6 @@ class Kernel:
     @staticmethod
     def rbf(sigma: float) -> "Kernel":
         return Kernel("rbf", float(sigma))
-
-
-def rbf_kernel(x1: np.ndarray, x2: np.ndarray, sigma: float) -> float:
-    """exp(-||x1 - x2||^2 / (2 sigma^2)) for equal-length vectors."""
-    a = np.asarray(x1, dtype=np.float64).ravel()
-    b = np.asarray(x2, dtype=np.float64).ravel()
-    if a.shape[0] != b.shape[0]:
-        raise DataError(f"kernel inputs differ in length ({a.shape[0]} vs {b.shape[0]})")
-    if not sigma > 0:
-        raise DataError(f"sigma must be positive, got {sigma}")
-    d = a - b
-    return float(np.exp(-(d @ d) / (2.0 * sigma * sigma)))
 
 
 def kernel_matrix(A: np.ndarray, B: np.ndarray, kernel: Kernel) -> np.ndarray:
@@ -272,65 +257,3 @@ def train_smo(X: np.ndarray, y: np.ndarray, c: float = DEFAULT_C,
         keep[0] = True
     return SvmModel(support_vectors=X[keep], dual_coefs=alpha[keep] * y[keep],
                     bias=bias, kernel=kernel, c=c, training_tol=tol, report=report)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def save_model(path: str, model: SvmModel, scaler: Scaler | None = None) -> None:
-    """Versioned flat text file; floats are written round-trip exact."""
-    lines = [f"svmmodel {MODEL_FORMAT_VERSION}",
-             f"kernel {model.kernel.kind}"]
-    if model.kernel.kind == "rbf":
-        lines.append(f"sigma {model.kernel.sigma!r}")
-    lines.append(f"c {model.c!r}")
-    lines.append(f"tol {model.training_tol!r}")
-    lines.append(f"bias {model.bias!r}")
-    lines.append(f"dim {model.n_features}")
-    if scaler is not None:
-        lines.append("scaler_mean " + " ".join(repr(float(v)) for v in scaler.mean))
-        lines.append("scaler_scale " + " ".join(repr(float(v)) for v in scaler.scale))
-    lines.append(f"n_sv {model.support_vectors.shape[0]}")
-    for coef, row in zip(model.dual_coefs, model.support_vectors):
-        lines.append(" ".join([repr(float(coef))] + [repr(float(v)) for v in row]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_model(path: str) -> tuple[SvmModel, Scaler | None]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("svmmodel "):
-        raise DataError(f"{path}: not a model file")
-    version = lines[0].split()[1]
-    if version != str(MODEL_FORMAT_VERSION):
-        raise DataError(f"{path}: unsupported model version {version}")
-    fields: dict[str, str] = {}
-    rows: list[str] = []
-    for ln in lines[1:]:
-        key, _, rest = ln.partition(" ")
-        if key in ("kernel", "sigma", "c", "tol", "bias", "dim",
-                   "scaler_mean", "scaler_scale", "n_sv"):
-            fields[key] = rest
-        else:
-            rows.append(ln)
-    try:
-        kind = fields["kernel"]
-        kernel = Kernel.rbf(float(fields["sigma"])) if kind == "rbf" else Kernel.linear()
-        dim = int(fields["dim"])
-        n_sv = int(fields["n_sv"])
-        data = np.array([[float(v) for v in ln.split()] for ln in rows])
-        if data.shape != (n_sv, dim + 1):
-            raise DataError(f"{path}: expected {n_sv} rows of {dim + 1} values")
-        scaler = None
-        if "scaler_mean" in fields:
-            scaler = Scaler(np.array([float(v) for v in fields["scaler_mean"].split()]),
-                            np.array([float(v) for v in fields["scaler_scale"].split()]))
-        model = SvmModel(support_vectors=data[:, 1:], dual_coefs=data[:, 0],
-                         bias=float(fields["bias"]), kernel=kernel,
-                         c=float(fields["c"]), training_tol=float(fields["tol"]))
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"{path}: malformed model file ({exc})") from None
-    return model, scaler

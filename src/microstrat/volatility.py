@@ -1,13 +1,22 @@
 """GARCH-family estimation and forecasting, realized volatility, HAR-VPIN.
 
 The conditional variance h_t = a0 + sum_i a_i e_{t-i}^2 + lam e_{t-1}^2
-1[e_{t-1}<0] + sum_j g_j h_{t-j} is a linear AR recursion in h, so both the
-variance path and every partial derivative of it are computed with the same
-IIR filter, which keeps the quasi-likelihood and its analytic gradient exact
-and fast. The optimizer works on transformed parameters (log variance
-intercept, logistic persistence split across terms) so the positivity and
-stationarity constraints hold by construction; the leverage coefficient is
-unconstrained and guarded by a feasibility check on h.
+1[e_{t-1}<0] + sum_j g_j h_{t-j} is computed here and nowhere else, by two
+implementations with different jobs:
+
+- In sample, `_variance_path` filters a whole return vector at once. The
+  recursion is linear AR in h, so the variance path and, in
+  `garch_loglik`, every partial derivative of it come from the same IIR
+  filter, which keeps the quasi-likelihood and its analytic gradient exact
+  and fast. `fit_garch` and `garch_loglik` both call it.
+- Out of sample, `GarchState` advances a fitted model one return at a time
+  in Python floats: the backtest engine steps it once per bar, and
+  `forecast` steps it with expected shocks in place of returns.
+
+The optimizer works on transformed parameters (log variance intercept,
+logistic persistence split across terms) so the positivity and stationarity
+constraints hold by construction; the leverage coefficient is unconstrained
+and guarded by a feasibility check on h.
 
 Presample convention: h is seeded with the sample variance of the input
 (assigned to h_0 and used for every h_{t-j} before the sample), presample
@@ -29,9 +38,6 @@ from .marketdata import BarSeries, ReturnSeries
 from .stats import OlsFit, ols
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-HOUR_BLOCKS = 12  # 5-minute bars per hour
-DAY_BLOCKS = 48  # 5-minute bars per 4-hour trading day
 
 MEAN_PARAM_COUNT = {"zero": 0, "constant": 1, "ar1": 2}
 MAX_FIT_ITER = 500
@@ -170,6 +176,41 @@ def _mean_residuals(theta_mean: np.ndarray, r: np.ndarray, mean_model: str,
     return eps, [np.full(r.shape[0], -1.0), -rlag]
 
 
+def _coefficients(theta: np.ndarray, spec: GarchSpec):
+    """(omega, alphas, lambda, gammas) from the natural parameter vector."""
+    nm, p = spec.n_mean, spec.p
+    lam = float(theta[nm + 1 + p]) if spec.leverage else 0.0
+    return (float(theta[nm]), theta[nm + 1:nm + 1 + p], lam,
+            theta[nm + 1 + p + int(spec.leverage):])
+
+
+def _variance_path(theta: np.ndarray, x: np.ndarray, spec: GarchSpec,
+                   seed_var: float, r_prev: float):
+    """The in-sample filter at theta.
+
+    Returns h, the residuals, the residuals' derivatives with respect to each
+    mean parameter, and the AR polynomial [1, -gamma_1..q] of h.
+    """
+    omega, alphas, lam, gammas = _coefficients(theta, spec)
+    eps, deps = _mean_residuals(theta[:spec.n_mean], x, spec.mean_model, r_prev)
+    e2 = eps * eps
+    forcing = np.full(x.shape[0], omega)
+    for i in range(1, spec.p + 1):
+        forcing += alphas[i - 1] * _lag(e2, i)
+    if spec.leverage:
+        forcing += lam * _lag(e2 * (eps < 0.0), 1)
+    a_poly = np.concatenate([[1.0], -gammas])
+    # recursion runs from t=1; position 0 is the (parameter-free) seed
+    h = np.empty(x.shape[0])
+    h[0] = seed_var
+    if spec.q == 0:
+        h[1:] = forcing[1:]
+    else:
+        zi = lfiltic([1.0], a_poly, np.full(spec.q, seed_var))
+        h[1:] = lfilter([1.0], a_poly, forcing[1:], zi=zi)[0]
+    return h, eps, deps, a_poly
+
+
 def garch_loglik(theta: np.ndarray, r: ReturnSeries | np.ndarray, spec: GarchSpec,
                  seed_var: float | None = None,
                  r_prev: float | None = None) -> tuple[float, np.ndarray]:
@@ -187,46 +228,24 @@ def garch_loglik(theta: np.ndarray, r: ReturnSeries | np.ndarray, spec: GarchSpe
         seed_var = float(np.var(x))
     if r_prev is None:
         r_prev = float(np.mean(x))
-    nm = spec.n_mean
-    p, q = spec.p, spec.q
-    omega = float(theta[nm])
-    alphas = theta[nm + 1:nm + 1 + p]
-    lam = float(theta[nm + 1 + p]) if spec.leverage else 0.0
-    gammas = theta[nm + 1 + p + int(spec.leverage):]
-
-    eps, deps = _mean_residuals(theta[:nm], x, spec.mean_model, r_prev)
-    e2 = eps * eps
-    neg = eps < 0.0
-    e2neg = e2 * neg
-
-    forcing = np.full(n, omega)
-    for i in range(1, p + 1):
-        forcing += alphas[i - 1] * _lag(e2, i)
-    if spec.leverage:
-        forcing += lam * _lag(e2neg, 1)
-
-    a_poly = np.concatenate([[1.0], -gammas])
-
-    def ar_filter(src: np.ndarray, seeded: bool) -> np.ndarray:
-        # recursion runs from t=1; position 0 is the (parameter-free) seed
-        out = np.empty(n)
-        out[0] = seed_var if seeded else 0.0
-        if q == 0:
-            out[1:] = src[1:]
-        elif seeded:
-            zi = lfiltic([1.0], a_poly, np.full(q, seed_var))
-            out[1:] = lfilter([1.0], a_poly, src[1:], zi=zi)[0]
-        else:
-            out[1:] = lfilter([1.0], a_poly, src[1:])
-        return out
-
-    h = ar_filter(forcing, seeded=True)
+    h, eps, deps, a_poly = _variance_path(theta, x, spec, seed_var, r_prev)
     if not np.all(np.isfinite(h)) or np.any(h <= 0.0):
         return -math.inf, np.zeros(spec.n_params)
 
+    nm, p, q = spec.n_mean, spec.p, spec.q
+    _, alphas, lam, _ = _coefficients(theta, spec)
+    e2 = eps * eps
+    neg = eps < 0.0
     ll = -0.5 * float(np.sum(LOG_2PI + np.log(h) + e2 / h))
     dldh = 0.5 * (e2 / h - 1.0) / h
     dlde = -eps / h
+
+    def ar_filter(src: np.ndarray) -> np.ndarray:
+        # dh/dtheta: the same recursion from a zero seed
+        out = np.empty(n)
+        out[0] = 0.0
+        out[1:] = src[1:] if q == 0 else lfilter([1.0], a_poly, src[1:])
+        return out
 
     grad = np.empty(spec.n_params)
     for m, dm in enumerate(deps):
@@ -235,17 +254,16 @@ def garch_loglik(theta: np.ndarray, r: ReturnSeries | np.ndarray, spec: GarchSpe
             src += alphas[i - 1] * _lag(2.0 * eps * dm, i)
         if spec.leverage:
             src += lam * _lag(2.0 * eps * dm * neg, 1)
-        grad[m] = float(dldh @ ar_filter(src, seeded=False)) + float(dlde @ dm)
-    grad[nm] = float(dldh @ ar_filter(np.ones(n), seeded=False))
+        grad[m] = float(dldh @ ar_filter(src)) + float(dlde @ dm)
+    grad[nm] = float(dldh @ ar_filter(np.ones(n)))
     for i in range(1, p + 1):
-        grad[nm + i] = float(dldh @ ar_filter(_lag(e2, i), seeded=False))
+        grad[nm + i] = float(dldh @ ar_filter(_lag(e2, i)))
     off = nm + 1 + p
     if spec.leverage:
-        grad[off] = float(dldh @ ar_filter(_lag(e2neg, 1), seeded=False))
+        grad[off] = float(dldh @ ar_filter(_lag(e2 * neg, 1)))
         off += 1
     for j in range(1, q + 1):
-        grad[off + j - 1] = float(dldh @ ar_filter(_lag(h, j, fill=seed_var),
-                                                   seeded=False))
+        grad[off + j - 1] = float(dldh @ ar_filter(_lag(h, j, fill=seed_var)))
     return ll, grad
 
 
@@ -356,16 +374,16 @@ def fit_garch(r: ReturnSeries | np.ndarray, spec: GarchSpec | None = None) -> Ga
 
     theta, _, _, _ = _raw_to_natural(res.x, spec)
     ll, _ = garch_loglik(theta, x, spec, seed_var, rbar)
-    h, eps = _variance_path(theta, x, spec, seed_var, rbar)
+    h, eps, _, _ = _variance_path(theta, x, spec, seed_var, rbar)
     se = _hessian_std_errors(theta, x, spec, seed_var, rbar)
-    nm, p = spec.n_mean, spec.p
+    omega, alphas, lam, gammas = _coefficients(theta, spec)
     return GarchFit(
         spec=spec,
-        omega=float(theta[nm]),
-        alphas=theta[nm + 1:nm + 1 + p],
-        gammas=theta[nm + 1 + p + int(spec.leverage):],
-        leverage_coef=float(theta[nm + 1 + p]) if spec.leverage else 0.0,
-        mean_params=theta[:nm],
+        omega=omega,
+        alphas=alphas,
+        gammas=gammas,
+        leverage_coef=lam,
+        mean_params=theta[:spec.n_mean],
         cond_variance=h,
         residuals=eps,
         log_likelihood=float(ll),
@@ -384,31 +402,6 @@ def fit_tgarch(r: ReturnSeries | np.ndarray,
     elif not spec.leverage:
         spec = GarchSpec(spec.p, spec.q, True, spec.mean_model)
     return fit_garch(r, spec)
-
-
-def _variance_path(theta, x, spec, seed_var, rbar):
-    """Re-run the recursion at theta; shared by the fit and the forecasts."""
-    nm, p, q = spec.n_mean, spec.p, spec.q
-    eps, _ = _mean_residuals(theta[:nm], x, spec.mean_model, rbar)
-    e2 = eps * eps
-    omega = float(theta[nm])
-    alphas = theta[nm + 1:nm + 1 + p]
-    lam = float(theta[nm + 1 + p]) if spec.leverage else 0.0
-    gammas = theta[nm + 1 + p + int(spec.leverage):]
-    forcing = np.full(x.shape[0], omega)
-    for i in range(1, p + 1):
-        forcing += alphas[i - 1] * _lag(e2, i)
-    if spec.leverage:
-        forcing += lam * _lag(e2 * (eps < 0), 1)
-    h = np.empty(x.shape[0])
-    h[0] = seed_var
-    if q == 0:
-        h[1:] = forcing[1:]
-    else:
-        a_poly = np.concatenate([[1.0], -gammas])
-        zi = lfiltic([1.0], a_poly, np.full(q, seed_var))
-        h[1:] = lfilter([1.0], a_poly, forcing[1:], zi=zi)[0]
-    return h, eps
 
 
 def _hessian_std_errors(theta, x, spec, seed_var, rbar) -> np.ndarray:
@@ -438,6 +431,64 @@ def _hessian_std_errors(theta, x, spec, seed_var, rbar) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+class GarchState:
+    """Out-of-sample stepper: a fitted model advanced one return at a time.
+
+    Holds the newest max(p, 1) squared residuals and their negative parts and
+    the newest max(q, 1) variances, newest first, in Python floats because the
+    engine steps it once per bar. Its presample is the end of the fit's own
+    in-sample path, so stepping it through returns after the fit window gives
+    the variances the in-sample filter would give on the longer series.
+    """
+
+    def __init__(self, fit: GarchFit):
+        spec = fit.spec
+        self.omega = fit.omega
+        self.alphas = [float(a) for a in fit.alphas]
+        self.gammas = [float(g) for g in fit.gammas]
+        self.lam = fit.leverage_coef if spec.leverage else None
+        self.mean_model = spec.mean_model
+        self.mean_params = [float(m) for m in fit.mean_params]
+        k = max(spec.p, 1)
+        tail = [float(e) for e in fit.residuals[::-1][:k]]
+        self.e2 = [e * e for e in tail]
+        self.e2neg = [e * e * (e < 0.0) for e in tail]
+        self.h = [float(v) for v in fit.cond_variance[::-1][:max(spec.q, 1)]]
+        self.r_last = fit.last_return
+
+    def variance_forecast(self) -> float:
+        v = self.omega
+        for a, e2 in zip(self.alphas, self.e2):
+            v += a * e2
+        if self.lam is not None:
+            v += self.lam * self.e2neg[0]
+        for g, h in zip(self.gammas, self.h):
+            v += g * h
+        return v
+
+    def mean_forecast(self) -> float:
+        if self.mean_model == "zero":
+            return 0.0
+        if self.mean_model == "constant":
+            return self.mean_params[0]
+        mu, phi = self.mean_params
+        return mu + phi * self.r_last
+
+    def _push(self, e2: float, e2neg: float, h: float, r: float) -> None:
+        self.e2 = [e2] + self.e2[:-1]
+        self.e2neg = [e2neg] + self.e2neg[:-1]
+        self.h = [h] + self.h[:-1]
+        self.r_last = r
+
+    def update(self, r: float) -> float:
+        """Absorb one return; returns its conditional variance."""
+        h = self.variance_forecast()
+        eps = r - self.mean_forecast()
+        e2 = eps * eps
+        self._push(e2, e2 * (eps < 0.0), h, r)
+        return h
+
+
 def forecast(fit: GarchFit, horizon: int) -> Forecast:
     """Recursive variance forecast with the fitted mean model's point path.
 
@@ -446,35 +497,15 @@ def forecast(fit: GarchFit, horizon: int) -> Forecast:
     """
     if horizon < 1:
         raise DataError("horizon must be >= 1")
-    spec = fit.spec
-    p, q = spec.p, spec.q
-    e2 = fit.residuals ** 2
-    neg = fit.residuals < 0
-    h = fit.cond_variance
-    n = h.shape[0]
+    state = GarchState(fit)
     var_path = np.empty(horizon)
-    for k in range(1, horizon + 1):
-        v = fit.omega
-        for i in range(1, p + 1):
-            t = n - 1 + k - i
-            v += fit.alphas[i - 1] * (e2[t] if t < n else var_path[t - n])
-        if spec.leverage:
-            t = n - 1 + k - 1
-            v += fit.leverage_coef * (e2[t] * neg[t] if t < n
-                                      else 0.5 * var_path[t - n])
-        for j in range(1, q + 1):
-            t = n - 1 + k - j
-            v += fit.gammas[j - 1] * (h[t] if t < n else var_path[t - n])
-        var_path[k - 1] = v
-    mean_path = np.zeros(horizon)
-    if spec.mean_model == "constant":
-        mean_path[:] = fit.mean_params[0]
-    elif spec.mean_model == "ar1":
-        mu, phi = fit.mean_params
-        prev = fit.last_return
-        for k in range(horizon):
-            prev = mu + phi * prev
-            mean_path[k] = prev
+    mean_path = np.empty(horizon)
+    for k in range(horizon):
+        v = state.variance_forecast()
+        m = state.mean_forecast()
+        var_path[k] = v
+        mean_path[k] = m
+        state._push(v, 0.5 * v, v, m)
     return Forecast(variance_path=var_path, mean_path=mean_path)
 
 

@@ -158,16 +158,6 @@ def bucket_fill(ticks: TickSeries, bucket_volume: float) -> list[RawBucket]:
     return buckets
 
 
-def bvc_split(delta_p: float, sigma_dp: float, v: float) -> tuple[float, float]:
-    """Split volume v into (buy, sell) by the normal-CDF classification rule."""
-    if not sigma_dp > 0:
-        raise DataError(f"sigma_dp must be positive, got {sigma_dp}")
-    if not v > 0:
-        raise DataError(f"volume must be positive, got {v}")
-    v_b = v * float(ndtr(delta_p / sigma_dp))
-    return v_b, v - v_b
-
-
 def sigma_delta_p(ticks: TickSeries) -> float:
     """Population standard deviation of tick-to-tick price changes."""
     if len(ticks) < 3:

@@ -338,9 +338,7 @@ def test_no_lookahead_signals_unchanged_by_future_shift(ticks, full_run):
     assert base_rows == other_rows
 
 
-def test_engine_preconditions(ticks):
-    with pytest.raises(DataError):
-        run_backtest(ticks, StrategyConfig(use_garch=False))
+def test_engine_preconditions():
     one_day = SynthSpec(count=28800, seed=1, tick_interval_ms=500)
     with pytest.raises(DataError):
         run_backtest(synth_ticks(one_day), StrategyConfig())

@@ -74,6 +74,16 @@ def test_missing_input_names_path(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
+def test_non_finite_ticks_are_data_errors(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    good = "34200000000000,3000.0,5,2999.9,3000.1\n"
+    for row in ("34201000000000,inf,5,2999.9,3000.1\n",
+                "34201000000000,3000.0,5,2999.9,inf\n"):
+        path.write_text("ts_ns,price,volume,bid1,ask1\n" + good + row)
+        assert run("--out", str(tmp_path), "vpin", str(path)) == 2
+        assert "finite" in capsys.readouterr().err
+
+
 def test_generate_constraint_error(tmp_path, capsys):
     code = run("--out", str(tmp_path), "generate",
                "--alpha", "0.5", "--beta", "0.6")
@@ -111,6 +121,9 @@ def test_unknown_key_rejected(tmp_path):
         load_config(str(ini))
     ini.write_text("[nonsense]\nx = 1\n")
     with pytest.raises(ConfigError, match="nonsense"):
+        load_config(str(ini))
+    ini.write_text("[strategy]\nuse_garch = true\n")
+    with pytest.raises(ConfigError, match="use_garch"):
         load_config(str(ini))
 
 

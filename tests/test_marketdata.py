@@ -1,8 +1,12 @@
 """Container validation, CSV round trips, resampling, and the synthetic generator."""
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microstrat.errors import DataError
 from microstrat.marketdata import (
@@ -69,6 +73,24 @@ def test_tick_series_rejects_out_of_session_ticks():
         series([(43200, 100.0, 1)])
 
 
+def test_tick_series_rejects_non_finite_values():
+    ts = np.array([ts_of(34200), ts_of(34201)])
+    vol = np.array([1, 1], dtype=np.int64)
+    with pytest.raises(DataError, match="price"):
+        TickSeries(ts, np.array([100.0, math.inf]), vol)
+    for bad in (math.inf, -math.inf):
+        with pytest.raises(DataError, match="bid1"):
+            TickSeries(ts, np.array([100.0, 100.0]), vol,
+                       np.array([99.9, bad]), np.array([100.1, 100.1]))
+        with pytest.raises(DataError, match="ask1"):
+            TickSeries(ts, np.array([100.0, 100.0]), vol,
+                       np.array([99.9, 99.9]), np.array([bad, 100.1]))
+    # NaN still marks a missing quote
+    s = TickSeries(ts, np.array([100.0, 100.0]), vol,
+                   np.array([math.nan, 99.9]), np.array([100.1, math.nan]))
+    assert s[0].bid1 is None and s[1].ask1 is None
+
+
 def test_tick_series_rejects_ragged_columns():
     with pytest.raises(DataError):
         TickSeries(np.array([ts_of(34200)]), np.array([100.0, 101.0]),
@@ -112,6 +134,54 @@ def test_load_ticks_reports_failing_line(tmp_path):
                     f"{ts_of(34201)},not-a-price,5\n")
     with pytest.raises(DataError, match="line 3"):
         load_ticks(str(path))
+
+
+def test_load_ticks_rejects_infinite_price(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("ts_ns,price,volume\n"
+                    f"{ts_of(34200)},100.0,5\n"
+                    f"{ts_of(34201)},inf,5\n")
+    with pytest.raises(DataError, match="line 3"):
+        load_ticks(str(path))
+
+
+# values the %.12g tick format writes without loss
+_csv_floats = st.floats(min_value=1e-3, max_value=1e6).map(lambda v: float(f"{v:.12g}"))
+
+
+@st.composite
+def tick_columns(draw):
+    n = draw(st.integers(1, 40))
+    offsets = sorted(draw(st.lists(st.integers(0, 7200 * NS_PER_SEC),
+                                   min_size=n, max_size=n)))
+    ts = ts_of(34200) + np.array(offsets, dtype=np.int64)
+    price = np.array(draw(st.lists(_csv_floats, min_size=n, max_size=n)))
+    volume = np.array(draw(st.lists(st.integers(1, 10**9), min_size=n, max_size=n)),
+                      dtype=np.int64)
+    if not draw(st.booleans()):
+        return ts, price, volume, None, None
+    quote = st.one_of(st.just(math.nan), _csv_floats)
+    pairs = draw(st.lists(st.tuples(quote, quote), min_size=n, max_size=n))
+    # an uncrossed book: the lower quote is the bid
+    bid = np.array([b if math.isnan(a) or b <= a else a for b, a in pairs])
+    ask = np.array([a if math.isnan(b) or b <= a else b for b, a in pairs])
+    return ts, price, volume, bid, ask
+
+
+@settings(max_examples=60, deadline=None)
+@given(tick_columns())
+def test_tick_csv_round_trip_is_exact(cols):
+    ticks = TickSeries(*cols)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "ticks.csv")
+        save_ticks(path, ticks)
+        loaded = load_ticks(path)
+    np.testing.assert_array_equal(loaded.ts, ticks.ts)
+    np.testing.assert_array_equal(loaded.price, ticks.price)
+    np.testing.assert_array_equal(loaded.volume, ticks.volume)
+    for name in ("bid1", "ask1"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(ticks, name))
+    assert int(loaded.volume.sum()) == int(ticks.volume.sum())
 
 
 def test_load_ticks_rejects_non_positive_volume(tmp_path):

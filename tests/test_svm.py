@@ -1,4 +1,4 @@
-"""Kernels, SMO training fixtures, KKT certification, and model files."""
+"""Kernels, SMO training fixtures, and KKT certification."""
 import math
 
 import numpy as np
@@ -11,10 +11,7 @@ from microstrat.svm import (
     SvmModel,
     decision_value,
     kernel_matrix,
-    load_model,
     predict,
-    rbf_kernel,
-    save_model,
     train_smo,
 )
 
@@ -30,21 +27,21 @@ XOR_Y = np.array([1, 1, -1, -1])
 
 
 def test_rbf_kernel_fixed_points():
-    x = np.array([0.3, -1.2, 4.0])
-    assert rbf_kernel(x, x, 0.7) == 1.0
-    # squared distance of exactly 2 sigma^2
-    a = np.array([0.0, 0.0])
-    b = np.array([math.sqrt(2.0) * 0.5, 0.0])
-    assert rbf_kernel(a, b, 0.5) == pytest.approx(math.exp(-1.0), abs=1e-6)
-    far = rbf_kernel(np.zeros(1), np.array([10.0 * 0.5]), 0.5)
+    x = np.array([[0.3, -1.2, 4.0]])
+    assert kernel_matrix(x, x, Kernel.rbf(0.7))[0, 0] == 1.0
+    # squared distance of exactly 2 sigma^2, and one of 100 sigma^2
+    a = np.zeros((1, 2))
+    b = np.array([[math.sqrt(2.0) * 0.5, 0.0], [10.0 * 0.5, 0.0]])
+    near, far = kernel_matrix(a, b, Kernel.rbf(0.5))[0]
+    assert near == pytest.approx(math.exp(-1.0), abs=1e-6)
     assert 0.0 <= far < math.exp(-49.0)
 
 
 def test_rbf_kernel_rejects_bad_inputs():
     with pytest.raises(DataError):
-        rbf_kernel(np.zeros(2), np.zeros(3), 1.0)
+        kernel_matrix(np.zeros((1, 2)), np.zeros((1, 3)), Kernel.rbf(1.0))
     with pytest.raises(DataError):
-        rbf_kernel(np.zeros(2), np.zeros(2), 0.0)
+        Kernel.rbf(0.0)
 
 
 def test_kernel_matrix_is_symmetric_psd():
@@ -180,7 +177,7 @@ def test_zero_decision_value_maps_to_plus_one():
 
 
 # ---------------------------------------------------------------------------
-# Scaling and serialization
+# Scaling
 # ---------------------------------------------------------------------------
 
 
@@ -192,28 +189,3 @@ def test_scaler_standardizes_and_keeps_constant_columns():
     assert abs(Z[:, 0].mean()) < 1e-12
     assert Z[:, 0].std() == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(Z[:, 1], 0.0, atol=1e-12)
-
-
-def test_model_file_round_trip(tmp_path):
-    model = train_smo(XOR_X, XOR_Y, c=100.0, kernel=Kernel.rbf(1.0))
-    scaler = Scaler.fit(XOR_X)
-    path = tmp_path / "model.svm"
-    save_model(str(path), model, scaler)
-    loaded, loaded_scaler = load_model(str(path))
-    assert loaded.kernel == model.kernel
-    assert loaded.bias == model.bias
-    np.testing.assert_array_equal(loaded.support_vectors, model.support_vectors)
-    np.testing.assert_array_equal(loaded.dual_coefs, model.dual_coefs)
-    np.testing.assert_array_equal(loaded_scaler.mean, scaler.mean)
-    grid = np.random.default_rng(47).standard_normal((20, 2))
-    np.testing.assert_array_equal(predict(loaded, grid), predict(model, grid))
-
-
-def test_model_file_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.svm"
-    path.write_text("not a model\n")
-    with pytest.raises(DataError):
-        load_model(str(path))
-    path.write_text("svmmodel 99\nkernel linear\n")
-    with pytest.raises(DataError, match="version"):
-        load_model(str(path))

@@ -7,6 +7,8 @@ from microstrat.errors import DataError
 from microstrat.marketdata import BarSeries
 from microstrat.volatility import (
     GarchSpec,
+    GarchState,
+    _variance_path,
     fit_garch,
     fit_har_vpin,
     fit_tgarch,
@@ -224,6 +226,23 @@ def test_forecast_mean_paths():
         assert path[k] == prev
     # geometric decay toward the unconditional mean
     assert abs(path[-1] - mu / (1.0 - phi)) < abs(path[0] - mu / (1.0 - phi)) + 1e-12
+
+
+@pytest.mark.parametrize("spec", [
+    GarchSpec(1, 1, False, "ar1"), GarchSpec(2, 2, True, "ar1"),
+    GarchSpec(2, 1, True, "constant"), GarchSpec(1, 0, False, "zero"),
+    GarchSpec(1, 2, True, "zero")], ids=str)
+def test_stepper_continues_the_in_sample_filter(spec):
+    x = simulate_garch(1500, 1e-6, [0.05], [0.88], leverage=0.04, mu=1e-5,
+                       phi=0.2, rng=np.random.default_rng(23))
+    n = 1200
+    fit = fit_garch(x[:n], spec)
+    state = GarchState(fit)
+    stepped = [state.update(float(r)) for r in x[n:]]
+    h, _, _, _ = _variance_path(fit.theta(), x, spec, fit.seed_variance,
+                                float(np.mean(x[:n])))
+    np.testing.assert_array_equal(h[:n], fit.cond_variance)
+    np.testing.assert_allclose(stepped, h[n:], rtol=1e-12, atol=0.0)
 
 
 def test_forecast_horizon_validated():

@@ -5,9 +5,9 @@ import pytest
 from microstrat.errors import DataError
 from microstrat.marketdata import SynthSpec, TickSeries, synth_ticks
 from microstrat.vpin import (
+    RawBucket,
     VolumeBucket,
     bucket_fill,
-    bvc_split,
     classify_buckets,
     compute_vpin,
     default_bucket_volume,
@@ -87,32 +87,39 @@ def test_bucket_fill_handles_tick_larger_than_bucket():
 
 
 # ---------------------------------------------------------------------------
-# bvc_split
+# Bulk volume classification of one fragment
 # ---------------------------------------------------------------------------
 
 
+def classify_one(delta_p, sigma_dp, v):
+    """(buy, sell) of a one-fragment bucket classified by classify_buckets."""
+    raw = RawBucket(1, 0, 0, np.array([delta_p]), np.array([v]), True)
+    (bucket,) = classify_buckets([raw], sigma_dp)
+    return bucket.buy_volume, bucket.sell_volume
+
+
 def test_bvc_split_even_on_zero_change():
-    v_b, v_s = bvc_split(0.0, 1.0, 80.0)
+    v_b, v_s = classify_one(0.0, 1.0, 80.0)
     assert v_b == pytest.approx(40.0, abs=1e-12)
     assert v_s == pytest.approx(40.0, abs=1e-12)
 
 
 def test_bvc_split_saturates_in_the_tail():
-    v_b, _ = bvc_split(10.0, 1.0, 1.0)
+    v_b, _ = classify_one(10.0, 1.0, 1.0)
     assert v_b > 0.999999
 
 
 def test_bvc_split_one_sigma_table_value():
-    v_b, v_s = bvc_split(0.5, 0.5, 100.0)
+    v_b, v_s = classify_one(0.5, 0.5, 100.0)
     assert v_b == pytest.approx(84.1345, abs=1e-3)
     assert v_b + v_s == 100.0
 
 
 def test_bvc_split_rejects_degenerate_sigma():
     with pytest.raises(DataError):
-        bvc_split(0.1, 0.0, 10.0)
+        classify_one(0.1, 0.0, 10.0)
     with pytest.raises(DataError):
-        bvc_split(0.1, 1.0, 0.0)
+        classify_one(0.1, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
