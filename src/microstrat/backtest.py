@@ -355,7 +355,7 @@ def _vpin_stream(ticks: TickSeries, days: np.ndarray, eng: EngineConfig):
                             ticks.volume[:n_warm],
                             None if ticks.bid1 is None else ticks.bid1[:n_warm],
                             None if ticks.ask1 is None else ticks.ask1[:n_warm],
-                            ticks.instrument, ticks.calendar)
+                            ticks.calendar)
     sigma_dp = sigma_delta_p(warm_ticks)
     bucket_volume = default_bucket_volume(warm_ticks, eng.buckets_per_day)
     buckets = classify_buckets(bucket_fill(ticks, bucket_volume), sigma_dp)

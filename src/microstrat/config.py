@@ -57,7 +57,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "volume_log_mean": (float, _SYNTH.volume_log_mean),
         "volume_log_sigma": (float, _SYNTH.volume_log_sigma),
         "start_day": (int, _SYNTH.start_day),
-        "instrument": (str, _SYNTH.instrument),
     },
     "vpin": {
         "buckets_per_day": (int, _ENGINE.buckets_per_day),

@@ -7,10 +7,10 @@ bar across a session break.
 """
 from __future__ import annotations
 
-import csv
 import math
+import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -77,35 +77,23 @@ DEFAULT_CALENDAR = SessionCalendar()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Tick:
-    """One trade: epoch-ns timestamp, price, integer volume, optional L1 quotes."""
+class TickError(DataError):
+    """A tick that breaks a TickSeries invariant, with its position."""
 
-    ts: int
-    price: float
-    volume: int
-    bid1: float | None = None
-    ask1: float | None = None
-
-    def __post_init__(self) -> None:
-        if not self.price > 0:
-            raise DataError(f"tick price must be positive, got {self.price}")
-        if self.volume < 1:
-            raise DataError(f"tick volume must be >= 1, got {self.volume}")
-        if self.bid1 is not None and not self.bid1 > 0:
-            raise DataError("bid1 must be positive when present")
-        if self.ask1 is not None and not self.ask1 > 0:
-            raise DataError("ask1 must be positive when present")
-        if self.bid1 is not None and self.ask1 is not None and self.bid1 > self.ask1:
-            raise DataError(f"crossed quotes: bid1 {self.bid1} > ask1 {self.ask1}")
+    def __init__(self, index: int, reason: str) -> None:
+        super().__init__(f"tick {index}: {reason}")
+        self.index = index
+        self.reason = reason
 
 
 @dataclass(frozen=True)
 class TickSeries:
-    """Validated, time-ordered trades for one instrument.
+    """Validated, time-ordered trades; the one place the tick rules live.
 
-    Columns are stored as numpy arrays; missing quotes are NaN. All ticks must
-    fall inside a calendar session.
+    Columns are stored as numpy arrays. Every tick has a positive finite
+    price, a volume of at least 1, a timestamp no earlier than the tick
+    before and inside a calendar session. Each quote is NaN (missing) or
+    positive and finite, and a bid never exceeds its ask.
     """
 
     ts: np.ndarray
@@ -113,66 +101,45 @@ class TickSeries:
     volume: np.ndarray
     bid1: np.ndarray | None = None
     ask1: np.ndarray | None = None
-    instrument: str = "SYN"
     calendar: SessionCalendar = field(default=DEFAULT_CALENDAR)
 
     def __post_init__(self) -> None:
-        ts = np.ascontiguousarray(self.ts, dtype=np.int64)
-        price = np.ascontiguousarray(self.price, dtype=np.float64)
-        volume = np.ascontiguousarray(self.volume, dtype=np.int64)
-        object.__setattr__(self, "ts", ts)
-        object.__setattr__(self, "price", price)
-        object.__setattr__(self, "volume", volume)
-        n = ts.shape[0]
-        if price.shape[0] != n or volume.shape[0] != n:
-            raise DataError("tick columns must have equal length")
-        for name in ("bid1", "ask1"):
+        n = np.shape(self.ts)[0]
+        for name, dtype in (("ts", np.int64), ("price", np.float64),
+                            ("volume", np.int64), ("bid1", np.float64),
+                            ("ask1", np.float64)):
             col = getattr(self, name)
             if col is not None:
-                col = np.ascontiguousarray(col, dtype=np.float64)
+                col = np.ascontiguousarray(col, dtype=dtype)
                 if col.shape[0] != n:
                     raise DataError("tick columns must have equal length")
-                # NaN marks a missing quote; an infinite one is bad input
-                if np.any(np.isinf(col)):
-                    i = int(np.flatnonzero(np.isinf(col))[0])
-                    raise DataError(f"{name} {col[i]} at tick {i} is infinite")
                 object.__setattr__(self, name, col)
-        if n == 0:
-            return
-        bad = ~((price > 0) & np.isfinite(price))
-        if np.any(bad):
-            i = int(np.flatnonzero(bad)[0])
-            raise DataError(f"price {price[i]} at tick {i} is not positive and finite")
-        if not np.all(volume >= 1):
-            i = int(np.flatnonzero(volume < 1)[0])
-            raise DataError(f"volume < 1 at tick {i}")
-        if n > 1 and np.any(np.diff(ts) < 0):
-            i = int(np.flatnonzero(np.diff(ts) < 0)[0])
-            raise DataError(f"timestamps decrease between ticks {i} and {i + 1}")
+        ts, price, volume = self.ts, self.price, self.volume
+
+        def check(bad: np.ndarray, reason) -> None:
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise TickError(i, reason(i))
+
+        check(~((price > 0) & (price < np.inf)),
+              lambda i: f"price {price[i]} is not positive and finite")
+        check(volume < 1, lambda i: f"volume {volume[i]} is below 1")
+        check(np.r_[False, ts[1:] < ts[:-1]],
+              lambda i: f"timestamp {ts[i]} decreases from the tick before")
+        for name in ("bid1", "ask1"):
+            q = getattr(self, name)
+            if q is not None:
+                check(~(np.isnan(q) | ((q > 0) & (q < np.inf))),
+                      lambda i: f"{name} {q[i]} is neither missing (NaN) nor "
+                                "positive and finite")
         if self.bid1 is not None and self.ask1 is not None:
-            both = np.isfinite(self.bid1) & np.isfinite(self.ask1)
-            if np.any(self.bid1[both] > self.ask1[both]):
-                i = int(np.flatnonzero(both)[np.flatnonzero(self.bid1[both] > self.ask1[both])[0]])
-                raise DataError(f"crossed quotes at tick {i}")
-        if np.any(self.calendar.session_index(ts) < 0):
-            i = int(np.flatnonzero(self.calendar.session_index(ts) < 0)[0])
-            raise DataError(f"tick {i} falls outside every session interval")
+            check(self.bid1 > self.ask1,
+                  lambda i: f"crossed quotes: bid1 {self.bid1[i]} > ask1 {self.ask1[i]}")
+        check(self.calendar.session_index(ts) < 0,
+              lambda i: f"timestamp {ts[i]} falls outside every session interval")
 
     def __len__(self) -> int:
         return int(self.ts.shape[0])
-
-    def __getitem__(self, i: int) -> Tick:
-        def opt(col: np.ndarray | None) -> float | None:
-            if col is None or not np.isfinite(col[i]):
-                return None
-            return float(col[i])
-
-        return Tick(int(self.ts[i]), float(self.price[i]), int(self.volume[i]),
-                    opt(self.bid1), opt(self.ask1))
-
-    def __iter__(self) -> Iterator[Tick]:
-        for i in range(len(self)):
-            yield self[i]
 
     def day_index(self) -> np.ndarray:
         """Calendar day (epoch days) per tick."""
@@ -245,69 +212,87 @@ class BarSeries:
 # ---------------------------------------------------------------------------
 
 
-def load_ticks(path: str, instrument: str = "SYN",
-               calendar: SessionCalendar = DEFAULT_CALENDAR) -> TickSeries:
+_TICK_DTYPE = [("ts", np.int64), ("price", np.float64), ("volume", np.int64),
+               ("bid1", np.float64), ("ask1", np.float64)]
+_WRITE_ROWS = 8192  # rows formatted per write, which bounds save_ticks' memory
+
+
+def _quote(field: str) -> float:
+    # an empty quote field is a missing quote
+    return float(field) if field else math.nan
+
+
+def _read_rows(lines, n_cols: int) -> np.ndarray:
+    """Parse tick CSV data lines into a structured array; blank lines are
+    skipped, anything else that is not n_cols numbers raises ValueError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # no data rows
+        return np.loadtxt(lines, dtype=_TICK_DTYPE[:n_cols], delimiter=",",
+                          comments=None, ndmin=1, encoding="utf-8",
+                          converters={3: _quote, 4: _quote} if n_cols == 5 else None)
+
+
+def _first_unreadable(lines: list[str], n_cols: int) -> int:
+    """Index of the first line that _read_rows rejects, by bisection."""
+    lo, hi = 0, len(lines)  # lines[:lo] parse; the bad line is in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _read_rows(lines[lo:mid], n_cols)
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
+
+
+def load_ticks(path: str) -> TickSeries:
     """Load a tick CSV (``ts_ns,price,volume[,bid1,ask1]``) into a TickSeries.
 
-    Rows are validated against the tick invariants; the first bad row aborts
-    the load with its line number.
+    The columns are parsed in bulk and validated by TickSeries; a bad file
+    raises DataError naming the 1-based line of the first bad row.
     """
-    ts, price, vol, bid, ask = [], [], [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+    # a byte that is not UTF-8 becomes U+FFFD, which no field parses
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        first = fh.readline()
+        if not first:
             raise DataError(f"{path}: empty file")
-        header = tuple(h.strip() for h in header)
-        if header == TICK_CSV_HEADER[:3]:
-            has_quotes = False
-        elif header == TICK_CSV_HEADER:
-            has_quotes = True
-        else:
+        header = tuple(h.strip() for h in first.split(","))
+        if header not in (TICK_CSV_HEADER, TICK_CSV_HEADER[:3]):
             raise DataError(f"{path}: unrecognized tick header {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != (5 if has_quotes else 3):
-                raise DataError(f"{path}: line {lineno}: expected "
-                                f"{5 if has_quotes else 3} fields, got {len(row)}")
-            try:
-                t = int(row[0])
-                p = float(row[1])
-                v = int(row[2])
-                b = float(row[3]) if has_quotes and row[3] != "" else math.nan
-                a = float(row[4]) if has_quotes and row[4] != "" else math.nan
-            except ValueError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
-            if not 0 < p < math.inf:
-                raise DataError(f"{path}: line {lineno}: price must be positive "
-                                "and finite")
-            if v < 1:
-                raise DataError(f"{path}: line {lineno}: volume must be >= 1")
-            ts.append(t)
-            price.append(p)
-            vol.append(v)
-            bid.append(b)
-            ask.append(a)
-    if not ts:
-        raise DataError(f"{path}: no data rows")
-    return TickSeries(np.array(ts, np.int64), np.array(price), np.array(vol, np.int64),
-                      np.array(bid) if has_quotes else None,
-                      np.array(ask) if has_quotes else None,
-                      instrument, calendar)
+        try:
+            rows = _read_rows(fh, len(header))
+        except ValueError:
+            fh.seek(0)
+            lines = fh.read().split("\n")[1:]
+            k = _first_unreadable(lines, len(header))
+            raise DataError(f"{path}: line {k + 2}: {lines[k]!r} is not "
+                            f"{len(header)} numbers {','.join(header)}") from None
+        if rows.shape[0] == 0:
+            raise DataError(f"{path}: no data rows")
+        quotes = (rows["bid1"], rows["ask1"]) if len(header) == 5 else ()
+        try:
+            return TickSeries(rows["ts"], rows["price"], rows["volume"], *quotes)
+        except TickError as exc:
+            fh.seek(0)
+            lines = fh.read().split("\n")
+            line = [k for k, text in enumerate(lines) if k and text][exc.index]
+            raise DataError(f"{path}: line {line + 1}: {exc.reason}") from None
 
 
 def save_ticks(path: str, ticks: TickSeries) -> None:
-    """Write the tick CSV schema, including quote columns when present."""
-    has_quotes = ticks.bid1 is not None and ticks.ask1 is not None
+    """Write the tick CSV schema, including quote columns when present.
+
+    Prices and quotes are written as %.12g, lines end in CRLF.
+    """
+    cols = [ticks.ts, ticks.price, ticks.volume]
+    if ticks.bid1 is not None and ticks.ask1 is not None:
+        cols += [ticks.bid1, ticks.ask1]
+    row = ",".join(("%d", "%.12g", "%d", "%.12g", "%.12g")[:len(cols)]) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TICK_CSV_HEADER if has_quotes else TICK_CSV_HEADER[:3])
-        for i in range(len(ticks)):
-            row = [int(ticks.ts[i]), f"{ticks.price[i]:.12g}", int(ticks.volume[i])]
-            if has_quotes:
-                row += [f"{ticks.bid1[i]:.12g}", f"{ticks.ask1[i]:.12g}"]
-            writer.writerow(row)
+        fh.write(",".join(TICK_CSV_HEADER[:len(cols)]) + "\r\n")
+        for start in range(0, len(ticks), _WRITE_ROWS):
+            chunk = [col[start:start + _WRITE_ROWS].tolist() for col in cols]
+            fh.write("".join(map(row.__mod__, zip(*chunk))))
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +394,6 @@ class SynthSpec:
     volume_log_mean: float = 1.0
     volume_log_sigma: float = 1.0
     start_day: int = 17_000
-    instrument: str = "SYN"
 
     def __post_init__(self) -> None:
         if not self.omega > 0:
@@ -469,7 +453,7 @@ def synth_ticks(spec: SynthSpec,
     half = spec.spread / 2.0
     bid = prices - half if spec.spread > 0 else None
     ask = prices + half if spec.spread > 0 else None
-    return TickSeries(ts, prices, volumes, bid, ask, spec.instrument, calendar)
+    return TickSeries(ts, prices, volumes, bid, ask, calendar)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ implementations with different jobs:
   recursion is linear AR in h, so the variance path and, in
   `garch_loglik`, every partial derivative of it come from the same IIR
   filter, which keeps the quasi-likelihood and its analytic gradient exact
-  and fast. `fit_garch` and `garch_loglik` both call it.
+  and fast. `fit_garch` and `garch_loglik` both call it, and both read the
+  likelihood from its output through `_quasi_loglik`.
 - Out of sample, `GarchState` advances a fitted model one return at a time
   in Python floats: the backtest engine steps it once per bar, and
   `forecast` steps it with expected shocks in place of returns.
@@ -211,6 +212,14 @@ def _variance_path(theta: np.ndarray, x: np.ndarray, spec: GarchSpec,
     return h, eps, deps, a_poly
 
 
+def _quasi_loglik(h: np.ndarray, eps: np.ndarray) -> float:
+    """Gaussian quasi log-likelihood of residuals eps with variances h; -inf
+    when some h_t is not positive and finite."""
+    if not np.all(np.isfinite(h)) or np.any(h <= 0.0):
+        return -math.inf
+    return -0.5 * float(np.sum(LOG_2PI + np.log(h) + eps * eps / h))
+
+
 def garch_loglik(theta: np.ndarray, r: ReturnSeries | np.ndarray, spec: GarchSpec,
                  seed_var: float | None = None,
                  r_prev: float | None = None) -> tuple[float, np.ndarray]:
@@ -229,14 +238,14 @@ def garch_loglik(theta: np.ndarray, r: ReturnSeries | np.ndarray, spec: GarchSpe
     if r_prev is None:
         r_prev = float(np.mean(x))
     h, eps, deps, a_poly = _variance_path(theta, x, spec, seed_var, r_prev)
-    if not np.all(np.isfinite(h)) or np.any(h <= 0.0):
-        return -math.inf, np.zeros(spec.n_params)
+    ll = _quasi_loglik(h, eps)
+    if ll == -math.inf:
+        return ll, np.zeros(spec.n_params)
 
     nm, p, q = spec.n_mean, spec.p, spec.q
     _, alphas, lam, _ = _coefficients(theta, spec)
     e2 = eps * eps
     neg = eps < 0.0
-    ll = -0.5 * float(np.sum(LOG_2PI + np.log(h) + e2 / h))
     dldh = 0.5 * (e2 / h - 1.0) / h
     dlde = -eps / h
 
@@ -373,7 +382,6 @@ def fit_garch(r: ReturnSeries | np.ndarray, spec: GarchSpec | None = None) -> Ga
             iterations=int(res.nit), gradient_norm=grad_norm)
 
     theta, _, _, _ = _raw_to_natural(res.x, spec)
-    ll, _ = garch_loglik(theta, x, spec, seed_var, rbar)
     h, eps, _, _ = _variance_path(theta, x, spec, seed_var, rbar)
     se = _hessian_std_errors(theta, x, spec, seed_var, rbar)
     omega, alphas, lam, gammas = _coefficients(theta, spec)
@@ -386,7 +394,7 @@ def fit_garch(r: ReturnSeries | np.ndarray, spec: GarchSpec | None = None) -> Ga
         mean_params=theta[:spec.n_mean],
         cond_variance=h,
         residuals=eps,
-        log_likelihood=float(ll),
+        log_likelihood=_quasi_loglik(h, eps),
         std_errors=se,
         seed_variance=seed_var,
         last_return=float(x[-1]),

@@ -57,7 +57,7 @@ def test_criterion_1_vpin_bounds_and_conservation():
     rng = np.random.default_rng(2)
     up = 3000.0 + np.cumsum(10.0 + 0.01 * rng.standard_normal(len(template)))
     all_buy = TickSeries(template.ts, up, template.volume, None, None,
-                         template.instrument, template.calendar)
+                         calendar=template.calendar)
     buy_min = float(vpin_from_ticks(all_buy).values.min())
     assert buy_min > 0.999
     elapsed = time.perf_counter() - t0
@@ -284,7 +284,7 @@ def test_criterion_8_no_lookahead(ticks4, base_run):
         moved = TickSeries(ticks4.ts, ticks4.price + 25.0 * shift,
                            ticks4.volume, ticks4.bid1 + 25.0 * shift,
                            ticks4.ask1 + 25.0 * shift,
-                           ticks4.instrument, ticks4.calendar)
+                           calendar=ticks4.calendar)
         other = run_backtest(moved, StrategyConfig())
         base_rows = [s for s in base_run.signal_log if s.ts <= cut]
         other_rows = [s for s in other.signal_log if s.ts <= cut]

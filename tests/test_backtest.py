@@ -331,7 +331,7 @@ def test_no_lookahead_signals_unchanged_by_future_shift(ticks, full_run):
                          ticks.volume,
                          None if ticks.bid1 is None else ticks.bid1 + 25.0 * shift,
                          None if ticks.ask1 is None else ticks.ask1 + 25.0 * shift,
-                         ticks.instrument, ticks.calendar)
+                         calendar=ticks.calendar)
     other = run_backtest(shifted, StrategyConfig())
     base_rows = [s for s in full_run.signal_log if s.ts <= cut]
     other_rows = [s for s in other.signal_log if s.ts <= cut]

@@ -78,7 +78,8 @@ def test_non_finite_ticks_are_data_errors(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     good = "34200000000000,3000.0,5,2999.9,3000.1\n"
     for row in ("34201000000000,inf,5,2999.9,3000.1\n",
-                "34201000000000,3000.0,5,2999.9,inf\n"):
+                "34201000000000,3000.0,5,2999.9,inf\n",
+                "34201000000000,3000.0,5,-5,3000.1\n"):
         path.write_text("ts_ns,price,volume,bid1,ask1\n" + good + row)
         assert run("--out", str(tmp_path), "vpin", str(path)) == 2
         assert "finite" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from microstrat.marketdata import (
     DescriptiveStats,
     SessionCalendar,
     SynthSpec,
-    Tick,
     TickSeries,
     descriptive_stats,
     load_ticks,
@@ -49,12 +48,14 @@ def series(rows):
 
 
 def test_tick_rejects_bad_fields():
-    with pytest.raises(DataError):
-        Tick(ts_of(34200), -1.0, 1)
-    with pytest.raises(DataError):
-        Tick(ts_of(34200), 100.0, 0)
-    with pytest.raises(DataError):
-        Tick(ts_of(34200), 100.0, 1, bid1=101.0, ask1=100.0)
+    ts = np.array([ts_of(34200)])
+    with pytest.raises(DataError, match="price"):
+        TickSeries(ts, np.array([-1.0]), np.array([1]))
+    with pytest.raises(DataError, match="volume"):
+        TickSeries(ts, np.array([100.0]), np.array([0]))
+    with pytest.raises(DataError, match="crossed"):
+        TickSeries(ts, np.array([100.0]), np.array([1]),
+                   np.array([101.0]), np.array([100.0]))
 
 
 def test_tick_series_requires_time_order():
@@ -78,7 +79,8 @@ def test_tick_series_rejects_non_finite_values():
     vol = np.array([1, 1], dtype=np.int64)
     with pytest.raises(DataError, match="price"):
         TickSeries(ts, np.array([100.0, math.inf]), vol)
-    for bad in (math.inf, -math.inf):
+    # a quote that is present must be positive as well as finite
+    for bad in (math.inf, -math.inf, -5.0, 0.0):
         with pytest.raises(DataError, match="bid1"):
             TickSeries(ts, np.array([100.0, 100.0]), vol,
                        np.array([99.9, bad]), np.array([100.1, 100.1]))
@@ -88,7 +90,7 @@ def test_tick_series_rejects_non_finite_values():
     # NaN still marks a missing quote
     s = TickSeries(ts, np.array([100.0, 100.0]), vol,
                    np.array([math.nan, 99.9]), np.array([100.1, math.nan]))
-    assert s[0].bid1 is None and s[1].ask1 is None
+    assert np.isnan(s.bid1[0]) and np.isnan(s.ask1[1])
 
 
 def test_tick_series_rejects_ragged_columns():
@@ -125,14 +127,33 @@ def test_tick_csv_round_trip(tmp_path):
     np.testing.assert_allclose(loaded.price, ticks.price, rtol=1e-11)
     np.testing.assert_allclose(loaded.bid1, ticks.bid1, rtol=1e-11)
     np.testing.assert_allclose(loaded.ask1, ticks.ask1, rtol=1e-11)
+    # an empty quote field is a missing quote
+    path.write_text("ts_ns,price,volume,bid1,ask1\n"
+                    f"{ts_of(34200)},100.0,5,,100.1\n"
+                    f"{ts_of(34201)},100.0,5,99.9,\n")
+    loaded = load_ticks(str(path))
+    assert np.isnan(loaded.bid1[0]) and loaded.ask1[0] == 100.1
+    assert loaded.bid1[1] == 99.9 and np.isnan(loaded.ask1[1])
 
 
 def test_load_ticks_reports_failing_line(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("ts_ns,price,volume\n"
-                    f"{ts_of(34200)},100.0,5\n"
-                    f"{ts_of(34201)},not-a-price,5\n")
-    with pytest.raises(DataError, match="line 3"):
+    good = f"{ts_of(34200)},100.0,5\n"
+    head = "ts_ns,price,volume\n" + good
+    quoted = "ts_ns,price,volume,bid1,ask1\n" + f"{ts_of(34200)},100.0,5,99.9,100.1\n"
+    for text, line in ((head + f"{ts_of(34201)},not-a-price,5\n", 3),
+                       # blank lines count, and do not hide the bad row
+                       (head + "\n" + f"{ts_of(34201)},not-a-price,5\n", 4),
+                       # a comment marker is not special
+                       (head + f"#{ts_of(34201)},100.0,5\n", 3),
+                       (head + f"{ts_of(34201)},100.0\n", 3),
+                       (head + good + f"{ts_of(34201)},100.0,5,1\n", 4),
+                       (quoted + f"{ts_of(34201)},100.0,5,0,100.1\n", 3)):
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"line {line}:"):
+            load_ticks(str(path))
+    path.write_bytes(head.encode() + b"\xff\n")
+    with pytest.raises(DataError, match="line 3:"):
         load_ticks(str(path))
 
 
@@ -189,6 +210,12 @@ def test_load_ticks_rejects_non_positive_volume(tmp_path):
     path.write_text("ts_ns,price,volume\n"
                     f"{ts_of(34200)},100.0,0\n")
     with pytest.raises(DataError, match="line 2"):
+        load_ticks(str(path))
+    # a blank line before the bad row still counts
+    path.write_text("ts_ns,price,volume\n"
+                    f"{ts_of(34200)},100.0,5\n\n"
+                    f"{ts_of(34201)},100.0,0\n")
+    with pytest.raises(DataError, match="line 4: volume 0"):
         load_ticks(str(path))
 
 

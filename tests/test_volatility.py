@@ -95,6 +95,8 @@ def test_variance_recursion_reevaluates_exactly():
         h_ref[t] = v
     assert np.max(np.abs(h_ref - fit.cond_variance)) < 1e-10
     assert np.max(np.abs(eps - fit.residuals)) < 1e-12
+    ll_ref = -0.5 * np.sum(np.log(2 * np.pi) + np.log(h_ref) + eps ** 2 / h_ref)
+    assert fit.log_likelihood == pytest.approx(ll_ref, rel=1e-12)
 
 
 # -- estimation -------------------------------------------------------------
