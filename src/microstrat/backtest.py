@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -159,14 +159,7 @@ class Metrics:
 
 
 @dataclass(frozen=True)
-class BacktestReport:
-    total_return: float
-    annualized_return: float
-    relative_return_vs_benchmark: float
-    alpha: float
-    beta: float
-    max_drawdown: float
-    sharpe: float
+class BacktestReport(Metrics):
     trade_count: int
     variant: str
 
@@ -673,12 +666,8 @@ def _replay(state: _MarketState, cfg: StrategyConfig, costs: CostModel,
         // (eng.bar_interval_ns // 1_000_000_000)
     ppy = int(bars_per_day * eng.trading_days_per_year)
     m = compute_metrics(equity, benchmark, ppy)
-    report = BacktestReport(total_return=m.total_return,
-                            annualized_return=m.annualized_return,
-                            relative_return_vs_benchmark=m.relative_return_vs_benchmark,
-                            alpha=m.alpha, beta=m.beta,
-                            max_drawdown=m.max_drawdown, sharpe=m.sharpe,
-                            trade_count=len(trades), variant=variant_tag(cfg))
+    report = BacktestReport(**asdict(m), trade_count=len(trades),
+                            variant=variant_tag(cfg))
     return BacktestResult(report=report, equity_ts=equity_ts, equity=equity,
                           benchmark=benchmark, trades=tuple(trades),
                           signal_log=tuple(signal_log),

@@ -17,11 +17,13 @@ import logging
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .backtest import VARIANTS, BacktestResult, run_backtest, run_variants, variant_tag
-from .config import RunConfig, config_key_help, load_config
+from .backtest import (VARIANTS, BacktestResult, Metrics, run_backtest, run_variants,
+                       variant_tag)
+from .config import KEYS, RunConfig, config_key_help, load_config
 from .denoise import DEFAULT_LEVEL, denoise
 from .errors import DataError, NumericalError
 from .marketdata import load_ticks, log_returns, save_ticks, synth_ticks
@@ -69,8 +71,7 @@ def _fmt(value) -> str:
 
 
 def cmd_generate(args, cfg: RunConfig, out_dir: str) -> int:
-    spec = cfg.synth_spec()
-    ticks = synth_ticks(spec)
+    ticks = synth_ticks(cfg.synth)
     path = args.output or os.path.join(out_dir, "ticks.csv")
     save_ticks(path, ticks)
     print(f"wrote {len(ticks)} ticks to {path}")
@@ -106,8 +107,8 @@ def cmd_diagnose(args, cfg: RunConfig, out_dir: str) -> int:
 def cmd_vpin(args, cfg: RunConfig, out_dir: str) -> int:
     ticks = load_ticks(args.data)
     series = vpin_from_ticks(ticks, bucket_volume=args.bucket_volume,
-                             window=cfg.get("vpin", "window"),
-                             buckets_per_day=cfg.get("vpin", "buckets_per_day"))
+                             window=cfg.engine.vpin_window,
+                             buckets_per_day=cfg.engine.buckets_per_day)
     path = args.output or os.path.join(out_dir, "vpin.csv")
     _write_csv(path, ("bucket_end_ts", "vpin"),
                ((int(ts), _fmt(float(v)))
@@ -128,7 +129,7 @@ def cmd_vpin(args, cfg: RunConfig, out_dir: str) -> int:
 def cmd_garch(args, cfg: RunConfig, out_dir: str) -> int:
     ticks = load_ticks(args.data)
     r = log_returns(ticks.price, ticks.ts)
-    fit = fit_garch(r, spec=cfg.garch_spec())
+    fit = fit_garch(r, spec=cfg.engine.garch_spec)
     path = args.output or os.path.join(out_dir, "garch.csv")
     rows = [(name, _fmt(est), _fmt(se))
             for name, est, se in fit.parameter_table()]
@@ -156,10 +157,10 @@ def cmd_svm_train(args, cfg: RunConfig, out_dir: str) -> int:
         raise DataError("labels must be -1 or 1")
     scaler = Scaler.fit(X)
     Xs = scaler.transform(X)
-    svm = cfg.values["svm"]
+    eng = cfg.engine
     kernel = Kernel.linear() if args.kernel == "linear" \
-        else Kernel.rbf(svm["kernel_sigma"])
-    model = train_smo(Xs, y, c=svm["c"], kernel=kernel, tol=svm["tol"],
+        else Kernel.rbf(eng.svm_kernel_sigma)
+    model = train_smo(Xs, y, c=eng.svm_c, kernel=kernel, tol=eng.svm_tol,
                       max_iter=args.max_iter)
     accuracy = float(np.mean(predict(model, Xs) == y))
     rep = model.report
@@ -215,29 +216,25 @@ def _write_run(out_dir: str, tag: str, res: BacktestResult,
                     ("benchmark", hours, res.benchmark)])
 
 
-REPORT_HEADER = ("variant", "total_return", "annualized_return",
-                 "relative_return_vs_benchmark", "alpha", "beta",
-                 "max_drawdown", "sharpe", "trade_count", "margin_calls")
+METRIC_COLUMNS = tuple(f.name for f in fields(Metrics))
+REPORT_HEADER = ("variant", *METRIC_COLUMNS, "trade_count", "margin_calls")
 
 
 def cmd_backtest(args, cfg: RunConfig, out_dir: str) -> int:
     ticks = load_ticks(args.data)
-    costs, engine = cfg.cost_model(), cfg.engine_config()
     if args.variants:
-        results = run_variants(ticks, cfg.strategy_config(),
-                               costs=costs, engine=engine)
+        results = run_variants(ticks, cfg.strategy, costs=cfg.costs,
+                               engine=cfg.engine)
         ordered = [(tag, results[tag]) for tag in VARIANTS]
     else:
-        strat = cfg.strategy_config()
-        res = run_backtest(ticks, strat, costs=costs, engine=engine)
-        ordered = [(variant_tag(strat), res)]
+        res = run_backtest(ticks, cfg.strategy, costs=cfg.costs,
+                           engine=cfg.engine)
+        ordered = [(variant_tag(cfg.strategy), res)]
     rows = []
     for tag, res in ordered:
         _write_run(out_dir, tag, res, cfg.plots)
         r = res.report
-        rows.append((tag, _fmt(r.total_return), _fmt(r.annualized_return),
-                     _fmt(r.relative_return_vs_benchmark), _fmt(r.alpha),
-                     _fmt(r.beta), _fmt(r.max_drawdown), _fmt(r.sharpe),
+        rows.append((tag, *(_fmt(getattr(r, key)) for key in METRIC_COLUMNS),
                      r.trade_count, res.margin_calls))
         print(f"{tag}: total {r.total_return:+.2%} "
               f"annualized {r.annualized_return:+.2%} "
@@ -267,6 +264,9 @@ def cmd_report(args, cfg: RunConfig, out_dir: str) -> int:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or "variant" not in reader.fieldnames:
             raise DataError(f"{args.report}: not a backtest report")
+        for key in METRIC_COLUMNS:
+            if key not in reader.fieldnames:
+                raise DataError(f"{args.report}: no {key} column")
         records = list(reader)
     if not records:
         raise DataError(f"{args.report}: empty report")
@@ -274,7 +274,11 @@ def cmd_report(args, cfg: RunConfig, out_dir: str) -> int:
     def cell(rec, key):
         if key in ("trade_count", "margin_calls"):
             return rec.get(key, "")
-        v = float(rec[key])
+        try:
+            v = float(rec[key])
+        except (TypeError, ValueError):  # TypeError: the row is short
+            raise DataError(f"{args.report}: {key} is not a number: "
+                            f"{rec[key]!r}") from None
         if math.isnan(v):
             return "n/a"
         return f"{v * 100:.2f}%" if key in PERCENT_ROWS else f"{v:.3f}"
@@ -300,31 +304,12 @@ def cmd_report(args, cfg: RunConfig, out_dir: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _overrides(args) -> dict:
-    """CLI flags folded into config space so the resolved log reflects them."""
-    pairs = {
-        ("data", "seed"): getattr(args, "seed", None),
-        ("data", "count"): getattr(args, "count", None),
-        ("data", "omega"): getattr(args, "omega", None),
-        ("data", "alpha"): getattr(args, "alpha", None),
-        ("data", "beta"): getattr(args, "beta", None),
-        ("data", "mu"): getattr(args, "mu", None),
-        ("data", "phi"): getattr(args, "phi", None),
-        ("data", "start_price"): getattr(args, "start_price", None),
-        ("data", "tick_interval_ms"): getattr(args, "tick_interval_ms", None),
-        ("data", "spread"): getattr(args, "spread", None),
-        ("vpin", "window"): getattr(args, "window", None),
-        ("vpin", "buckets_per_day"): getattr(args, "buckets_per_day", None),
-        ("garch", "p"): getattr(args, "p", None),
-        ("garch", "q"): getattr(args, "q", None),
-        ("garch", "leverage"): getattr(args, "leverage", None),
-        ("garch", "mean_model"): getattr(args, "mean", None),
-        ("svm", "c"): getattr(args, "c", None),
-        ("svm", "kernel_sigma"): getattr(args, "sigma", None),
-        ("svm", "tol"): getattr(args, "tol", None),
-        ("output", "plots"): getattr(args, "plot", None),
-    }
-    return {key: val for key, val in pairs.items() if val is not None}
+def _key_flag(p: argparse.ArgumentParser, flag: str, key: str, **kw) -> None:
+    """A flag that sets config ``key`` ("section.key"); ``--help`` shows the
+    flag's own name as its metavar."""
+    if "type" in kw:
+        kw["metavar"] = flag.lstrip("-").replace("-", "_").upper()
+    p.add_argument(flag, dest=key, **kw)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,16 +326,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write synthetic tick data CSV")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--mu", type=float)
-    p.add_argument("--phi", type=float)
-    p.add_argument("--start-price", type=float)
-    p.add_argument("--tick-interval-ms", type=int)
-    p.add_argument("--spread", type=float)
+    _key_flag(p, "--seed", "data.seed", type=int)
+    _key_flag(p, "--count", "data.count", type=int)
+    _key_flag(p, "--omega", "data.omega", type=float)
+    _key_flag(p, "--alpha", "data.alpha", type=float)
+    _key_flag(p, "--beta", "data.beta", type=float)
+    _key_flag(p, "--mu", "data.mu", type=float)
+    _key_flag(p, "--phi", "data.phi", type=float)
+    _key_flag(p, "--start-price", "data.start_price", type=float)
+    _key_flag(p, "--tick-interval-ms", "data.tick_interval_ms", type=int)
+    _key_flag(p, "--spread", "data.spread", type=float)
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("diagnose", help="ADF, Jarque-Bera, ARCH, Granger")
@@ -364,26 +349,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vpin", help="volume-bucket VPIN series")
     p.add_argument("data")
     p.add_argument("--bucket-volume", type=float)
-    p.add_argument("--window", type=int)
-    p.add_argument("--buckets-per-day", type=int)
+    _key_flag(p, "--window", "vpin.window", type=int)
+    _key_flag(p, "--buckets-per-day", "vpin.buckets_per_day", type=int)
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("garch", help="fit a GARCH model to tick returns")
     p.add_argument("data")
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--leverage", action=argparse.BooleanOptionalAction,
-                   default=None)
-    p.add_argument("--mean", choices=("zero", "constant", "ar1"))
+    _key_flag(p, "--p", "garch.p", type=int)
+    _key_flag(p, "--q", "garch.q", type=int)
+    _key_flag(p, "--leverage", "garch.leverage",
+              action=argparse.BooleanOptionalAction)
+    _key_flag(p, "--mean", "garch.mean_model",
+              choices=("zero", "constant", "ar1"))
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("svm-train", help="train on a feature CSV "
                        "(last column is the -1/+1 label)")
     p.add_argument("data")
     p.add_argument("--kernel", choices=("linear", "rbf"), default="rbf")
-    p.add_argument("--c", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--tol", type=float)
+    _key_flag(p, "--c", "svm.c", type=float)
+    _key_flag(p, "--sigma", "svm.kernel_sigma", type=float)
+    _key_flag(p, "--tol", "svm.tol", type=float)
     p.add_argument("--max-iter", type=int)
     p.add_argument("-o", "--output")
 
@@ -401,8 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run all four layer combinations")
     p.add_argument("--strict", action="store_true",
                    help="nonzero exit when a margin call occurs")
-    p.add_argument("--plot", action=argparse.BooleanOptionalAction,
-                   default=None, help="override output.plots")
+    _key_flag(p, "--plot", "output.plots",
+              action=argparse.BooleanOptionalAction, help="override output.plots")
 
     p = sub.add_parser("report", help="render a backtest report table")
     p.add_argument("report")
@@ -427,8 +413,10 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        cfg = load_config(args.config or os.environ.get(ENV_CONFIG))
-        cfg = cfg.with_overrides(_overrides(args))
+        # the config flags given, folded in so the resolved log reflects them
+        flags = {key: val for key, val in vars(args).items()
+                 if key in KEYS and val is not None}
+        cfg = load_config(args.config or os.environ.get(ENV_CONFIG), flags)
         out_dir = args.out or cfg.out_dir
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "resolved_config.json"), "w",

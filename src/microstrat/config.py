@@ -1,30 +1,35 @@
 """Run configuration shared by every subcommand.
 
-One INI file drives the whole pipeline. Sections mirror the modules they
-feed (``data``, ``vpin``, ``garch``, ``svm``, ``strategy``, ``backtest``,
-``output``); defaults are pulled from the dataclasses themselves so the
-file and the code cannot drift apart. Unknown sections or keys abort the
-load, and the fully-resolved values serialize to stable JSON so every run
-can log exactly what it ran with.
+One INI file drives the whole pipeline. ``RunConfig`` holds the objects a
+run is built from: the synthetic-data spec, the strategy, the cost model and
+the engine (whose ``garch_spec`` holds ``[garch]``), plus the output
+settings. ``KEYS`` is the one table that says which field each
+``[section] key`` sets; sections that are exactly a dataclass (``[data]``,
+``[garch]``, ``[strategy]`` and the cost half of ``[backtest]``) take their
+keys from its fields. A key's default is its field's default and its parser
+follows the field's annotation. The INI loader, ``to_json``, the ``--help``
+key list and the CLI flags (each stores under its ``section.key``) all read
+this table.
+
+Unknown sections or keys abort the load. Each object is built, and so
+validated, once with all of its new values, so checks across fields see the
+final values and a bad value fails before any command runs. The resolved
+values serialize to stable JSON so every run can log exactly what it ran
+with.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
+from operator import attrgetter
 
 from .backtest import CostModel, EngineConfig
 from .errors import ConfigError
 from .marketdata import SynthSpec
 from .strategy import StrategyConfig
-from .svm import DEFAULT_TOL
 from .volatility import GarchSpec
-
-_SYNTH = SynthSpec()
-_STRAT = StrategyConfig()
-_ENGINE = EngineConfig()
-_COSTS = CostModel()
 
 _BOOL_WORDS = {"true": True, "yes": True, "on": True, "1": True,
                "false": False, "no": False, "off": False, "0": False}
@@ -41,173 +46,99 @@ def _opt_float(raw: str) -> float | None:
     return None if raw.strip() == "" else float(raw)
 
 
-# section -> key -> (parser, default); order here is the --help order
-_SCHEMA: dict[str, dict[str, tuple]] = {
-    "data": {
-        "seed": (int, _SYNTH.seed),
-        "count": (int, _SYNTH.count),
-        "omega": (float, _SYNTH.omega),
-        "alpha": (float, _SYNTH.alpha),
-        "beta": (float, _SYNTH.beta),
-        "mu": (float, _SYNTH.mu),
-        "phi": (float, _SYNTH.phi),
-        "start_price": (float, _SYNTH.start_price),
-        "tick_interval_ms": (int, _SYNTH.tick_interval_ms),
-        "spread": (float, _SYNTH.spread),
-        "volume_log_mean": (float, _SYNTH.volume_log_mean),
-        "volume_log_sigma": (float, _SYNTH.volume_log_sigma),
-        "start_day": (int, _SYNTH.start_day),
-    },
-    "vpin": {
-        "buckets_per_day": (int, _ENGINE.buckets_per_day),
-        "window": (int, _ENGINE.vpin_window),
-    },
-    "garch": {
-        "p": (int, _ENGINE.garch_spec.p),
-        "q": (int, _ENGINE.garch_spec.q),
-        "leverage": (_bool, _ENGINE.garch_spec.leverage),
-        "mean_model": (str, _ENGINE.garch_spec.mean_model),
-    },
-    "svm": {
-        "c": (float, _ENGINE.svm_c),
-        "kernel_sigma": (float, _ENGINE.svm_kernel_sigma),
-        "tol": (float, DEFAULT_TOL),
-        "min_rows": (int, _ENGINE.svm_min_rows),
-        "max_rows": (int, _ENGINE.svm_max_rows),
-    },
-    "strategy": {
-        "delta1_lo": (float, _STRAT.delta1_lo),
-        "delta1_hi": (float, _STRAT.delta1_hi),
-        "delta1_step": (float, _STRAT.delta1_step),
-        "delta2": (float, _STRAT.delta2),
-        "delta3": (float, _STRAT.delta3),
-        "fluct_hi": (float, _STRAT.fluct_hi),
-        "fluct_lo": (float, _STRAT.fluct_lo),
-        "basket_delay": (int, _STRAT.basket_delay),
-        "position_fraction": (float, _STRAT.position_fraction),
-        "size_reduce": (float, _STRAT.size_reduce),
-        "size_boost": (float, _STRAT.size_boost),
-        "size_cap": (float, _STRAT.size_cap),
-        "stop_loss_sigmas": (float, _STRAT.stop_loss_sigmas),
-        "use_vpin": (_bool, _STRAT.use_vpin),
-        "use_svm": (_bool, _STRAT.use_svm),
-    },
-    "backtest": {
-        "capital": (float, _COSTS.capital),
-        "margin_rate": (float, _COSTS.margin_rate),
-        "fee_rate": (float, _COSTS.fee_rate),
-        "multiplier": (float, _COSTS.multiplier),
-        "tick_size": (float, _COSTS.tick_size),
-        "maintenance_rate": (_opt_float, _COSTS.maintenance_rate),
-        "bar_interval_ns": (int, _ENGINE.bar_interval_ns),
-        "warmup_days": (int, _ENGINE.warmup_days),
-        "garch_window": (int, _ENGINE.garch_window),
-        "garch_refit_every": (int, _ENGINE.garch_refit_every),
-        "garch_min_obs": (int, _ENGINE.garch_min_obs),
-        "delta1_every": (int, _ENGINE.delta1_every),
-        "delta1_window": (int, _ENGINE.delta1_window),
-        "initial_delta1": (float, _ENGINE.initial_delta1),
-        "sigma_window": (int, _ENGINE.sigma_window),
-        "trading_days_per_year": (int, _ENGINE.trading_days_per_year),
-    },
-    "output": {
-        "dir": (str, "out"),
-        "plots": (_bool, True),
-    },
-}
+# field annotation -> INI value parser
+_PARSERS = {"int": int, "float": float, "bool": _bool, "str": str,
+            "float | None": _opt_float}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully-resolved configuration; builders hand out the module objects."""
+    """Fully-resolved configuration: the objects a run is built from."""
 
-    values: dict
-
-    def get(self, section: str, key: str):
-        return self.values[section][key]
-
-    @property
-    def seed(self) -> int:
-        return self.values["data"]["seed"]
-
-    @property
-    def out_dir(self) -> str:
-        return self.values["output"]["dir"]
-
-    @property
-    def plots(self) -> bool:
-        return self.values["output"]["plots"]
-
-    def synth_spec(self) -> SynthSpec:
-        return SynthSpec(**self.values["data"])
-
-    def garch_spec(self) -> GarchSpec:
-        g = self.values["garch"]
-        return GarchSpec(p=g["p"], q=g["q"], leverage=g["leverage"],
-                         mean_model=g["mean_model"])
-
-    def strategy_config(self, **overrides) -> StrategyConfig:
-        return StrategyConfig(**{**self.values["strategy"], **overrides})
-
-    def cost_model(self) -> CostModel:
-        b = self.values["backtest"]
-        return CostModel(capital=b["capital"], margin_rate=b["margin_rate"],
-                         fee_rate=b["fee_rate"], multiplier=b["multiplier"],
-                         tick_size=b["tick_size"],
-                         maintenance_rate=b["maintenance_rate"])
-
-    def engine_config(self) -> EngineConfig:
-        b = self.values["backtest"]
-        s = self.values["svm"]
-        v = self.values["vpin"]
-        return EngineConfig(bar_interval_ns=b["bar_interval_ns"],
-                            warmup_days=b["warmup_days"],
-                            garch_spec=self.garch_spec(),
-                            garch_window=b["garch_window"],
-                            garch_refit_every=b["garch_refit_every"],
-                            garch_min_obs=b["garch_min_obs"],
-                            delta1_every=b["delta1_every"],
-                            delta1_window=b["delta1_window"],
-                            initial_delta1=b["initial_delta1"],
-                            sigma_window=b["sigma_window"],
-                            buckets_per_day=v["buckets_per_day"],
-                            vpin_window=v["window"],
-                            svm_kernel_sigma=s["kernel_sigma"],
-                            svm_c=s["c"],
-                            svm_tol=s["tol"],
-                            svm_min_rows=s["min_rows"],
-                            svm_max_rows=s["max_rows"],
-                            trading_days_per_year=b["trading_days_per_year"])
-
-    def with_overrides(self, overrides: dict) -> RunConfig:
-        """New config with ``{(section, key): value}`` applied; None skipped."""
-        values = {sect: dict(keys) for sect, keys in self.values.items()}
-        for (sect, key), val in overrides.items():
-            if val is None:
-                continue
-            if sect not in _SCHEMA or key not in _SCHEMA[sect]:
-                raise ConfigError(f"unknown config key [{sect}] {key}")
-            values[sect][key] = val
-        return RunConfig(values)
+    synth: SynthSpec = SynthSpec()
+    strategy: StrategyConfig = StrategyConfig()
+    costs: CostModel = CostModel()
+    engine: EngineConfig = EngineConfig()
+    out_dir: str = "out"
+    plots: bool = True
 
     def to_json(self) -> str:
-        return json.dumps(self.values, indent=2, sort_keys=True) + "\n"
+        values: dict[str, dict] = {}
+        for key, path in KEYS.items():
+            sect, name = key.split(".")
+            values.setdefault(sect, {})[name] = attrgetter(path)(self)
+        return json.dumps(values, indent=2, sort_keys=True) + "\n"
 
 
-def default_config() -> RunConfig:
-    return RunConfig({sect: {key: default for key, (_, default) in keys.items()}
-                      for sect, keys in _SCHEMA.items()})
+_DEFAULTS = RunConfig()
 
 
-def load_config(path: str | None) -> RunConfig:
-    """Defaults, overlaid with an INI file when one is given.
+def _fields_of(sect: str, owner: str, cls) -> dict[str, str]:
+    return {f"{sect}.{f.name}": f"{owner}.{f.name}" for f in fields(cls)}
 
-    Unknown sections or keys are rejected by name so a typo cannot silently
-    fall back to a default.
+
+# "section.key" -> dotted path of the RunConfig field it sets; this order is
+# the --help order
+KEYS: dict[str, str] = {
+    **_fields_of("data", "synth", SynthSpec),
+    "vpin.buckets_per_day": "engine.buckets_per_day",
+    "vpin.window": "engine.vpin_window",
+    **_fields_of("garch", "engine.garch_spec", GarchSpec),
+    "svm.c": "engine.svm_c",
+    "svm.kernel_sigma": "engine.svm_kernel_sigma",
+    "svm.tol": "engine.svm_tol",
+    "svm.min_rows": "engine.svm_min_rows",
+    "svm.max_rows": "engine.svm_max_rows",
+    **_fields_of("strategy", "strategy", StrategyConfig),
+    **_fields_of("backtest", "costs", CostModel),
+    "backtest.bar_interval_ns": "engine.bar_interval_ns",
+    "backtest.warmup_days": "engine.warmup_days",
+    "backtest.garch_window": "engine.garch_window",
+    "backtest.garch_refit_every": "engine.garch_refit_every",
+    "backtest.garch_min_obs": "engine.garch_min_obs",
+    "backtest.delta1_every": "engine.delta1_every",
+    "backtest.delta1_window": "engine.delta1_window",
+    "backtest.initial_delta1": "engine.initial_delta1",
+    "backtest.sigma_window": "engine.sigma_window",
+    "backtest.trading_days_per_year": "engine.trading_days_per_year",
+    "output.dir": "out_dir",
+    "output.plots": "plots",
+}
+
+_SECTIONS = {key.split(".")[0] for key in KEYS}
+
+
+def _parser(path: str):
+    owner, _, name = path.rpartition(".")
+    obj = attrgetter(owner)(_DEFAULTS) if owner else _DEFAULTS
+    return _PARSERS[next(f.type for f in fields(obj) if f.name == name)]
+
+
+_PARSE = {key: _parser(path) for key, path in KEYS.items()}
+
+
+def _build(values: dict) -> RunConfig:
+    """The defaults with ``{"section.key": value}`` applied.
+
+    Every object goes through one ``replace`` call holding all of its new
+    values, which runs its validation on the final values.
     """
-    cfg = default_config()
-    if path is None:
-        return cfg
+    by_path = {KEYS[key]: value for key, value in values.items()}
+
+    def build(obj, prefix: str):
+        new = {}
+        for f in fields(obj):
+            path = prefix + f.name
+            if path in by_path:
+                new[f.name] = by_path[path]
+            elif is_dataclass(sub := getattr(obj, f.name)):
+                new[f.name] = build(sub, path + ".")
+        return replace(obj, **new)
+
+    return build(_DEFAULTS, "")
+
+
+def _read_ini(path: str) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -216,27 +147,38 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
-    values = {sect: dict(keys) for sect, keys in cfg.values.items()}
+    values = {}
     for sect in parser.sections():
-        if sect not in _SCHEMA:
+        if sect not in _SECTIONS:
             raise ConfigError(f"{path}: unknown section [{sect}]")
-        for key, raw in parser.items(sect):
-            if key not in _SCHEMA[sect]:
-                raise ConfigError(f"{path}: unknown key [{sect}] {key}")
-            parse = _SCHEMA[sect][key][0]
+        for name, raw in parser.items(sect):
+            key = f"{sect}.{name}"
+            if key not in KEYS:
+                raise ConfigError(f"{path}: unknown key [{sect}] {name}")
             try:
-                values[sect][key] = parse(raw)
+                values[key] = _PARSE[key](raw)
             except ValueError as exc:
-                raise ConfigError(f"{path}: bad value for [{sect}] {key}: {raw!r}"
-                                ) from exc
-    return RunConfig(values)
+                raise ConfigError(f"{path}: bad value for [{sect}] {name}: {raw!r}"
+                                  ) from exc
+    return values
+
+
+def load_config(path: str | None, overrides: dict | None = None) -> RunConfig:
+    """Defaults, overlaid with an INI file when one is given, then with
+    ``overrides`` (parsed values by ``section.key``, such as CLI flags).
+
+    Unknown sections or keys are rejected by name so a typo cannot silently
+    fall back to a default; a value its object rejects raises ``DataError``.
+    """
+    values = {} if path is None else _read_ini(path)
+    values.update(overrides or {})
+    return _build(values)
 
 
 def config_key_help() -> list[str]:
-    """One ``section.key = default`` line per key, in schema order."""
+    """One ``section.key = default`` line per key, in table order."""
     lines = []
-    for sect, keys in _SCHEMA.items():
-        for key, (_, default) in keys.items():
-            shown = "" if default is None else default
-            lines.append(f"  {sect}.{key} = {shown}")
+    for key, path in KEYS.items():
+        value = attrgetter(path)(_DEFAULTS)
+        lines.append(f"  {key} = {'' if value is None else value}")
     return lines

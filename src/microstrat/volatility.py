@@ -402,16 +402,6 @@ def fit_garch(r: ReturnSeries | np.ndarray, spec: GarchSpec | None = None) -> Ga
     )
 
 
-def fit_tgarch(r: ReturnSeries | np.ndarray,
-               spec: GarchSpec | None = None) -> GarchFit:
-    """fit_garch with the asymmetric (leverage) term enabled."""
-    if spec is None:
-        spec = GarchSpec(leverage=True)
-    elif not spec.leverage:
-        spec = GarchSpec(spec.p, spec.q, True, spec.mean_model)
-    return fit_garch(r, spec)
-
-
 def _hessian_std_errors(theta, x, spec, seed_var, rbar) -> np.ndarray:
     k = theta.shape[0]
     H = np.empty((k, k))

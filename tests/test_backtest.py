@@ -310,7 +310,7 @@ def test_failed_garch_refit_is_counted_and_logged(ticks, monkeypatch, caplog):
 def test_svm_tol_reaches_engine(ticks, tmp_path, monkeypatch):
     ini = tmp_path / "run.ini"
     ini.write_text("[svm]\ntol = 0.01\n")
-    engine = load_config(str(ini)).engine_config()
+    engine = load_config(str(ini)).engine
     assert engine.svm_tol == 0.01
     train = bt.train_smo
     tols = []

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import os
@@ -57,7 +58,7 @@ def test_unknown_flag_is_usage_error():
     assert exc.value.code == 1
 
 
-def test_help_lists_config_keys(capsys):
+def test_help_lists_config_keys(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         run("--help")
     assert exc.value.code == 0
@@ -66,6 +67,27 @@ def test_help_lists_config_keys(capsys):
                  "backtest.fee_rate = 0.000687", "strategy.delta2 = 0.9",
                  "output.dir = out"):
         assert line in out
+    # every listed default, set in an INI, resolves exactly as no INI does
+    sections: dict[str, str] = {}
+    for line in out.split("config keys and defaults:\n")[1].splitlines():
+        key, _, value = line.partition("=")
+        sect, name = key.strip().split(".")
+        sections[sect] = sections.get(sect, f"[{sect}]\n") \
+            + f"{name} = {value.strip()}\n"
+    assert len(sections) == 7
+    ini = tmp_path / "defaults.ini"
+    ini.write_text("".join(sections.values()))
+    resolved = []
+    for name, head in (("plain", ()), ("ini", ("--config", str(ini)))):
+        out_dir = tmp_path / name
+        assert run(*head, "--out", str(out_dir), "generate", "-o",
+                   str(out_dir / "ticks.csv")) == 0
+        resolved.append((out_dir / "resolved_config.json").read_bytes())
+    assert resolved[0] == resolved[1]
+    values = json.loads(resolved[1])
+    assert isinstance(values["backtest"]["capital"], float)
+    assert values["backtest"]["maintenance_rate"] is None
+    assert values["garch"]["mean_model"] == "ar1"
 
 
 def test_missing_input_names_path(tmp_path, capsys):
@@ -85,11 +107,20 @@ def test_non_finite_ticks_are_data_errors(tmp_path, capsys):
         assert "finite" in capsys.readouterr().err
 
 
-def test_generate_constraint_error(tmp_path, capsys):
+def test_generate_constraint_error(shared, tmp_path, capsys):
     code = run("--out", str(tmp_path), "generate",
                "--alpha", "0.5", "--beta", "0.6")
     assert code == 2
     assert "alpha + beta" in capsys.readouterr().err
+    # a bad value fails when the config resolves, before anything is written
+    assert not (tmp_path / "resolved_config.json").exists()
+    ini = tmp_path / "bad.ini"
+    ini.write_text("[strategy]\ndelta2 = 0.1\ndelta3 = 0.2\n")
+    out = tmp_path / "o"
+    assert run("--config", str(ini), "--out", str(out), "backtest",
+               str(shared / "two_day.csv")) == 2
+    assert "delta3 <= delta2" in capsys.readouterr().err
+    assert not (out / "resolved_config.json").exists()
 
 
 # -- config -----------------------------------------------------------------
@@ -97,22 +128,23 @@ def test_generate_constraint_error(tmp_path, capsys):
 
 def test_defaults_without_file():
     cfg = load_config(None)
-    assert cfg.seed == 0
-    assert cfg.cost_model().fee_rate == 6.87e-4
-    assert cfg.engine_config().vpin_window == 50
-    assert cfg.strategy_config(use_svm=False).use_svm is False
+    assert cfg.synth.seed == 0
+    assert cfg.costs.fee_rate == 6.87e-4
+    assert cfg.engine.vpin_window == 50
 
 
 def test_config_file_overrides(tmp_path):
     ini = tmp_path / "run.ini"
     ini.write_text("[data]\nseed = 5\ncount = 777\n"
-                   "[strategy]\nuse_svm = false\n"
+                   "[strategy]\nuse_svm = false\ndelta2 = 0.05\ndelta3 = 0.01\n"
                    "[backtest]\nmaintenance_rate = 0.5\n")
     cfg = load_config(str(ini))
-    assert cfg.seed == 5
-    assert cfg.get("data", "count") == 777
-    assert cfg.strategy_config().use_svm is False
-    assert cfg.cost_model().maintenance == 0.5
+    assert cfg.synth.seed == 5
+    assert cfg.synth.count == 777
+    assert cfg.strategy.use_svm is False
+    # both thresholds move below the default delta3 = 0.1 together
+    assert (cfg.strategy.delta2, cfg.strategy.delta3) == (0.05, 0.01)
+    assert cfg.costs.maintenance == 0.5
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -139,12 +171,41 @@ def test_env_var_supplies_config(tmp_path, monkeypatch):
 
 
 def test_resolved_config_reflects_cli_overrides(tmp_path):
-    out = tmp_path / "o"
-    assert run("--out", str(out), "generate", "--seed", "7",
-               "--count", "100") == 0
-    resolved = json.loads((out / "resolved_config.json").read_text())
-    assert resolved["data"]["seed"] == 7
-    assert resolved["data"]["count"] == 100
+    def resolved(name, *argv):
+        out = tmp_path / name
+        run("--out", str(out), *argv)
+        return json.loads((out / "resolved_config.json").read_text())
+
+    # the config is written before a command reads its (here missing) input
+    missing = str(tmp_path / "missing.csv")
+    defaults = resolved("defaults", "report", missing)
+    cases = [
+        (("generate", "--seed", "7", "--count", "100", "--omega", "2e-6",
+          "--alpha", "0.06", "--beta", "0.85", "--mu", "1e-4", "--phi", "0.1",
+          "--start-price", "2000", "--tick-interval-ms", "250",
+          "--spread", "0.4"),
+         {"data.seed": 7, "data.count": 100, "data.omega": 2e-6,
+          "data.alpha": 0.06, "data.beta": 0.85, "data.mu": 1e-4,
+          "data.phi": 0.1, "data.start_price": 2000.0,
+          "data.tick_interval_ms": 250, "data.spread": 0.4}),
+        (("vpin", missing, "--window", "30", "--buckets-per-day", "60"),
+         {"vpin.window": 30, "vpin.buckets_per_day": 60}),
+        (("garch", missing, "--p", "2", "--q", "3", "--leverage",
+          "--mean", "zero"),
+         {"garch.p": 2, "garch.q": 3, "garch.leverage": True,
+          "garch.mean_model": "zero"}),
+        (("svm-train", missing, "--c", "2.5", "--sigma", "0.5",
+          "--tol", "0.01"),
+         {"svm.c": 2.5, "svm.kernel_sigma": 0.5, "svm.tol": 0.01}),
+        (("backtest", missing, "--no-plot"), {"output.plots": False}),
+    ]
+    for i, (argv, flags) in enumerate(cases):
+        want = copy.deepcopy(defaults)
+        for key, value in flags.items():
+            sect, name = key.split(".")
+            assert want[sect][name] != value
+            want[sect][name] = value
+        assert resolved(f"case{i}", *argv) == want
 
 
 # -- generate ---------------------------------------------------------------
@@ -276,6 +337,20 @@ def test_backtest_variants_and_report(shared, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "G+V+S" in text and "Max drawdown" in text
     assert (out / "report.txt").read_text() in text + text  # same content
+    # a missing metric column or a metric that is not a number: exit 2
+    bad = tmp_path / "r.csv"
+    bad.write_text("variant,total_return\nG,0.1\n")
+    assert run("--out", str(out), "report", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert "r.csv" in err and "annualized_return" in err
+    rows[0]["sharpe"] = "abc"
+    with open(bad, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    assert run("--out", str(out), "report", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert "r.csv" in err and "sharpe" in err and "abc" in err
 
 
 def test_backtest_single_run_uses_flag_tag(shared, tmp_path):

@@ -11,7 +11,6 @@ from microstrat.volatility import (
     _variance_path,
     fit_garch,
     fit_har_vpin,
-    fit_tgarch,
     forecast,
     garch_loglik,
     realized_vol,
@@ -153,7 +152,7 @@ def test_tgarch_recovers_leverage_sign():
     for seed in range(10):
         r = simulate_garch(20000, 1e-6, [0.05], [0.88], leverage=0.05,
                            rng=np.random.default_rng(100 + seed))
-        fit = fit_tgarch(r)
+        fit = fit_garch(r, GarchSpec(leverage=True))
         pos += fit.leverage_coef > 0
     assert pos >= 9
 
@@ -163,7 +162,7 @@ def test_tgarch_on_symmetric_data_gives_null_leverage():
     for seed in range(10):
         r = simulate_garch(10000, 1e-6, [0.05], [0.90],
                            rng=np.random.default_rng(200 + seed))
-        fit = fit_tgarch(r)
+        fit = fit_garch(r, GarchSpec(leverage=True))
         lam_se = dict((n, s) for n, _, s in fit.parameter_table())["lambda"]
         within += abs(fit.leverage_coef) <= 2.0 * lam_se
     assert within >= 9
