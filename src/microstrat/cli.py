@@ -320,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="INI config path (or set "
                         f"{ENV_CONFIG})")
-    parser.add_argument("--out", help="output directory (default: output.dir)")
+    _key_flag(parser, "--out", "output.dir", metavar="OUT",
+              help="output directory (default: output.dir)")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -417,7 +418,7 @@ def main(argv=None) -> int:
         flags = {key: val for key, val in vars(args).items()
                  if key in KEYS and val is not None}
         cfg = load_config(args.config or os.environ.get(ENV_CONFIG), flags)
-        out_dir = args.out or cfg.out_dir
+        out_dir = cfg.out_dir
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "resolved_config.json"), "w",
                   encoding="utf-8") as fh:

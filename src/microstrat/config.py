@@ -63,8 +63,12 @@ class RunConfig:
     plots: bool = True
 
     def to_json(self) -> str:
+        """Every key but ``output.dir``: the log is written into that
+        directory, and runs into different directories log the same bytes."""
         values: dict[str, dict] = {}
         for key, path in KEYS.items():
+            if key == "output.dir":
+                continue
             sect, name = key.split(".")
             values.setdefault(sect, {})[name] = attrgetter(path)(self)
         return json.dumps(values, indent=2, sort_keys=True) + "\n"

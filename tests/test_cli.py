@@ -85,6 +85,8 @@ def test_help_lists_config_keys(capsys, tmp_path):
         resolved.append((out_dir / "resolved_config.json").read_bytes())
     assert resolved[0] == resolved[1]
     values = json.loads(resolved[1])
+    # the INI's output.dir neither overrides --out nor is logged in its place
+    assert "dir" not in values["output"]
     assert isinstance(values["backtest"]["capital"], float)
     assert values["backtest"]["maintenance_rate"] is None
     assert values["garch"]["mean_model"] == "ar1"
@@ -179,6 +181,7 @@ def test_resolved_config_reflects_cli_overrides(tmp_path):
     # the config is written before a command reads its (here missing) input
     missing = str(tmp_path / "missing.csv")
     defaults = resolved("defaults", "report", missing)
+    assert defaults["output"] == {"plots": True}
     cases = [
         (("generate", "--seed", "7", "--count", "100", "--omega", "2e-6",
           "--alpha", "0.06", "--beta", "0.85", "--mu", "1e-4", "--phi", "0.1",

@@ -6,6 +6,7 @@ import pytest
 
 from microstrat.errors import DataError
 from microstrat.stats import (
+    _sic_values,
     adf_critical_values,
     adf_test,
     arch_effect_test,
@@ -218,6 +219,66 @@ def test_adf_rejection_survives_doubling_the_sample():
 def test_adf_rejects_constant_series():
     with pytest.raises(DataError):
         adf_test(np.full(100, 3.0))
+
+
+def test_adf_rejects_non_finite_series(capfd):
+    x = np.cumsum(np.random.default_rng(9).standard_normal(500))
+    for bad in (np.nan, np.inf, -np.inf):
+        y = x.copy()
+        y[250] = bad
+        with pytest.raises(DataError, match="finite"):
+            adf_test(y)
+    assert capfd.readouterr().err == ""
+
+
+def test_adf_names_the_first_rank_deficient_lag():
+    # in a period-p series dy_{t-p+1} is a function of y_{t-1}
+    for period, reps, rank in (([100.0, 101.0], 500, 2),
+                               ([100.0, 101.0, 103.0], 400, 3)):
+        with pytest.raises(DataError) as exc:
+            adf_test(np.tile(period, reps))
+        assert str(exc.value) == \
+            f"design matrix is rank deficient (rank {rank} < {rank + 1})"
+
+
+def _per_lag_sic(y: np.ndarray, max_lag: int) -> np.ndarray:
+    """Reference: one OLS fit per lag on the common sample t >= max_lag."""
+    dy = np.diff(y)
+    t = np.arange(max_lag, dy.shape[0])
+    sic = []
+    for k in range(max_lag + 1):
+        X = np.column_stack([np.ones(t.shape[0]), y[t],
+                             *(dy[t - i] for i in range(1, k + 1))])
+        fit = ols(X, dy[t])
+        ssr = max(fit.ssr, 1e-300)
+        sic.append(fit.n_obs * math.log(ssr / fit.n_obs)
+                   + (k + 2) * math.log(fit.n_obs))
+    return np.array(sic)
+
+
+def test_adf_qr_sweep_matches_per_lag_ols():
+    n = 500
+    for seed in range(30):
+        rng = np.random.default_rng(200 + seed)
+        e = rng.standard_normal(n)
+        d = np.zeros(n)
+        for t in range(2, n):
+            d[t] = 0.5 * d[t - 1] - 0.3 * d[t - 2] + e[t]
+        for y in (100.0 + np.cumsum(e),            # random walk
+                  3000.0 + np.cumsum(d),           # AR(2) in differences
+                  rng.standard_normal(400),        # white noise
+                  np.cumsum(rng.standard_normal(60))):
+            # Schwert's rule, as adf_test applies it
+            max_lag = min(int(12.0 * (y.shape[0] / 100.0) ** 0.25),
+                          y.shape[0] // 2 - 12)
+            want = _per_lag_sic(y, max_lag)
+            np.testing.assert_allclose(_sic_values(y, np.diff(y), max_lag),
+                                       want, rtol=1e-8, atol=0)
+            first_min = 0
+            for k in range(1, max_lag + 1):
+                if want[k] < want[first_min]:
+                    first_min = k
+            assert adf_test(y).lag == first_min
 
 
 # ---------------------------------------------------------------------------
