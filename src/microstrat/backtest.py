@@ -35,13 +35,12 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import DataError, NonConvergenceError
-from .marketdata import NS_PER_DAY, TickSeries, resample
+from .marketdata import NS_PER_DAY, TickSeries, resample, session_log_returns
 from .strategy import (
     SIDE_BUY,
     SIDE_NONE,
     SIDE_SELL,
     SVM_FEATURE_LAGS,
-    Signal,
     StrategyConfig,
     adjust_delta1,
     calibrate_delta1,
@@ -420,13 +419,8 @@ def _market_state(ticks: TickSeries, cfg: StrategyConfig, eng: EngineConfig,
                         f"got {days.shape[0]}")
     day_ord = np.searchsorted(days, day_codes)
     first_trading = int(np.searchsorted(day_ord, eng.warmup_days))
-    n_sess = len(ticks.calendar.sessions)
-    bar_uid = day_codes * n_sess + ticks.calendar.session_index(bars.ts)
-    closes = bars.close
     decision_ts = bars.ts + eng.bar_interval_ns
-    rets = np.full(n_bars, np.nan)
-    same = bar_uid[1:] == bar_uid[:-1]
-    rets[1:][same] = np.log(closes[1:][same] / closes[:-1][same])
+    rets = session_log_returns(bars, ticks.calendar)
 
     vpin_values, vpin_end_ts, bucket_end_ts, bucket_fluct = \
         _vpin_stream(ticks, days, eng)
@@ -533,7 +527,7 @@ def _market_state(ticks: TickSeries, cfg: StrategyConfig, eng: EngineConfig,
 
     return _MarketState(
         ticks=ticks, data_hash=_data_hash(ticks), decision_ts=decision_ts,
-        closes=closes, day_ord=day_ord, first_trading=first_trading,
+        closes=bars.close, day_ord=day_ord, first_trading=first_trading,
         price_idx=(np.searchsorted(ticks.ts, decision_ts, side="left") - 1).tolist(),
         vpin_now=vpin_now, forecasts=forecasts, delta1_fits=delta1_fits,
         thresholds=thresholds, svm_models=svm_models,
@@ -627,7 +621,7 @@ def _replay(state: _MarketState, cfg: StrategyConfig, costs: CostModel,
         forecast = state.forecasts.get(t)
         if forecast is None:
             continue
-        sig = garch_signal(forecast, delta1, timestamp=now)
+        sig = garch_signal(forecast, delta1)
         feats = state.gate_features.get(t)
         if cfg.use_svm and sig.side != SIDE_NONE and svm_model is not None \
                 and feats is not None:

@@ -84,16 +84,16 @@ def _test_rows(name: str, res: TestResult):
 
 def cmd_diagnose(args, cfg: RunConfig, out_dir: str) -> int:
     ticks = load_ticks(args.data)
-    r = log_returns(ticks.price, ticks.ts)
+    r = log_returns(ticks.price)
     rows = []
     rows += _test_rows("adf_price", adf_test(ticks.price))
     rows += _test_rows("jarque_bera_returns", jarque_bera(r))
     rows += _test_rows("arch_effect_returns", arch_effect_test(r, lags=args.lags))
     if args.granger:
         other = load_ticks(args.granger)
-        r2 = log_returns(other.price, other.ts)
-        n = min(r.values.shape[0], r2.values.shape[0])
-        pair = granger_test(r.values[:n], r2.values[:n], lag=args.granger_lag)
+        r2 = log_returns(other.price)
+        n = min(r.shape[0], r2.shape[0])
+        pair = granger_test(r[:n], r2[:n], lag=args.granger_lag)
         rows += _test_rows("granger_data_causes_other", pair.x_causes_y)
         rows += _test_rows("granger_other_causes_data", pair.y_causes_x)
     path = args.output or os.path.join(out_dir, "diagnostics.csv")
@@ -128,14 +128,14 @@ def cmd_vpin(args, cfg: RunConfig, out_dir: str) -> int:
 
 def cmd_garch(args, cfg: RunConfig, out_dir: str) -> int:
     ticks = load_ticks(args.data)
-    r = log_returns(ticks.price, ticks.ts)
+    r = log_returns(ticks.price)
     fit = fit_garch(r, spec=cfg.engine.garch_spec)
     path = args.output or os.path.join(out_dir, "garch.csv")
     rows = [(name, _fmt(est), _fmt(se))
             for name, est, se in fit.parameter_table()]
     rows += [("log_likelihood", _fmt(fit.log_likelihood), ""),
              ("persistence", _fmt(fit.persistence), ""),
-             ("n_obs", str(r.values.shape[0]), ""),
+             ("n_obs", str(r.shape[0]), ""),
              ("iterations", str(fit.iterations), "")]
     _write_csv(path, ("parameter", "estimate", "std_error"), rows)
     for name, est, se in fit.parameter_table():

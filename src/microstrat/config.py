@@ -6,10 +6,12 @@ the engine (whose ``garch_spec`` holds ``[garch]``), plus the output
 settings. ``KEYS`` is the one table that says which field each
 ``[section] key`` sets; sections that are exactly a dataclass (``[data]``,
 ``[garch]``, ``[strategy]`` and the cost half of ``[backtest]``) take their
-keys from its fields. A key's default is its field's default and its parser
-follows the field's annotation. The INI loader, ``to_json``, the ``--help``
-key list and the CLI flags (each stores under its ``section.key``) all read
-this table.
+keys from its fields. A key's default is its value on ``RunConfig()``, which
+is not always its field's default: ``garch.mean_model`` is ``"ar1"`` from
+``EngineConfig.garch_spec``, where ``GarchSpec()`` has ``"constant"``. Its
+parser follows the field's annotation. The INI loader, ``to_json``, the
+``--help`` key list and the CLI flags (each stores under its
+``section.key``) all read this table.
 
 Unknown sections or keys abort the load. Each object is built, and so
 validated, once with all of its new values, so checks across fields see the

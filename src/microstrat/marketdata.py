@@ -147,27 +147,6 @@ class TickSeries:
 
 
 @dataclass(frozen=True)
-class ReturnSeries:
-    """Log returns ln(P_t / P_{t-1}) with the timestamp of the later price."""
-
-    ts: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        ts = np.ascontiguousarray(self.ts, dtype=np.int64)
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if ts.shape[0] != values.shape[0]:
-            raise DataError("return timestamps and values must align")
-        if not np.all(np.isfinite(values)):
-            raise DataError("return values must be finite")
-        object.__setattr__(self, "ts", ts)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return int(self.values.shape[0])
-
-
-@dataclass(frozen=True)
 class BarSeries:
     """OHLCV bars on a fixed interval; bars never span a session break."""
 
@@ -300,40 +279,30 @@ def save_ticks(path: str, ticks: TickSeries) -> None:
 # ---------------------------------------------------------------------------
 
 
-def log_returns(prices: np.ndarray | Sequence[float],
-                timestamps: np.ndarray | None = None) -> ReturnSeries:
-    """Log returns of an ordered positive price vector.
+def log_returns(prices: np.ndarray | Sequence[float]) -> np.ndarray:
+    """Log returns of an ordered vector of positive finite prices.
 
-    values[t] = ln(prices[t+1] / prices[t]); the series is one shorter than
-    the prices. Timestamps default to the index of the later price.
+    r[t] = ln(prices[t+1] / prices[t]); the result is one shorter than the
+    prices.
     """
     p = np.ascontiguousarray(prices, dtype=np.float64)
     if p.ndim != 1 or p.shape[0] < 2:
         raise DataError("need at least 2 prices for returns")
-    if not np.all(p > 0):
-        raise DataError("prices must be positive")
-    values = np.diff(np.log(p))
-    if timestamps is None:
-        ts = np.arange(1, p.shape[0], dtype=np.int64)
-    else:
-        ts = np.ascontiguousarray(timestamps, dtype=np.int64)
-        if ts.shape[0] == p.shape[0]:
-            ts = ts[1:]
-        elif ts.shape[0] != values.shape[0]:
-            raise DataError("timestamps must match prices or returns length")
-    return ReturnSeries(ts, values)
+    if not np.all((p > 0) & (p < np.inf)):
+        raise DataError("prices must be positive and finite")
+    return np.diff(np.log(p))
 
 
 def session_log_returns(bars: BarSeries,
-                        calendar: SessionCalendar = DEFAULT_CALENDAR) -> ReturnSeries:
-    """Close-to-close log returns that never cross a session break."""
-    if len(bars) < 2:
-        raise DataError("need at least 2 bars for returns")
+                        calendar: SessionCalendar = DEFAULT_CALENDAR) -> np.ndarray:
+    """Close-to-close log returns aligned with the bars, never across a
+    session break: NaN at the first bar of each session."""
     sess = (bars.ts // NS_PER_DAY) * len(calendar.sessions) + calendar.session_index(bars.ts)
     same = sess[1:] == sess[:-1]
-    values = np.diff(np.log(bars.close))[same]
-    ts = bars.ts[1:][same]
-    return ReturnSeries(ts, values)
+    c = bars.close
+    r = np.full(len(bars), np.nan)
+    r[1:][same] = np.log(c[1:][same] / c[:-1][same])
+    return r
 
 
 def resample(ticks: TickSeries, interval_ns: int) -> BarSeries:
@@ -454,44 +423,3 @@ def synth_ticks(spec: SynthSpec,
     bid = prices - half if spec.spread > 0 else None
     ask = prices + half if spec.spread > 0 else None
     return TickSeries(ts, prices, volumes, bid, ask, calendar)
-
-
-# ---------------------------------------------------------------------------
-# Descriptive statistics
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DescriptiveStats:
-    """First four moments of a return series.
-
-    Kurtosis is reported non-excess (a normal sample is near 3). Skewness and
-    kurtosis are NaN for a degenerate (constant) series.
-    """
-
-    mean: float
-    std: float
-    skewness: float
-    kurtosis: float
-    n: int
-
-    @property
-    def is_degenerate(self) -> bool:
-        return math.isnan(self.skewness)
-
-
-def descriptive_stats(returns: ReturnSeries | np.ndarray) -> DescriptiveStats:
-    """Mean, sample std, and population skewness / non-excess kurtosis."""
-    x = returns.values if isinstance(returns, ReturnSeries) else np.asarray(returns, float)
-    n = x.shape[0]
-    if n < 4:
-        raise DataError("need at least 4 observations for descriptive stats")
-    mean = float(np.mean(x))
-    d = x - mean
-    m2 = float(np.mean(d * d))
-    std = float(np.sqrt(np.sum(d * d) / (n - 1)))
-    if m2 == 0.0:
-        return DescriptiveStats(mean, 0.0, math.nan, math.nan, n)
-    skew = float(np.mean(d ** 3) / m2 ** 1.5)
-    kurt = float(np.mean(d ** 4) / (m2 * m2))
-    return DescriptiveStats(mean, std, skew, kurt, n)

@@ -22,7 +22,6 @@ from scipy.linalg import qr
 from scipy.special import betainc, gammaincc, ndtr
 
 from .errors import DataError, NumericalError
-from .marketdata import ReturnSeries
 
 # ---------------------------------------------------------------------------
 # MacKinnon tables, constant-only (no trend) case
@@ -155,13 +154,17 @@ def ols(X: np.ndarray, y: np.ndarray) -> OlsFit:
 # ---------------------------------------------------------------------------
 
 
-def _values(r: ReturnSeries | np.ndarray) -> np.ndarray:
-    return r.values if isinstance(r, ReturnSeries) else np.asarray(r, dtype=np.float64)
+def _finite(series, test: str) -> np.ndarray:
+    """The series as a flat float64 array; DataError when it holds NaN or inf."""
+    x = np.asarray(series, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(x)):
+        raise DataError(f"{test} needs finite values; the series has NaN or inf")
+    return x
 
 
-def jarque_bera(r: ReturnSeries | np.ndarray) -> TestResult:
+def jarque_bera(r: np.ndarray) -> TestResult:
     """JB = n/6 * (S^2 + (K-3)^2/4) against chi-squared with 2 df."""
-    x = _values(r)
+    x = _finite(r, "Jarque-Bera")
     n = x.shape[0]
     if n < 8:
         raise DataError(f"Jarque-Bera needs at least 8 observations, got {n}")
@@ -176,9 +179,9 @@ def jarque_bera(r: ReturnSeries | np.ndarray) -> TestResult:
     return TestResult(statistic=jb, p_value=p, reject_at_5pct=p < 0.05, df=2)
 
 
-def arch_effect_test(r: ReturnSeries | np.ndarray, lags: int = 12) -> TestResult:
+def arch_effect_test(r: np.ndarray, lags: int = 12) -> TestResult:
     """Ljung-Box Q on the squared demeaned series against chi-squared(lags)."""
-    x = _values(r)
+    x = _finite(r, "ARCH-effect test")
     n = x.shape[0]
     if lags < 1:
         raise DataError("lags must be >= 1")
@@ -276,10 +279,8 @@ def adf_test(series: np.ndarray, max_lag: int | None = None,
     t-ratio on the lagged level; rejection at 5% compares it to the
     finite-sample critical value.
     """
-    y = np.asarray(series, dtype=np.float64).ravel()
+    y = _finite(series, "ADF")
     n = y.shape[0]
-    if not np.all(np.isfinite(y)):
-        raise DataError("ADF needs finite values; the series has NaN or inf")
     if n == 0 or np.all(y == y[0]):
         raise DataError("ADF is undefined for a constant series")
     if max_lag is None:
@@ -339,8 +340,8 @@ def _granger_one_way(cause: np.ndarray, effect: np.ndarray, lag: int) -> TestRes
 
 def granger_test(x: np.ndarray, y: np.ndarray, lag: int = 2) -> GrangerResult:
     """F-tests of 'x does not cause y' and 'y does not cause x' at one lag."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
+    x = _finite(x, "Granger test")
+    y = _finite(y, "Granger test")
     if x.shape[0] != y.shape[0]:
         raise DataError("series lengths differ")
     if lag < 1:

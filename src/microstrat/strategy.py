@@ -1,4 +1,4 @@
-"""Trading decision layers and the market-maker premium calculator.
+"""Trading decision layers.
 
 Direction comes from thresholding the standardized one-step mean forecast at
 +-delta1; delta1 is re-picked by grid search on the trailing window and pulled
@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import DataError
 from .svm import SvmModel, predict
-from .vpin import VpinSeries
 
 SIDE_BUY = "buy"
 SIDE_SELL = "sell"
@@ -68,22 +67,24 @@ class StrategyConfig:
         return self.delta1_lo + self.delta1_step * np.arange(n)
 
 
+_QUOTES = {SIDE_BUY: "bid1", SIDE_SELL: "ask1", SIDE_NONE: None}
+
+
 @dataclass(frozen=True)
 class Signal:
-    """One trading decision; quote names the book side the order would hit."""
+    """One trading decision and the layers that shaped it."""
 
-    timestamp: int
     side: str
     layer_trace: tuple[str, ...] = ()
-    quote: str | None = None
 
     def __post_init__(self) -> None:
-        if self.side not in (SIDE_BUY, SIDE_SELL, SIDE_NONE):
+        if self.side not in _QUOTES:
             raise DataError(f"unknown side {self.side!r}")
-        expected = {SIDE_BUY: "bid1", SIDE_SELL: "ask1", SIDE_NONE: None}[self.side]
-        if self.quote != expected:
-            raise DataError(f"side {self.side} must quote {expected}, "
-                            f"got {self.quote}")
+
+    @property
+    def quote(self) -> str | None:
+        """The book side the order would hit."""
+        return _QUOTES[self.side]
 
 
 @dataclass(frozen=True)
@@ -94,14 +95,7 @@ class VpinThresholds:
     flat_objective: bool = False
 
 
-@dataclass(frozen=True)
-class LiquidityQuote:
-    s1: float
-    spread: float
-
-
-def garch_signal(forecast: tuple[float, float], delta1: float,
-                 timestamp: int = 0) -> Signal:
+def garch_signal(forecast: tuple[float, float], delta1: float) -> Signal:
     """Buy above +delta1, sell below -delta1 on the (mean, variance) forecast."""
     mean, variance = map(float, forecast)
     if not (math.isfinite(mean) and math.isfinite(variance) and variance > 0):
@@ -110,10 +104,10 @@ def garch_signal(forecast: tuple[float, float], delta1: float,
         raise DataError(f"delta1 must be positive, got {delta1}")
     z = mean / math.sqrt(variance)
     if z > delta1:
-        return Signal(timestamp, SIDE_BUY, ("garch:buy",), "bid1")
+        return Signal(SIDE_BUY, ("garch:buy",))
     if z < -delta1:
-        return Signal(timestamp, SIDE_SELL, ("garch:sell",), "ask1")
-    return Signal(timestamp, SIDE_NONE, ("garch:none",), None)
+        return Signal(SIDE_SELL, ("garch:sell",))
+    return Signal(SIDE_NONE, ("garch:none",))
 
 
 def calibrate_delta1(std_forecasts: np.ndarray, next_returns: np.ndarray,
@@ -149,16 +143,14 @@ def _misclass_curves(v, hi_mask, lo_mask, grid):
 
 
 def calibrate_vpin_thresholds(vpin, future_fluct, fluct_hi: float = 0.0015,
-                              fluct_lo: float = 0.0005,
-                              seed: int = 0) -> VpinThresholds:
+                              fluct_lo: float = 0.0005) -> VpinThresholds:
     """Fit (delta2, delta3) to the two one-sided fluctuation rules.
 
     Minimizes the total misclassification count over delta3 <= delta2 on a
-    0.01 grid, then runs a short seeded projected random descent around the
-    winner. A flat objective falls back to (0.9, 0.1) and flags it.
+    0.01 grid, then runs a short projected random descent with a fixed seed
+    around the winner. A flat objective falls back to (0.9, 0.1) and flags it.
     """
-    v = vpin.values if isinstance(vpin, VpinSeries) else \
-        np.asarray(vpin, dtype=np.float64).ravel()
+    v = np.asarray(vpin, dtype=np.float64).ravel()
     f = np.asarray(future_fluct, dtype=np.float64).ravel()
     if v.shape[0] == 0:
         raise DataError("empty VPIN series")
@@ -188,7 +180,7 @@ def calibrate_vpin_thresholds(vpin, future_fluct, fluct_hi: float = 0.0015,
     def count(c2, c3):
         return int(((v > c2) != hi_mask).sum() + ((v < c3) != lo_mask).sum())
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     for _ in range(200):
         c2, c3 = np.clip((d2, d3) + rng.normal(0.0, 0.005, 2), 0.0, 1.0)
         c3 = min(c3, c2)
@@ -221,10 +213,8 @@ def svm_gate(model: SvmModel | None, features, proposed: Signal) -> Signal:
     veto = (pred == -1 and proposed.side == SIDE_BUY) or \
            (pred == 1 and proposed.side == SIDE_SELL)
     if veto:
-        return Signal(proposed.timestamp, SIDE_NONE,
-                      proposed.layer_trace + ("svm-veto",), None)
-    return Signal(proposed.timestamp, proposed.side,
-                  proposed.layer_trace + ("svm-pass",), proposed.quote)
+        return Signal(SIDE_NONE, proposed.layer_trace + ("svm-veto",))
+    return Signal(proposed.side, proposed.layer_trace + ("svm-pass",))
 
 
 def position_size(available_funds: float, vpin_now: float, delta2: float,
@@ -258,17 +248,6 @@ def stop_loss_check(entry_price: float, current_price: float,
     else:
         raise DataError(f"stop loss needs an open side, got {side!r}")
     return excursion > k * sigma_price
-
-
-def liquidity_premium(mu: float, gamma: float, sigma2: float, i: float,
-                      n: int) -> LiquidityQuote:
-    """Reservation bid of an inventory-averse market maker among n quoters."""
-    if n < 1:
-        raise DataError(f"need at least one market maker, got n={n}")
-    if gamma < 0 or sigma2 < 0 or i < 0:
-        raise DataError("gamma, sigma2 and inventory must be non-negative")
-    spread = gamma * sigma2 * i / (n + 1.0)
-    return LiquidityQuote(s1=mu - spread, spread=spread)
 
 
 def make_svm_dataset(std_forecasts, std_returns, vpin, next_returns,

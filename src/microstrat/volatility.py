@@ -1,4 +1,4 @@
-"""GARCH-family estimation and forecasting, realized volatility, HAR-VPIN.
+"""GARCH-family estimation, a one-step stepper, realized volatility, HAR-VPIN.
 
 The conditional variance h_t = a0 + sum_i a_i e_{t-i}^2 + lam e_{t-1}^2
 1[e_{t-1}<0] + sum_j g_j h_{t-j} is computed here and nowhere else, by two
@@ -11,8 +11,7 @@ implementations with different jobs:
   and fast. `fit_garch` and `garch_loglik` both call it, and both read the
   likelihood from its output through `_quasi_loglik`.
 - Out of sample, `GarchState` advances a fitted model one return at a time
-  in Python floats: the backtest engine steps it once per bar, and
-  `forecast` steps it with expected shocks in place of returns.
+  in Python floats; the backtest engine steps it once per bar.
 
 The optimizer works on transformed parameters (log variance intercept,
 logistic persistence split across terms) so the positivity and stationarity
@@ -35,7 +34,7 @@ from scipy.signal import lfilter, lfiltic
 from scipy.special import expit
 
 from .errors import DataError, NonConvergenceError
-from .marketdata import BarSeries, ReturnSeries
+from .marketdata import BarSeries
 from .stats import OlsFit, ols
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -132,12 +131,6 @@ class GarchFit:
 
 
 @dataclass(frozen=True)
-class Forecast:
-    variance_path: np.ndarray
-    mean_path: np.ndarray
-
-
-@dataclass(frozen=True)
 class HarVpinFit:
     beta0: float
     betaF: float
@@ -152,10 +145,6 @@ class HarVpinFit:
 # ---------------------------------------------------------------------------
 # Likelihood with analytic gradient (natural parameters)
 # ---------------------------------------------------------------------------
-
-
-def _values(r: ReturnSeries | np.ndarray) -> np.ndarray:
-    return r.values if isinstance(r, ReturnSeries) else np.asarray(r, dtype=np.float64)
 
 
 def _lag(x: np.ndarray, k: int, fill: float = 0.0) -> np.ndarray:
@@ -220,7 +209,7 @@ def _quasi_loglik(h: np.ndarray, eps: np.ndarray) -> float:
     return -0.5 * float(np.sum(LOG_2PI + np.log(h) + eps * eps / h))
 
 
-def garch_loglik(theta: np.ndarray, r: ReturnSeries | np.ndarray, spec: GarchSpec,
+def garch_loglik(theta: np.ndarray, r: np.ndarray, spec: GarchSpec,
                  seed_var: float | None = None,
                  r_prev: float | None = None) -> tuple[float, np.ndarray]:
     """Gaussian quasi log-likelihood and its gradient in natural parameters.
@@ -228,7 +217,7 @@ def garch_loglik(theta: np.ndarray, r: ReturnSeries | np.ndarray, spec: GarchSpe
     Layout: [mean params..., omega, alpha_1..p, (lambda,) gamma_1..q].
     Infeasible points (any h_t <= 0) return -inf with a zero gradient.
     """
-    x = _values(r)
+    x = np.asarray(r, dtype=np.float64)
     n = x.shape[0]
     theta = np.asarray(theta, dtype=np.float64)
     if theta.shape[0] != spec.n_params:
@@ -351,11 +340,11 @@ def _initial_raw(spec: GarchSpec, seed_var: float, rbar: float) -> np.ndarray:
     return raw
 
 
-def fit_garch(r: ReturnSeries | np.ndarray, spec: GarchSpec | None = None) -> GarchFit:
+def fit_garch(r: np.ndarray, spec: GarchSpec | None = None) -> GarchFit:
     """Quasi-maximum-likelihood fit with constraints built into the transform."""
     if spec is None:
         spec = GarchSpec()
-    x = _values(r)
+    x = np.asarray(r, dtype=np.float64)
     n = x.shape[0]
     if n < 50 * (spec.p + spec.q):
         raise DataError(f"need at least {50 * (spec.p + spec.q)} observations, got {n}")
@@ -425,7 +414,7 @@ def _hessian_std_errors(theta, x, spec, seed_var, rbar) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Forecasting and simulation
+# Out-of-sample stepping and simulation
 # ---------------------------------------------------------------------------
 
 
@@ -472,39 +461,16 @@ class GarchState:
         mu, phi = self.mean_params
         return mu + phi * self.r_last
 
-    def _push(self, e2: float, e2neg: float, h: float, r: float) -> None:
-        self.e2 = [e2] + self.e2[:-1]
-        self.e2neg = [e2neg] + self.e2neg[:-1]
-        self.h = [h] + self.h[:-1]
-        self.r_last = r
-
     def update(self, r: float) -> float:
         """Absorb one return; returns its conditional variance."""
         h = self.variance_forecast()
         eps = r - self.mean_forecast()
         e2 = eps * eps
-        self._push(e2, e2 * (eps < 0.0), h, r)
+        self.e2 = [e2] + self.e2[:-1]
+        self.e2neg = [e2 * (eps < 0.0)] + self.e2neg[:-1]
+        self.h = [h] + self.h[:-1]
+        self.r_last = r
         return h
-
-
-def forecast(fit: GarchFit, horizon: int) -> Forecast:
-    """Recursive variance forecast with the fitted mean model's point path.
-
-    Future squared shocks are replaced by their conditional expectation, and
-    the leverage indicator by one half.
-    """
-    if horizon < 1:
-        raise DataError("horizon must be >= 1")
-    state = GarchState(fit)
-    var_path = np.empty(horizon)
-    mean_path = np.empty(horizon)
-    for k in range(horizon):
-        v = state.variance_forecast()
-        m = state.mean_forecast()
-        var_path[k] = v
-        mean_path[k] = m
-        state._push(v, 0.5 * v, v, m)
-    return Forecast(variance_path=var_path, mean_path=mean_path)
 
 
 def simulate_garch(n: int, omega: float, alphas, gammas, leverage: float = 0.0,

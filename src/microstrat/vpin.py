@@ -191,14 +191,14 @@ def classify_buckets(buckets: list[RawBucket], sigma_dp: float) -> list[VolumeBu
     return out
 
 
-def compute_vpin(buckets: list[VolumeBucket], window: int = DEFAULT_WINDOW,
-                 bucket_volume: float | None = None) -> VpinSeries:
+def compute_vpin(buckets: list[VolumeBucket], window: int,
+                 bucket_volume: float) -> VpinSeries:
     """Rolling mean of order imbalance over `window` buckets, divided by V."""
     if window < 1:
         raise DataError("window must be >= 1")
     if len(buckets) < window:
         raise DataError(f"need at least {window} complete buckets, got {len(buckets)}")
-    v = float(bucket_volume) if bucket_volume is not None else buckets[0].total
+    v = float(bucket_volume)
     if not v > 0:
         raise DataError("bucket volume must be positive")
     oi = np.array([b.order_imbalance for b in buckets])
@@ -212,13 +212,11 @@ def compute_vpin(buckets: list[VolumeBucket], window: int = DEFAULT_WINDOW,
 
 def vpin_from_ticks(ticks: TickSeries, bucket_volume: float | None = None,
                     window: int = DEFAULT_WINDOW,
-                    buckets_per_day: int = DEFAULT_BUCKETS_PER_DAY,
-                    sigma: float | None = None) -> VpinSeries:
+                    buckets_per_day: int = DEFAULT_BUCKETS_PER_DAY) -> VpinSeries:
     """Full pipeline: size buckets, fill, classify, and roll up VPIN."""
     if bucket_volume is None:
         bucket_volume = default_bucket_volume(ticks, buckets_per_day)
-    if sigma is None:
-        sigma = sigma_delta_p(ticks)
+    sigma = sigma_delta_p(ticks)
     raw = bucket_fill(ticks, bucket_volume)
     classified = classify_buckets(raw, sigma)
     return compute_vpin(classified, window=window, bucket_volume=bucket_volume)

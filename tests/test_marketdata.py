@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 from microstrat.errors import DataError
 from microstrat.marketdata import (
     BarSeries,
-    DescriptiveStats,
     SessionCalendar,
     SynthSpec,
     TickSeries,
-    descriptive_stats,
     load_ticks,
     log_returns,
     resample,
@@ -235,7 +233,7 @@ def test_log_returns_oracle():
     r = log_returns(np.array([100.0, 110.0, 99.0]))
     assert len(r) == 2
     np.testing.assert_allclose(
-        r.values, [0.09531017980432486, -0.10536051565782628], rtol=0, atol=1e-15)
+        r, [0.09531017980432486, -0.10536051565782628], rtol=0, atol=1e-15)
 
 
 def test_log_returns_rejects_degenerate_input():
@@ -243,6 +241,8 @@ def test_log_returns_rejects_degenerate_input():
         log_returns(np.array([100.0]))
     with pytest.raises(DataError):
         log_returns(np.array([100.0, -1.0]))
+    with pytest.raises(DataError):
+        log_returns(np.array([100.0, np.inf]))
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +290,12 @@ def test_session_log_returns_skip_breaks():
     ])
     bars = resample(ticks, 60 * NS_PER_SEC)
     r = session_log_returns(bars)
-    # the 13:00 bar follows an 11:29 bar across the lunch break and is dropped
-    assert len(r) == 2
+    # aligned with the bars: NaN at each session's first bar, so the 13:00
+    # bar after the 11:29 bar across the lunch break has no return
+    assert len(r) == len(bars) == 4
+    assert math.isnan(r[0]) and math.isnan(r[3])
     np.testing.assert_allclose(
-        r.values, [math.log(99.0 / 101.0), math.log(102.0 / 99.0)], atol=1e-15)
+        r[1:3], [math.log(99.0 / 101.0), math.log(102.0 / 99.0)], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +330,12 @@ def test_synth_matches_unconditional_variance():
     spec = SynthSpec(omega=1e-6, alpha=0.05, beta=0.90, count=200_001, seed=2)
     r = log_returns(synth_ticks(spec).price)
     target = spec.omega / (1.0 - spec.alpha - spec.beta)
-    assert abs(np.var(r.values) / target - 1.0) < 0.15
+    assert abs(np.var(r) / target - 1.0) < 0.15
 
 
 def test_synth_ar1_mean_shows_up_in_autocorrelation():
     spec = SynthSpec(phi=0.5, count=100_001, seed=4)
-    r = log_returns(synth_ticks(spec).price).values
+    r = log_returns(synth_ticks(spec).price)
     d = r - r.mean()
     rho1 = float(np.dot(d[1:], d[:-1]) / np.dot(d, d))
     assert 0.44 < rho1 < 0.56
@@ -344,32 +346,3 @@ def test_synth_rejects_non_stationary_parameters():
         SynthSpec(alpha=0.5, beta=0.5)
     with pytest.raises(DataError):
         SynthSpec(phi=1.0)
-
-
-# ---------------------------------------------------------------------------
-# Descriptive statistics
-# ---------------------------------------------------------------------------
-
-
-def test_descriptive_stats_hand_trace():
-    s = descriptive_stats(np.array([1.0, 2.0, 3.0, 4.0]))
-    assert s.n == 4
-    assert s.mean == pytest.approx(2.5, abs=0)
-    assert s.std == pytest.approx(math.sqrt(5.0 / 3.0), abs=1e-15)
-    assert s.skewness == pytest.approx(0.0, abs=1e-15)
-    assert s.kurtosis == pytest.approx(1.64, abs=1e-15)
-
-
-def test_descriptive_stats_flags_degenerate_series():
-    s = descriptive_stats(np.full(10, 0.25))
-    assert s.std == 0.0
-    assert math.isnan(s.skewness) and math.isnan(s.kurtosis)
-    assert s.is_degenerate
-
-
-def test_descriptive_stats_gaussian_sanity():
-    rng = np.random.default_rng(0)
-    s = descriptive_stats(rng.standard_normal(50_000))
-    assert abs(s.skewness) < 0.05
-    assert abs(s.kurtosis - 3.0) < 0.1
-    assert not s.is_degenerate

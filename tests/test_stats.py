@@ -354,3 +354,15 @@ def test_granger_input_validation():
         granger_test(np.ones(50), np.ones(40), lag=2)
     with pytest.raises(DataError):
         granger_test(np.ones(12), np.ones(12), lag=2)
+
+
+def test_diagnostics_reject_non_finite_series(capfd):
+    x = np.random.default_rng(9).standard_normal(200)
+    for bad in (np.nan, np.inf, -np.inf):
+        y = x.copy()
+        y[100] = bad
+        for call in (lambda: jarque_bera(y), lambda: arch_effect_test(y),
+                     lambda: granger_test(y, x), lambda: granger_test(x, y)):
+            with pytest.raises(DataError, match="finite"):
+                call()
+    assert capfd.readouterr().err == ""

@@ -12,7 +12,6 @@ from microstrat.strategy import (
     calibrate_delta1,
     calibrate_vpin_thresholds,
     garch_signal,
-    liquidity_premium,
     make_svm_dataset,
     position_size,
     stop_loss_check,
@@ -35,8 +34,8 @@ def test_zero_forecast_never_trades():
 
 
 def test_signal_thresholds_and_quotes():
-    sig = garch_signal((0.5, 1.0), 0.4, timestamp=7)
-    assert sig.side == SIDE_BUY and sig.quote == "bid1" and sig.timestamp == 7
+    sig = garch_signal((0.5, 1.0), 0.4)
+    assert sig.side == SIDE_BUY and sig.quote == "bid1"
     sig = garch_signal((-3.0, 1.0), 2.0)
     assert sig.side == SIDE_SELL and sig.quote == "ask1"
     # standardization: mean 0.002 on variance 1e-4 is a 0.2 sigma move
@@ -54,12 +53,9 @@ def test_signal_rejects_bad_forecast():
 
 
 def test_signal_quote_invariant_enforced():
+    assert Signal(SIDE_NONE).quote is None
     with pytest.raises(DataError):
-        Signal(0, SIDE_BUY, (), "ask1")
-    with pytest.raises(DataError):
-        Signal(0, SIDE_NONE, (), "bid1")
-    with pytest.raises(DataError):
-        Signal(0, "hold", (), None)
+        Signal("hold")
 
 
 # -- delta1 calibration -----------------------------------------------------
@@ -155,8 +151,8 @@ def test_vpin_threshold_determinism():
     rng = np.random.default_rng(21)
     v = rng.uniform(0, 1, 400)
     f = rng.uniform(0, 0.003, 400)
-    a = calibrate_vpin_thresholds(v, f, seed=4)
-    b = calibrate_vpin_thresholds(v, f, seed=4)
+    a = calibrate_vpin_thresholds(v, f)
+    b = calibrate_vpin_thresholds(v, f)
     assert (a.delta2, a.delta3, a.misclassified) == (b.delta2, b.delta3,
                                                      b.misclassified)
 
@@ -189,11 +185,10 @@ def test_adjustment_rejects_out_of_range_delta1():
 
 
 def test_gate_vetoes_buy_on_negative_prediction():
-    proposed = garch_signal((0.5, 1.0), 0.4, timestamp=3)
+    proposed = garch_signal((0.5, 1.0), 0.4)
     out = svm_gate(SIGN_MODEL, [-2.0, 0.0], proposed)
     assert out.side == SIDE_NONE and out.quote is None
     assert "svm-veto" in out.layer_trace
-    assert out.timestamp == 3
 
 
 def test_gate_passes_agreeing_prediction():
@@ -249,34 +244,6 @@ def test_stop_loss_validation():
         stop_loss_check(100.0, 99.0, 0.0)
     with pytest.raises(DataError):
         stop_loss_check(100.0, 99.0, 0.5, side=SIDE_NONE)
-
-
-# -- liquidity premium ------------------------------------------------------
-
-
-def test_premium_closed_form():
-    q = liquidity_premium(100.0, 2.0, 0.25, 10, 4)
-    assert q.s1 == pytest.approx(99.0)
-    assert q.spread == pytest.approx(1.0)
-
-
-def test_premium_risk_neutral_limit():
-    q = liquidity_premium(100.0, 0.0, 0.25, 10, 4)
-    assert q.s1 == 100.0 and q.spread == 0.0
-
-
-def test_premium_shrinks_with_competition():
-    spreads = [liquidity_premium(100.0, 2.0, 0.25, 10, n).spread
-               for n in range(1, 11)]
-    assert all(a > b for a, b in zip(spreads, spreads[1:]))
-    assert all(s >= 0 for s in spreads)
-
-
-def test_premium_validation():
-    with pytest.raises(DataError):
-        liquidity_premium(100.0, 2.0, 0.25, 10, 0)
-    with pytest.raises(DataError):
-        liquidity_premium(100.0, -2.0, 0.25, 10, 4)
 
 
 # -- feature encoding -------------------------------------------------------

@@ -11,7 +11,6 @@ from microstrat.volatility import (
     _variance_path,
     fit_garch,
     fit_har_vpin,
-    forecast,
     garch_loglik,
     realized_vol,
     simulate_garch,
@@ -189,44 +188,28 @@ def test_fit_is_deterministic():
     assert a.log_likelihood == b.log_likelihood
 
 
-# -- forecasting ------------------------------------------------------------
-
-
-def test_forecast_converges_to_unconditional_variance():
-    r = simulate_garch(20000, 1e-6, [0.05], [0.90], rng=np.random.default_rng(42))
-    fit = fit_garch(r)
-    fc = forecast(fit, 4000)
-    uncond = fit.omega / (1.0 - fit.alphas[0] - fit.gammas[0])
-    assert abs(fc.variance_path[-1] - uncond) / uncond < 1e-6
-    assert np.all(fc.variance_path > 0)
+# -- one-step forecasts -----------------------------------------------------
 
 
 def test_forecast_one_step_is_exact():
     r = simulate_garch(5000, 1e-6, [0.05], [0.90], rng=np.random.default_rng(5))
     fit = fit_garch(r)
-    fc = forecast(fit, 1)
     manual = fit.omega
     manual += fit.alphas[0] * fit.residuals[-1] ** 2
     manual += fit.gammas[0] * fit.cond_variance[-1]
-    assert fc.variance_path[0] == manual
+    assert GarchState(fit).variance_forecast() == manual
 
 
 def test_forecast_mean_paths():
     r = simulate_garch(5000, 1e-6, [0.05], [0.90], rng=np.random.default_rng(6))
     zero_fit = fit_garch(r, GarchSpec(1, 1, False, "zero"))
-    assert np.all(forecast(zero_fit, 10).mean_path == 0.0)
+    assert GarchState(zero_fit).mean_forecast() == 0.0
 
     r2 = simulate_garch(10000, 1e-6, [0.05], [0.90], mu=1e-5, phi=0.3,
                         rng=np.random.default_rng(8))
     ar_fit = fit_garch(r2, GarchSpec(1, 1, False, "ar1"))
     mu, phi = ar_fit.mean_params
-    path = forecast(ar_fit, 50).mean_path
-    prev = ar_fit.last_return
-    for k in range(50):
-        prev = mu + phi * prev
-        assert path[k] == prev
-    # geometric decay toward the unconditional mean
-    assert abs(path[-1] - mu / (1.0 - phi)) < abs(path[0] - mu / (1.0 - phi)) + 1e-12
+    assert GarchState(ar_fit).mean_forecast() == mu + phi * ar_fit.last_return
 
 
 @pytest.mark.parametrize("spec", [
@@ -244,13 +227,6 @@ def test_stepper_continues_the_in_sample_filter(spec):
                                 float(np.mean(x[:n])))
     np.testing.assert_array_equal(h[:n], fit.cond_variance)
     np.testing.assert_allclose(stepped, h[n:], rtol=1e-12, atol=0.0)
-
-
-def test_forecast_horizon_validated():
-    r = simulate_garch(5000, 1e-6, [0.05], [0.90], rng=np.random.default_rng(9))
-    fit = fit_garch(r)
-    with pytest.raises(DataError):
-        forecast(fit, 0)
 
 
 # -- realized volatility ----------------------------------------------------

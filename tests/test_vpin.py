@@ -1,6 +1,8 @@
 """Bucket construction, bulk volume classification, and VPIN values."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microstrat.errors import DataError
 from microstrat.marketdata import SynthSpec, TickSeries, synth_ticks
@@ -78,6 +80,21 @@ def test_bucket_fill_conserves_volume_exactly():
     for b in buckets[:-1]:
         assert b.complete
         assert b.total == v
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 500), min_size=1, max_size=60),
+       st.integers(1, 300))
+def test_bucket_fill_conserves_volume_property(volumes, bucket_volume):
+    ticks = make_ticks(100.0 + np.arange(len(volumes)) % 3, volumes)
+    buckets = bucket_fill(ticks, float(bucket_volume))
+    totals = [b.total for b in buckets]
+    complete = [b.complete for b in buckets]
+    assert sum(totals) == sum(volumes)
+    assert all(complete[:-1])
+    assert all(t == bucket_volume for t, c in zip(totals, complete) if c)
+    # a trailing partial bucket holds the remainder, short of a full bucket
+    assert complete[-1] or 0 < totals[-1] < bucket_volume
 
 
 def test_bucket_fill_handles_tick_larger_than_bucket():
@@ -158,7 +175,7 @@ def test_vpin_zero_when_perfectly_balanced():
     # constant prices give dP = 0 everywhere; classify at an external sigma
     ticks = make_ticks([100.0] * 40, [10] * 40)
     buckets = classify_buckets(bucket_fill(ticks, 50.0), sigma_dp=1.0)
-    series = compute_vpin(buckets, window=4)
+    series = compute_vpin(buckets, window=4, bucket_volume=50.0)
     np.testing.assert_allclose(series.values, 0.0, atol=1e-12)
 
 
@@ -169,7 +186,7 @@ def test_vpin_one_when_all_volume_buys():
     prices = 100.0 + np.arange(40.0)
     buckets = classify_buckets(bucket_fill(make_ticks(prices, [10] * 40), 50.0),
                                sigma_dp=1e-6)
-    series = compute_vpin(buckets, window=4)
+    series = compute_vpin(buckets, window=4, bucket_volume=50.0)
     assert series.values[0] > 0.9
     assert np.all(series.values[1:] > 1.0 - 1e-6)
     assert np.all(series.values <= 1.0)
@@ -192,7 +209,7 @@ def test_vpin_needs_enough_buckets():
     buckets = [VolumeBucket(index=1, buy_volume=1.0, sell_volume=1.0, total=2.0,
                             start_ts=0, end_ts=1)]
     with pytest.raises(DataError):
-        compute_vpin(buckets, window=2)
+        compute_vpin(buckets, window=2, bucket_volume=2.0)
 
 
 def test_vpin_series_layout_and_range():
@@ -211,8 +228,10 @@ def test_vpin_monotone_in_price_change_scale_for_one_sided_buckets():
     prices = 100.0 + np.cumsum(rng.uniform(0.0, 0.1, 500))
     volumes = rng.integers(1, 20, 500)
     raw = bucket_fill(make_ticks(prices, volumes), 200.0)
-    lo = compute_vpin(classify_buckets(raw, sigma_dp=0.10), window=5)
-    hi = compute_vpin(classify_buckets(raw, sigma_dp=0.05), window=5)
+    lo = compute_vpin(classify_buckets(raw, sigma_dp=0.10), window=5,
+                      bucket_volume=200.0)
+    hi = compute_vpin(classify_buckets(raw, sigma_dp=0.05), window=5,
+                      bucket_volume=200.0)
     assert np.all(hi.values >= lo.values - 1e-12)
 
 
