@@ -339,30 +339,31 @@ class _MarketState:
 
 
 def _vpin_stream(ticks: TickSeries, days: np.ndarray, eng: EngineConfig):
-    """VPIN values with their end times, and each bucket's end time and
-    relative price move; bucket size and sigma are frozen on the warmup days."""
-    warm_mask = (ticks.ts // NS_PER_DAY) < days[eng.warmup_days]
-    n_warm = int(warm_mask.sum())
-    warm_ticks = TickSeries(ticks.ts[:n_warm], ticks.price[:n_warm],
-                            ticks.volume[:n_warm],
-                            None if ticks.bid1 is None else ticks.bid1[:n_warm],
-                            None if ticks.ask1 is None else ticks.ask1[:n_warm],
-                            ticks.calendar)
-    sigma_dp = sigma_delta_p(warm_ticks)
-    bucket_volume = default_bucket_volume(warm_ticks, eng.buckets_per_day)
-    buckets = classify_buckets(bucket_fill(ticks, bucket_volume), sigma_dp)
+    """VPIN values with their end times, and each complete bucket's end time
+    and relative price move; bucket size and sigma are frozen on the warmup
+    days."""
+    n_warm = int(np.searchsorted(ticks.ts, days[eng.warmup_days] * NS_PER_DAY))
+    sigma_dp = sigma_delta_p(ticks.price[:n_warm])
+    bucket_volume = default_bucket_volume(ticks.ts[:n_warm], ticks.volume[:n_warm],
+                                          eng.buckets_per_day)
+    buckets = bucket_fill(ticks, bucket_volume)
+    buy = classify_buckets(buckets, sigma_dp)
+    # a copy, not a view: these end times live through the whole pass, and
+    # the array bucket_fill allocated amid its large temporaries would stay
+    # high on the C heap; pinned there, it raised the peak RSS of an 8-day
+    # `backtest --variants` by about 6 MB in most runs
+    bucket_end_ts = buckets.end_ts[:buckets.complete].copy()
     vpin_values = np.empty(0)
     vpin_end_ts = np.empty(0, dtype=np.int64)
-    if len(buckets) >= eng.vpin_window:
-        vs = compute_vpin(buckets, eng.vpin_window, bucket_volume)
+    if buy.shape[0] >= eng.vpin_window:
+        vs = compute_vpin(buy, bucket_end_ts, eng.vpin_window, bucket_volume)
         vpin_values, vpin_end_ts = vs.values, vs.end_ts
-    bucket_end_ts = np.array([b.end_ts for b in buckets], dtype=np.int64)
-    end_idx = np.searchsorted(ticks.ts, bucket_end_ts, side="right") - 1
-    bucket_end_price = ticks.price[end_idx] if len(buckets) else np.empty(0)
+    # the price of the last tick at the bucket's end time, which with
+    # repeated timestamps can follow the bucket's own closing tick
+    end_price = ticks.price[np.searchsorted(ticks.ts, bucket_end_ts, side="right") - 1]
     # |relative price move| over each bucket, rated against its predecessor
-    bucket_fluct = np.full(len(buckets), np.nan)
-    if len(buckets) > 1:
-        bucket_fluct[1:] = np.abs(bucket_end_price[1:] / bucket_end_price[:-1] - 1.0)
+    bucket_fluct = np.full(bucket_end_ts.shape[0], np.nan)
+    bucket_fluct[1:] = np.abs(end_price[1:] / end_price[:-1] - 1.0)
     return vpin_values, vpin_end_ts, bucket_end_ts, bucket_fluct
 
 
@@ -370,19 +371,18 @@ def _vpin_thresholds(vpin_values: np.ndarray, bucket_end_ts: np.ndarray,
                      bucket_fluct: np.ndarray, now_ns: int,
                      cfg: StrategyConfig, window: int):
     """(delta2, delta3) fit on the pairs complete before `now_ns`, or None."""
-    # vpin value i belongs to bucket j = i + w - 1; fluct looks 2 ahead
-    pairs_v, pairs_f = [], []
-    for i in range(vpin_values.shape[0]):
-        j = i + window - 1 + cfg.basket_delay
-        if j >= bucket_end_ts.shape[0] or bucket_end_ts[j] >= now_ns:
-            break
-        if math.isfinite(bucket_fluct[j]):
-            pairs_v.append(vpin_values[i])
-            pairs_f.append(bucket_fluct[j])
-    if not (len(pairs_v) >= 30 and np.ptp(pairs_v) > 0):
+    # vpin value i belongs to bucket i + w - 1; fluct looks `basket_delay`
+    # buckets ahead, to bucket j, and the pair counts once bucket j has ended
+    # (bucket end times never decrease)
+    lead = window - 1 + cfg.basket_delay
+    ended = int(np.searchsorted(bucket_end_ts, now_ns, side="left"))
+    n = max(0, min(vpin_values.shape[0], ended - lead))
+    fluct = bucket_fluct[lead:lead + n]
+    keep = np.isfinite(fluct)
+    pairs_v, pairs_f = vpin_values[:n][keep], fluct[keep]
+    if not (pairs_v.shape[0] >= 30 and np.ptp(pairs_v) > 0):
         return None
-    th = calibrate_vpin_thresholds(np.asarray(pairs_v), np.asarray(pairs_f),
-                                   cfg.fluct_hi, cfg.fluct_lo)
+    th = calibrate_vpin_thresholds(pairs_v, pairs_f, cfg.fluct_hi, cfg.fluct_lo)
     return th.delta2, th.delta3
 
 

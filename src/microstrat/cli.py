@@ -3,8 +3,9 @@
 Subcommands cover the pipeline end to end: synthetic data generation,
 stationarity/normality diagnostics, VPIN, GARCH fitting, SVM training,
 wavelet denoising, the backtest itself, and report rendering. Every run
-writes the fully-resolved configuration next to its outputs, and all
-output files are deterministic for a fixed config, seed, and input.
+writes the fully-resolved configuration, with the command and its own
+options, next to its outputs, and all output files are deterministic for a
+fixed config, seed, and input.
 
 Exit codes: 0 ok, 1 usage, 2 data error, 3 numerical failure.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import logging
 import math
 import os
@@ -84,16 +86,22 @@ def _test_rows(name: str, res: TestResult):
 
 def cmd_diagnose(args, cfg: RunConfig, out_dir: str) -> int:
     ticks = load_ticks(args.data)
+    other = load_ticks(args.granger) if args.granger else None
+    if other is not None:
+        # returns pair by time, so both files must tick at the same instants
+        n = min(len(ticks), len(other))
+        differ = np.flatnonzero(ticks.ts[:n] != other.ts[:n])
+        if differ.size or len(ticks) != len(other):
+            i = int(differ[0]) if differ.size else n
+            raise DataError(f"{args.data} and {args.granger} differ in time "
+                            f"at tick {i}; the Granger test pairs returns by time")
     r = log_returns(ticks.price)
     rows = []
     rows += _test_rows("adf_price", adf_test(ticks.price))
     rows += _test_rows("jarque_bera_returns", jarque_bera(r))
     rows += _test_rows("arch_effect_returns", arch_effect_test(r, lags=args.lags))
-    if args.granger:
-        other = load_ticks(args.granger)
-        r2 = log_returns(other.price)
-        n = min(r.shape[0], r2.shape[0])
-        pair = granger_test(r[:n], r2[:n], lag=args.granger_lag)
+    if other is not None:
+        pair = granger_test(r, log_returns(other.price), lag=args.granger_lag)
         rows += _test_rows("granger_data_causes_other", pair.x_causes_y)
         rows += _test_rows("granger_other_causes_data", pair.y_causes_x)
     path = args.output or os.path.join(out_dir, "diagnostics.csv")
@@ -397,6 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse values left out of the resolved config's "command" section: the
+# global options and the input and output paths, which differ between runs
+# that compute the same thing
+_UNLOGGED = {"config", "verbose", "command", "data", "granger", "report",
+             "output"}
+
 _DISPATCH = {
     "generate": cmd_generate,
     "diagnose": cmd_diagnose,
@@ -418,11 +432,16 @@ def main(argv=None) -> int:
         flags = {key: val for key, val in vars(args).items()
                  if key in KEYS and val is not None}
         cfg = load_config(args.config or os.environ.get(ENV_CONFIG), flags)
+        command = {"name": args.command}
+        command.update((key, val) for key, val in vars(args).items()
+                       if key not in KEYS and key not in _UNLOGGED)
         out_dir = cfg.out_dir
         os.makedirs(out_dir, exist_ok=True)
         with open(os.path.join(out_dir, "resolved_config.json"), "w",
                   encoding="utf-8") as fh:
-            fh.write(cfg.to_json())
+            json.dump({**cfg.to_dict(), "command": command}, fh, indent=2,
+                      sort_keys=True)
+            fh.write("\n")
         return _DISPATCH[args.command](args, cfg, out_dir)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,21 +9,20 @@ settings. ``KEYS`` is the one table that says which field each
 keys from its fields. A key's default is its value on ``RunConfig()``, which
 is not always its field's default: ``garch.mean_model`` is ``"ar1"`` from
 ``EngineConfig.garch_spec``, where ``GarchSpec()`` has ``"constant"``. Its
-parser follows the field's annotation. The INI loader, ``to_json``, the
+parser follows the field's annotation. The INI loader, ``to_dict``, the
 ``--help`` key list and the CLI flags (each stores under its
 ``section.key``) all read this table.
 
 Unknown sections or keys abort the load. Each object is built, and so
 validated, once with all of its new values, so checks across fields see the
 final values and a bad value fails before any command runs. The resolved
-values serialize to stable JSON so every run can log exactly what it ran
-with.
+values serialize to stable JSON, which the CLI logs with the command's own
+options so every run records exactly what it ran with.
 """
 
 from __future__ import annotations
 
 import configparser
-import json
 from dataclasses import dataclass, fields, is_dataclass, replace
 from operator import attrgetter
 
@@ -64,16 +63,17 @@ class RunConfig:
     out_dir: str = "out"
     plots: bool = True
 
-    def to_json(self) -> str:
-        """Every key but ``output.dir``: the log is written into that
-        directory, and runs into different directories log the same bytes."""
+    def to_dict(self) -> dict[str, dict]:
+        """Every key but ``output.dir`` by section: the log is written into
+        that directory, and runs into different directories log the same
+        bytes."""
         values: dict[str, dict] = {}
         for key, path in KEYS.items():
             if key == "output.dir":
                 continue
             sect, name = key.split(".")
             values.setdefault(sect, {})[name] = attrgetter(path)(self)
-        return json.dumps(values, indent=2, sort_keys=True) + "\n"
+        return values
 
 
 _DEFAULTS = RunConfig()

@@ -141,10 +141,6 @@ class TickSeries:
     def __len__(self) -> int:
         return int(self.ts.shape[0])
 
-    def day_index(self) -> np.ndarray:
-        """Calendar day (epoch days) per tick."""
-        return self.ts // NS_PER_DAY
-
 
 @dataclass(frozen=True)
 class BarSeries:

@@ -270,12 +270,11 @@ def _sic_values(y: np.ndarray, dy: np.ndarray, max_lag: int) -> np.ndarray:
     return sic
 
 
-def adf_test(series: np.ndarray, max_lag: int | None = None,
-             selection: str = "sic") -> TestResult:
-    """Unit-root test with a constant; lag fixed or chosen by Schwarz criterion.
+def adf_test(series: np.ndarray, max_lag: int | None = None) -> TestResult:
+    """Unit-root test with a constant; lag chosen by Schwarz criterion.
 
-    With ``selection="sic"`` the first minimum of ``_sic_values`` is the
-    lag, refitted by OLS on its full sample. The reported statistic is the
+    The first minimum of ``_sic_values`` over lags 0..max_lag is the lag,
+    refitted by OLS on its full sample. The reported statistic is the
     t-ratio on the lagged level; rejection at 5% compares it to the
     finite-sample critical value.
     """
@@ -291,15 +290,10 @@ def adf_test(series: np.ndarray, max_lag: int | None = None,
         raise DataError("max_lag must be >= 0")
     if n <= max_lag + 10:
         raise DataError(f"need more than {max_lag + 10} observations, got {n}")
-    if selection not in ("fixed", "sic"):
-        raise DataError(f"unknown lag selection {selection!r}")
     dy = np.diff(y)
-    if selection == "fixed":
-        lag = max_lag
-    else:
-        # SIC values agree with one lstsq fit per lag to about 3e-11 absolute;
-        # argmin keeps the first minimum, so on a tie the smaller lag wins
-        lag = int(np.argmin(_sic_values(y, dy, max_lag)))
+    # SIC values agree with one lstsq fit per lag to about 3e-11 absolute;
+    # argmin keeps the first minimum, so on a tie the smaller lag wins
+    lag = int(np.argmin(_sic_values(y, dy, max_lag)))
     z = _adf_design(y, dy, lag, start=lag)
     # a C-order copy, as np.column_stack built, keeps the statistic's bits;
     # ols on the Fortran-order view moves the last bits of some fits

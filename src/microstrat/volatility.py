@@ -34,7 +34,7 @@ from scipy.signal import lfilter, lfiltic
 from scipy.special import expit
 
 from .errors import DataError, NonConvergenceError
-from .marketdata import BarSeries
+from .marketdata import BarSeries, session_log_returns
 from .stats import OlsFit, ols
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -523,16 +523,18 @@ def simulate_garch(n: int, omega: float, alphas, gammas, leverage: float = 0.0,
 
 
 def realized_vol(bars: BarSeries, blocks: int) -> np.ndarray:
-    """Rolling sum of squared close-to-close log returns over `blocks` bars.
+    """Rolling sum of squared session log returns over `blocks` bars.
 
-    Aligned with the input bars; the first `blocks` positions are NaN.
+    Returns are `session_log_returns`, so a return across a session break
+    (lunch or overnight) adds nothing. Aligned with the input bars; the
+    first `blocks` positions are NaN.
     """
     if blocks < 1:
         raise DataError("blocks must be >= 1")
     n = len(bars)
     if blocks >= n:
         raise DataError(f"need more than {blocks} bars, got {n}")
-    r2 = np.diff(np.log(bars.close)) ** 2
+    r2 = np.nan_to_num(session_log_returns(bars)[1:] ** 2)
     csum = np.concatenate([[0.0], np.cumsum(r2)])
     rv = np.full(n, np.nan)
     rv[blocks:] = csum[blocks:] - csum[:-blocks]

@@ -6,6 +6,11 @@ is classified as buy volume v * Phi(dP / sigma_dP) and the order imbalance
 |V_B - V_S| averaged over a rolling window of n buckets, divided by the
 bucket volume V, gives VPIN.
 
+The buckets stay columns from fill to VPIN: `bucket_fill` returns the
+fragments with per-bucket offsets and end times, `classify_buckets` one buy
+volume per complete bucket, and a bucket's sell volume is V minus its buy
+volume.
+
 Integer bucket volumes keep all boundary arithmetic exact in float64 (tick
 volumes are integer contracts), so volume conservation holds bit-exactly.
 """
@@ -17,197 +22,122 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import DataError
-from .marketdata import TickSeries
+from .marketdata import NS_PER_DAY, TickSeries
 
 DEFAULT_BUCKETS_PER_DAY = 50
 DEFAULT_WINDOW = 50
 
 
-# ---------------------------------------------------------------------------
-# Bucket containers
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
-class RawBucket:
-    """An unclassified bucket: fragment volumes with their price changes.
+class Buckets:
+    """Ticks cut into equal-volume buckets, held as columns.
 
-    `index` is 1-based. Fragment arrays are aligned; `total` equals the
-    configured bucket volume for complete buckets.
+    Bucket k holds the fragments ``offsets[k]:offsets[k + 1]`` of `volume`
+    and `delta_p` and ends at ``end_ts[k]``, the timestamp of its last
+    fragment's tick. The first `complete` buckets hold `bucket_volume`
+    (exactly, for whole contracts); a trailing partial bucket, when present,
+    is the last one and VPIN ignores it.
     """
 
-    index: int
-    start_ts: int
-    end_ts: int
-    delta_p: np.ndarray
     volume: np.ndarray
-    complete: bool
-
-    @property
-    def total(self) -> float:
-        return float(self.volume.sum())
-
-
-@dataclass(frozen=True)
-class VolumeBucket:
-    """A classified bucket; sell volume is defined as total minus buy volume."""
-
-    index: int
-    buy_volume: float
-    sell_volume: float
-    total: float
-    start_ts: int
-    end_ts: int
-
-    def __post_init__(self) -> None:
-        if not self.total > 0:
-            raise DataError("bucket total must be positive")
-        if not (-1e-9 <= self.buy_volume <= self.total + 1e-9):
-            raise DataError(f"buy volume {self.buy_volume} outside [0, {self.total}]")
-        if abs(self.buy_volume + self.sell_volume - self.total) > 1e-9 * max(self.total, 1.0):
-            raise DataError("buy + sell volume must equal the bucket total")
-
-    @property
-    def order_imbalance(self) -> float:
-        return abs(self.buy_volume - self.sell_volume)
+    delta_p: np.ndarray
+    offsets: np.ndarray
+    end_ts: np.ndarray
+    complete: int
+    bucket_volume: float
 
 
 @dataclass(frozen=True)
 class VpinSeries:
-    """Rolling VPIN values; value j covers buckets up to 1-based index
-    bucket_indices[j], the first window ending at bucket n."""
+    """Rolling VPIN values, each with the end time of the last bucket in its
+    window; the first window ends at bucket n."""
 
     values: np.ndarray
-    bucket_indices: np.ndarray
     end_ts: np.ndarray
-    window: int
-    bucket_volume: float
-
-    def __post_init__(self) -> None:
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "bucket_indices",
-                           np.ascontiguousarray(self.bucket_indices, dtype=np.int64))
-        object.__setattr__(self, "end_ts", np.ascontiguousarray(self.end_ts, dtype=np.int64))
-        if not (values.shape[0] == self.bucket_indices.shape[0] == self.end_ts.shape[0]):
-            raise DataError("vpin columns must have equal length")
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
-            raise DataError("vpin values must lie in [0, 1]")
-        if self.window < 1 or not self.bucket_volume > 0:
-            raise DataError("bad vpin window or bucket volume")
-
-    def __len__(self) -> int:
-        return int(self.values.shape[0])
 
 
-# ---------------------------------------------------------------------------
-# Construction
-# ---------------------------------------------------------------------------
-
-
-def default_bucket_volume(ticks: TickSeries,
+def default_bucket_volume(ts: np.ndarray, volume: np.ndarray,
                           buckets_per_day: int = DEFAULT_BUCKETS_PER_DAY) -> float:
-    """Mean daily volume split into `buckets_per_day` parts, whole contracts."""
-    if len(ticks) == 0:
+    """Mean daily volume split into `buckets_per_day` parts, whole contracts.
+
+    `ts` and `volume` are aligned tick columns; days are calendar days.
+    """
+    if volume.shape[0] == 0:
         raise DataError("cannot size buckets from an empty tick series")
     if buckets_per_day < 1:
         raise DataError("buckets_per_day must be >= 1")
-    days = np.unique(ticks.day_index()).shape[0]
-    per_day = float(ticks.volume.sum()) / days
+    days = np.unique(ts // NS_PER_DAY).shape[0]
+    per_day = float(volume.sum()) / days
     return max(1.0, round(per_day / buckets_per_day))
 
 
-def bucket_fill(ticks: TickSeries, bucket_volume: float) -> list[RawBucket]:
-    """Partition ticks into equal-volume buckets, splitting boundary ticks.
-
-    The trailing partial bucket, when present, is returned with
-    `complete=False`; VPIN must ignore it.
-    """
+def bucket_fill(ticks: TickSeries, bucket_volume: float) -> Buckets:
+    """Partition ticks into equal-volume buckets, splitting boundary ticks."""
     if not bucket_volume > 0:
         raise DataError(f"bucket volume must be positive, got {bucket_volume}")
     if len(ticks) == 0:
         raise DataError("cannot bucket an empty tick series")
     v = float(bucket_volume)
     cv = np.cumsum(ticks.volume).astype(np.float64)
-    total = cv[-1]
-    m = int(total // v)
+    m = int(cv[-1] // v)
     edges = np.arange(1, m + 1, dtype=np.float64) * v
     # elementary segments: cut ticks at every bucket edge
     uppers = np.unique(np.concatenate([cv, edges]))
-    seg_vol = np.diff(uppers, prepend=0.0)
     tick_id = np.searchsorted(cv, uppers, side="left")
-    bucket_id = np.searchsorted(edges, uppers, side="left")
+    counts = np.bincount(np.searchsorted(edges, uppers, side="left"),
+                         minlength=m + 1)
+    n_buckets = m + int(counts[m] > 0)
+    offsets = np.concatenate([[0], np.cumsum(counts[:n_buckets])])
     dp = np.diff(ticks.price, prepend=ticks.price[0])
-    seg_dp = dp[tick_id]
-    seg_ts = ticks.ts[tick_id]
-
-    counts = np.bincount(bucket_id, minlength=m + 1)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    buckets = []
-    n_buckets = m + (1 if (counts.shape[0] > m and counts[m] > 0) else 0)
-    for k in range(n_buckets):
-        lo, hi = offsets[k], offsets[k + 1]
-        buckets.append(RawBucket(
-            index=k + 1,
-            start_ts=int(seg_ts[lo]),
-            end_ts=int(seg_ts[hi - 1]),
-            delta_p=seg_dp[lo:hi],
-            volume=seg_vol[lo:hi],
-            complete=k < m,
-        ))
-    return buckets
+    return Buckets(volume=np.diff(uppers, prepend=0.0), delta_p=dp[tick_id],
+                   offsets=offsets, end_ts=ticks.ts[tick_id[offsets[1:] - 1]],
+                   complete=m, bucket_volume=v)
 
 
-def sigma_delta_p(ticks: TickSeries) -> float:
+def sigma_delta_p(price: np.ndarray) -> float:
     """Population standard deviation of tick-to-tick price changes."""
-    if len(ticks) < 3:
+    if price.shape[0] < 3:
         raise DataError("need at least 2 price changes to estimate sigma_dp")
-    dp = np.diff(ticks.price)
-    sigma = float(np.std(dp))
+    sigma = float(np.std(np.diff(price)))
     if sigma == 0.0:
         raise DataError("price changes are constant; sigma_dp is degenerate")
     return sigma
 
 
-def classify_buckets(buckets: list[RawBucket], sigma_dp: float) -> list[VolumeBucket]:
-    """Apply the classification split to every complete bucket's fragments."""
+def classify_buckets(buckets: Buckets, sigma_dp: float) -> np.ndarray:
+    """Buy volume of every complete bucket, clipped to [0, bucket_volume]."""
     if not sigma_dp > 0:
         raise DataError(f"sigma_dp must be positive, got {sigma_dp}")
-    complete = [b for b in buckets if b.complete]
-    if not complete:
-        return []
-    dp = np.concatenate([b.delta_p for b in complete])
-    vol = np.concatenate([b.volume for b in complete])
-    buy = vol * ndtr(dp / sigma_dp)
-    offsets = np.concatenate([[0], np.cumsum([b.volume.shape[0] for b in complete])])
-    out = []
-    for k, b in enumerate(complete):
-        v_b = float(buy[offsets[k]:offsets[k + 1]].sum())
-        total = b.total
-        v_b = min(max(v_b, 0.0), total)
-        out.append(VolumeBucket(index=b.index, buy_volume=v_b,
-                                sell_volume=total - v_b, total=total,
-                                start_ts=b.start_ts, end_ts=b.end_ts))
-    return out
+    offsets = buckets.offsets[:buckets.complete + 1]
+    n = offsets[-1]
+    buy = buckets.volume[:n] * ndtr(buckets.delta_p[:n] / sigma_dp)
+    # one pairwise sum per bucket; np.add.reduceat sums in another order and
+    # moves the last bits of most bucket sums
+    sums = np.empty(buckets.complete)
+    for k in range(buckets.complete):
+        sums[k] = buy[offsets[k]:offsets[k + 1]].sum()
+    return np.clip(sums, 0.0, buckets.bucket_volume)
 
 
-def compute_vpin(buckets: list[VolumeBucket], window: int,
+def compute_vpin(buy: np.ndarray, end_ts: np.ndarray, window: int,
                  bucket_volume: float) -> VpinSeries:
-    """Rolling mean of order imbalance over `window` buckets, divided by V."""
+    """Rolling mean of order imbalance over `window` buckets, divided by V.
+
+    `buy` holds each complete bucket's buy volume and `end_ts` its end time.
+    """
     if window < 1:
         raise DataError("window must be >= 1")
-    if len(buckets) < window:
-        raise DataError(f"need at least {window} complete buckets, got {len(buckets)}")
+    if buy.shape[0] != end_ts.shape[0]:
+        raise DataError("buy volumes and end times must be aligned")
+    if buy.shape[0] < window:
+        raise DataError(f"need at least {window} complete buckets, got {buy.shape[0]}")
     v = float(bucket_volume)
     if not v > 0:
         raise DataError("bucket volume must be positive")
-    oi = np.array([b.order_imbalance for b in buckets])
+    oi = np.abs(buy - (v - buy))
     sums = np.convolve(oi, np.ones(window), mode="valid")
-    values = np.clip(sums / (window * v), 0.0, 1.0)
-    indices = np.array([b.index for b in buckets[window - 1:]], dtype=np.int64)
-    end_ts = np.array([b.end_ts for b in buckets[window - 1:]], dtype=np.int64)
-    return VpinSeries(values=values, bucket_indices=indices, end_ts=end_ts,
-                      window=window, bucket_volume=v)
+    return VpinSeries(values=np.clip(sums / (window * v), 0.0, 1.0),
+                      end_ts=end_ts[window - 1:])
 
 
 def vpin_from_ticks(ticks: TickSeries, bucket_volume: float | None = None,
@@ -215,8 +145,8 @@ def vpin_from_ticks(ticks: TickSeries, bucket_volume: float | None = None,
                     buckets_per_day: int = DEFAULT_BUCKETS_PER_DAY) -> VpinSeries:
     """Full pipeline: size buckets, fill, classify, and roll up VPIN."""
     if bucket_volume is None:
-        bucket_volume = default_bucket_volume(ticks, buckets_per_day)
-    sigma = sigma_delta_p(ticks)
-    raw = bucket_fill(ticks, bucket_volume)
-    classified = classify_buckets(raw, sigma)
-    return compute_vpin(classified, window=window, bucket_volume=bucket_volume)
+        bucket_volume = default_bucket_volume(ticks.ts, ticks.volume, buckets_per_day)
+    sigma = sigma_delta_p(ticks.price)
+    buckets = bucket_fill(ticks, bucket_volume)
+    buy = classify_buckets(buckets, sigma)
+    return compute_vpin(buy, buckets.end_ts[:buckets.complete], window, bucket_volume)

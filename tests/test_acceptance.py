@@ -41,13 +41,14 @@ def base_run(ticks4):
 def test_criterion_1_vpin_bounds_and_conservation():
     t0 = time.perf_counter()
     ticks = synth_ticks(SynthSpec(count=1_000_000, seed=0))
-    bv = default_bucket_volume(ticks)
+    bv = default_bucket_volume(ticks.ts, ticks.volume)
     raw = bucket_fill(ticks, bv)
+    totals = [float(raw.volume[lo:hi].sum())
+              for lo, hi in zip(raw.offsets[:-1], raw.offsets[1:])]
     # integer volumes survive cumsum/diff exactly, so these hold with == 0
-    assert sum(float(b.volume.sum()) for b in raw) == float(ticks.volume.sum())
-    for b in raw:
-        if b.complete:
-            assert float(b.volume.sum()) == bv
+    assert sum(totals) == float(ticks.volume.sum())
+    for total in totals[:raw.complete]:
+        assert total == bv
     series = vpin_from_ticks(ticks)
     assert np.all(series.values >= 0.0) and np.all(series.values <= 1.0)
     balanced_max = float(series.values.max())

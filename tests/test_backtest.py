@@ -4,6 +4,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import microstrat.backtest as bt
 from microstrat.backtest import (
@@ -90,6 +92,41 @@ def test_ledger_closes_over_many_random_fills():
         fees_seen.append(acct.fees_paid)
     assert acct.max_residual < 1e-6
     assert all(a <= b for a, b in zip(fees_seen, fees_seen[1:]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.builds(CostModel, capital=st.floats(1e4, 1e9),
+                 margin_rate=st.floats(0.01, 1.0), fee_rate=st.floats(0.0, 0.01),
+                 multiplier=st.floats(1.0, 1000.0)),
+       st.lists(st.tuples(st.sampled_from((SIDE_BUY, SIDE_SELL)),
+                          st.integers(1, 50), st.floats(100.0, 10_000.0),
+                          st.floats(100.0, 10_000.0)), min_size=1, max_size=20),
+       st.booleans())
+def test_ledger_residual_property(costs, legs, end_flat):
+    """Each leg opens at one price and closes at another; the last may stay
+    open. The double-entry residual stays at rounding level, and whenever the
+    account is flat its equity is capital plus realized P&L minus fees, both
+    computed here from the legs."""
+    acct = Account(costs)
+    m = costs.multiplier
+    realized = fees = 0.0
+    scale = costs.capital
+    for i, (side, qty, entry, exit_) in enumerate(legs):
+        sign = 1 if side == SIDE_BUY else -1
+        scale += qty * (entry + exit_) * m
+        acct.open(2 * i, side, qty, entry)
+        if i == len(legs) - 1 and not end_flat:
+            assert acct.position == sign * qty
+            break
+        acct.close(2 * i + 1, exit_)
+        realized += (exit_ - entry) * sign * qty * m
+        fees += qty * (entry + exit_) * m * costs.fee_rate
+        assert acct.position == 0 and acct.margin_held == 0.0
+        tol = 1e-12 * scale
+        assert acct.equity_at(exit_) == pytest.approx(
+            costs.capital + realized - fees, abs=tol)
+        assert acct.fees_paid == pytest.approx(fees, abs=tol)
+    assert acct.max_residual <= 1e-12 * scale
 
 
 def test_account_guards():

@@ -181,6 +181,7 @@ def test_resolved_config_reflects_cli_overrides(tmp_path):
     # the config is written before a command reads its (here missing) input
     missing = str(tmp_path / "missing.csv")
     defaults = resolved("defaults", "report", missing)
+    assert defaults.pop("command") == {"name": "report"}
     assert defaults["output"] == {"plots": True}
     cases = [
         (("generate", "--seed", "7", "--count", "100", "--omega", "2e-6",
@@ -208,7 +209,35 @@ def test_resolved_config_reflects_cli_overrides(tmp_path):
             sect, name = key.split(".")
             assert want[sect][name] != value
             want[sect][name] = value
-        assert resolved(f"case{i}", *argv) == want
+        got = resolved(f"case{i}", *argv)
+        assert got.pop("command")["name"] == argv[0]
+        assert got == want
+
+
+def test_resolved_config_logs_command_options(tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    cases = [
+        (("vpin", missing, "--bucket-volume", "20", "-o", "v.csv"),
+         {"name": "vpin", "bucket_volume": 20.0}),
+        (("vpin", missing), {"name": "vpin", "bucket_volume": None}),
+        (("diagnose", missing, "--lags", "5", "--granger", missing),
+         {"name": "diagnose", "lags": 5, "granger_lag": 2}),
+        (("denoise", missing, "--level", "3", "--mode", "estimated"),
+         {"name": "denoise", "level": 3, "mode": "estimated",
+          "threshold": None}),
+        (("svm-train", missing, "--kernel", "linear", "--max-iter", "50"),
+         {"name": "svm-train", "kernel": "linear", "max_iter": 50}),
+        (("backtest", missing, "--variants"),
+         {"name": "backtest", "variants": True, "strict": False}),
+        (("generate", "--count", "100", "-o", str(tmp_path / "g.csv")),
+         {"name": "generate"}),
+    ]
+    for i, (argv, want) in enumerate(cases):
+        out = tmp_path / f"case{i}"
+        # the log is written before the command fails on its missing input
+        run("--out", str(out), "-v", *argv)
+        logged = json.loads((out / "resolved_config.json").read_text())
+        assert logged["command"] == want
 
 
 # -- generate ---------------------------------------------------------------
@@ -245,6 +274,17 @@ def test_diagnose_garch_data_shows_arch(shared, tmp_path):
     assert rows["arch_effect_returns"]["reject_at_5pct"] == "True"
     assert "granger_data_causes_other" in rows
     assert "granger_other_causes_data" in rows
+
+
+def test_diagnose_granger_needs_ticks_at_the_same_times(shared, tmp_path,
+                                                       capsys):
+    # walk.csv has 6,000 ticks and garch20k.csv 20,000 on the same clock
+    out = tmp_path / "o"
+    assert run("--out", str(out), "diagnose", str(shared / "walk.csv"),
+               "--granger", str(shared / "garch20k.csv")) == 2
+    err = capsys.readouterr().err
+    assert "garch20k.csv differ in time at tick 6000;" in err
+    assert not (out / "diagnostics.csv").exists()
 
 
 # -- vpin -------------------------------------------------------------------

@@ -183,12 +183,6 @@ def test_adf_keeps_unit_root_in_random_walk():
     assert kept >= 27
 
 
-def test_adf_fixed_lag_is_honoured():
-    rng = np.random.default_rng(5)
-    res = adf_test(rng.standard_normal(500), max_lag=6, selection="fixed")
-    assert res.lag == 6
-
-
 def test_adf_sic_picks_up_short_memory():
     # differences follow AR(1) with phi=0.5, so at least one lag is needed
     rng = np.random.default_rng(6)
@@ -199,7 +193,7 @@ def test_adf_sic_picks_up_short_memory():
         d[0] = e[0]
         for t in range(1, 3000):
             d[t] = 0.5 * d[t - 1] + e[t]
-        res = adf_test(np.cumsum(d), max_lag=6, selection="sic")
+        res = adf_test(np.cumsum(d), max_lag=6)
         hits += res.lag >= 1
     assert hits >= 8
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from microstrat.errors import DataError
-from microstrat.marketdata import BarSeries
+from microstrat.marketdata import NS_PER_DAY, NS_PER_SEC, BarSeries
 from microstrat.volatility import (
     GarchSpec,
     GarchState,
@@ -249,6 +249,21 @@ def test_realized_vol_window_alignment():
     rv = realized_vol(bars_from_closes(closes), 5)
     r2 = np.diff(np.log(closes)) ** 2
     assert rv[7] == pytest.approx(float(r2[2:7].sum()), rel=1e-12)
+
+
+def test_realized_vol_skips_session_breaks():
+    # one-minute bars at 11:27-11:29 and 13:00-13:02: the 11:29 -> 13:00
+    # return crosses the lunch break, where the 10% jump must not count
+    seconds = np.array([41_220, 41_280, 41_340, 46_800, 46_860, 46_920])
+    closes = np.array([100.0, 101.0, 100.0, 110.0, 111.0, 110.0])
+    bars = BarSeries(interval_ns=60 * NS_PER_SEC,
+                     ts=17_000 * NS_PER_DAY + seconds * NS_PER_SEC,
+                     open=closes.copy(), high=closes.copy(), low=closes.copy(),
+                     close=closes, volume=np.ones(6))
+    rv = realized_vol(bars, 5)
+    within = [math.log(101 / 100), math.log(100 / 101),
+              math.log(111 / 110), math.log(110 / 111)]
+    assert rv[5] == pytest.approx(sum(r * r for r in within), rel=1e-12)
 
 
 def test_realized_vol_needs_enough_bars():

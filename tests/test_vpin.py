@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from microstrat.errors import DataError
 from microstrat.marketdata import SynthSpec, TickSeries, synth_ticks
 from microstrat.vpin import (
-    RawBucket,
-    VolumeBucket,
+    Buckets,
     bucket_fill,
     classify_buckets,
     compute_vpin,
@@ -29,6 +29,18 @@ def make_ticks(prices, volumes):
     return TickSeries(ts, np.asarray(prices, float), np.asarray(volumes, np.int64))
 
 
+def totals(buckets):
+    """Volume held by each bucket, summed from its fragments."""
+    return np.array([float(buckets.volume[lo:hi].sum()) for lo, hi in
+                     zip(buckets.offsets[:-1], buckets.offsets[1:])])
+
+
+def fragments(buckets, k):
+    """(volume, delta_p) fragments of bucket k."""
+    lo, hi = buckets.offsets[k], buckets.offsets[k + 1]
+    return buckets.volume[lo:hi], buckets.delta_p[lo:hi]
+
+
 # ---------------------------------------------------------------------------
 # bucket_fill
 # ---------------------------------------------------------------------------
@@ -37,28 +49,28 @@ def make_ticks(prices, volumes):
 def test_bucket_fill_splits_boundary_tick():
     ticks = make_ticks([100.0, 101.0], [30, 30])
     buckets = bucket_fill(ticks, 40.0)
-    assert len(buckets) == 2
-    first, second = buckets
-    assert first.complete and not second.complete
-    np.testing.assert_array_equal(first.volume, [30.0, 10.0])
-    np.testing.assert_array_equal(first.delta_p, [0.0, 1.0])
-    np.testing.assert_array_equal(second.volume, [20.0])
-    np.testing.assert_array_equal(second.delta_p, [1.0])
-    assert first.index == 1 and second.index == 2
-    assert first.end_ts == second.start_ts == int(ticks.ts[1])
+    assert buckets.end_ts.shape[0] == 2 and buckets.complete == 1
+    first_vol, first_dp = fragments(buckets, 0)
+    second_vol, second_dp = fragments(buckets, 1)
+    np.testing.assert_array_equal(first_vol, [30.0, 10.0])
+    np.testing.assert_array_equal(first_dp, [0.0, 1.0])
+    np.testing.assert_array_equal(second_vol, [20.0])
+    np.testing.assert_array_equal(second_dp, [1.0])
+    # the split tick closes the first bucket and opens the second
+    np.testing.assert_array_equal(buckets.end_ts, [ticks.ts[1], ticks.ts[1]])
 
 
 def test_bucket_fill_exact_single_tick():
     buckets = bucket_fill(make_ticks([100.0], [40]), 40.0)
-    assert len(buckets) == 1
-    assert buckets[0].complete
-    assert buckets[0].total == 40.0
+    assert buckets.end_ts.shape[0] == 1
+    assert buckets.complete == 1
+    assert totals(buckets).tolist() == [40.0]
 
 
 def test_bucket_fill_underfill_gives_no_complete_bucket():
     buckets = bucket_fill(make_ticks([100.0, 100.5], [10, 10]), 40.0)
-    assert [b.complete for b in buckets] == [False]
-    assert buckets[0].total == 20.0
+    assert buckets.end_ts.shape[0] == 1 and buckets.complete == 0
+    assert totals(buckets).tolist() == [20.0]
 
 
 def test_bucket_fill_rejects_bad_inputs():
@@ -72,14 +84,13 @@ def test_bucket_fill_rejects_bad_inputs():
 
 def test_bucket_fill_conserves_volume_exactly():
     ticks = synth_ticks(SynthSpec(count=100_000, seed=21))
-    v = default_bucket_volume(ticks)
+    v = default_bucket_volume(ticks.ts, ticks.volume)
     assert v == float(int(v))
     buckets = bucket_fill(ticks, v)
-    total = sum(b.total for b in buckets)
-    assert total == float(ticks.volume.sum())
-    for b in buckets[:-1]:
-        assert b.complete
-        assert b.total == v
+    t = totals(buckets)
+    assert float(t.sum()) == float(ticks.volume.sum())
+    assert buckets.complete >= t.shape[0] - 1
+    assert np.all(t[:-1] == v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -88,19 +99,19 @@ def test_bucket_fill_conserves_volume_exactly():
 def test_bucket_fill_conserves_volume_property(volumes, bucket_volume):
     ticks = make_ticks(100.0 + np.arange(len(volumes)) % 3, volumes)
     buckets = bucket_fill(ticks, float(bucket_volume))
-    totals = [b.total for b in buckets]
-    complete = [b.complete for b in buckets]
-    assert sum(totals) == sum(volumes)
-    assert all(complete[:-1])
-    assert all(t == bucket_volume for t, c in zip(totals, complete) if c)
+    t = totals(buckets)
+    n_complete = buckets.complete
+    assert t.sum() == sum(volumes)
+    assert n_complete in (t.shape[0], t.shape[0] - 1)
+    assert np.all(t[:n_complete] == bucket_volume)
     # a trailing partial bucket holds the remainder, short of a full bucket
-    assert complete[-1] or 0 < totals[-1] < bucket_volume
+    assert n_complete == t.shape[0] or 0 < t[-1] < bucket_volume
 
 
 def test_bucket_fill_handles_tick_larger_than_bucket():
     buckets = bucket_fill(make_ticks([100.0], [100]), 30.0)
-    assert [b.complete for b in buckets] == [True, True, True, False]
-    assert [b.total for b in buckets] == [30.0, 30.0, 30.0, 10.0]
+    assert buckets.complete == 3
+    assert totals(buckets).tolist() == [30.0, 30.0, 30.0, 10.0]
 
 
 # ---------------------------------------------------------------------------
@@ -108,11 +119,17 @@ def test_bucket_fill_handles_tick_larger_than_bucket():
 # ---------------------------------------------------------------------------
 
 
+def one_bucket(delta_p, v):
+    """One complete bucket of volume v holding a single fragment."""
+    return Buckets(volume=np.array([v]), delta_p=np.array([delta_p]),
+                   offsets=np.array([0, 1]), end_ts=np.array([0]),
+                   complete=1, bucket_volume=v)
+
+
 def classify_one(delta_p, sigma_dp, v):
     """(buy, sell) of a one-fragment bucket classified by classify_buckets."""
-    raw = RawBucket(1, 0, 0, np.array([delta_p]), np.array([v]), True)
-    (bucket,) = classify_buckets([raw], sigma_dp)
-    return bucket.buy_volume, bucket.sell_volume
+    (buy,) = classify_buckets(one_bucket(delta_p, v), sigma_dp)
+    return buy, v - buy
 
 
 def test_bvc_split_even_on_zero_change():
@@ -136,7 +153,7 @@ def test_bvc_split_rejects_degenerate_sigma():
     with pytest.raises(DataError):
         classify_one(0.1, 0.0, 10.0)
     with pytest.raises(DataError):
-        classify_one(0.1, 1.0, 0.0)
+        classify_one(0.1, -1.0, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +163,14 @@ def test_bvc_split_rejects_degenerate_sigma():
 
 def test_sigma_delta_p_alternating_unit_changes():
     ticks = make_ticks([10.0, 11.0, 10.0, 11.0, 10.0], [1, 1, 1, 1, 1])
-    assert sigma_delta_p(ticks) == pytest.approx(1.0, abs=1e-12)
+    assert sigma_delta_p(ticks.price) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sigma_delta_p_degenerate_inputs():
     with pytest.raises(DataError):
-        sigma_delta_p(make_ticks([10.0, 10.0, 10.0], [1, 1, 1]))
+        sigma_delta_p(np.array([10.0, 10.0, 10.0]))
     with pytest.raises(DataError):
-        sigma_delta_p(make_ticks([10.0, 10.2], [1, 1]))
+        sigma_delta_p(np.array([10.0, 10.2]))
 
 
 # ---------------------------------------------------------------------------
@@ -163,19 +180,25 @@ def test_sigma_delta_p_degenerate_inputs():
 
 def test_classify_buckets_invariants():
     ticks = synth_ticks(SynthSpec(count=20_000, seed=22))
-    buckets = classify_buckets(bucket_fill(ticks, 500.0), sigma_delta_p(ticks))
-    assert buckets
-    for b in buckets:
-        assert 0.0 <= b.buy_volume <= b.total
-        assert b.buy_volume + b.sell_volume == pytest.approx(b.total, abs=1e-9)
-        assert b.total == 500.0
+    buckets = bucket_fill(ticks, 500.0)
+    buy = classify_buckets(buckets, sigma_delta_p(ticks.price))
+    assert buy.shape == (buckets.complete,) and buckets.complete > 0
+    assert np.all((0.0 <= buy) & (buy <= 500.0))
+    assert np.all(totals(buckets)[:buckets.complete] == 500.0)
+    # the unclipped fragment split of each bucket agrees with its buy volume
+    for k in range(buckets.complete):
+        vol, dp = fragments(buckets, k)
+        split = float(np.sum(vol * ndtr(dp / sigma_delta_p(ticks.price))))
+        assert buy[k] == pytest.approx(split, abs=1e-9)
 
 
 def test_vpin_zero_when_perfectly_balanced():
     # constant prices give dP = 0 everywhere; classify at an external sigma
     ticks = make_ticks([100.0] * 40, [10] * 40)
-    buckets = classify_buckets(bucket_fill(ticks, 50.0), sigma_dp=1.0)
-    series = compute_vpin(buckets, window=4, bucket_volume=50.0)
+    buckets = bucket_fill(ticks, 50.0)
+    buy = classify_buckets(buckets, sigma_dp=1.0)
+    series = compute_vpin(buy, buckets.end_ts[:buckets.complete], window=4,
+                          bucket_volume=50.0)
     np.testing.assert_allclose(series.values, 0.0, atol=1e-12)
 
 
@@ -184,40 +207,39 @@ def test_vpin_one_when_all_volume_buys():
     # very first tick has no prior price, so its dP=0 fragment dilutes only
     # the windows containing bucket 1
     prices = 100.0 + np.arange(40.0)
-    buckets = classify_buckets(bucket_fill(make_ticks(prices, [10] * 40), 50.0),
-                               sigma_dp=1e-6)
-    series = compute_vpin(buckets, window=4, bucket_volume=50.0)
+    buckets = bucket_fill(make_ticks(prices, [10] * 40), 50.0)
+    buy = classify_buckets(buckets, sigma_dp=1e-6)
+    series = compute_vpin(buy, buckets.end_ts[:buckets.complete], window=4,
+                          bucket_volume=50.0)
     assert series.values[0] > 0.9
     assert np.all(series.values[1:] > 1.0 - 1e-6)
     assert np.all(series.values <= 1.0)
 
 
 def test_vpin_direct_formula_two_buckets():
-    buckets = [
-        VolumeBucket(index=1, buy_volume=25.0, sell_volume=15.0, total=40.0,
-                     start_ts=0, end_ts=1),
-        VolumeBucket(index=2, buy_volume=35.0, sell_volume=5.0, total=40.0,
-                     start_ts=1, end_ts=2),
-    ]
-    series = compute_vpin(buckets, window=2, bucket_volume=40.0)
-    assert len(series) == 1
+    # buy 25 and 35 of 40: imbalances 10 and 30, so VPIN = 40 / (2 * 40)
+    series = compute_vpin(np.array([25.0, 35.0]), np.array([1, 2]), window=2,
+                          bucket_volume=40.0)
     assert series.values[0] == pytest.approx(0.5, abs=1e-12)
-    assert series.bucket_indices[0] == 2
+    assert series.values.shape == (1,) and series.end_ts.tolist() == [2]
 
 
 def test_vpin_needs_enough_buckets():
-    buckets = [VolumeBucket(index=1, buy_volume=1.0, sell_volume=1.0, total=2.0,
-                            start_ts=0, end_ts=1)]
     with pytest.raises(DataError):
-        compute_vpin(buckets, window=2, bucket_volume=2.0)
+        compute_vpin(np.array([1.0]), np.array([1]), window=2, bucket_volume=2.0)
+    with pytest.raises(DataError):
+        compute_vpin(np.array([1.0, 1.0]), np.array([1]), window=1,
+                     bucket_volume=2.0)
 
 
 def test_vpin_series_layout_and_range():
     ticks = synth_ticks(SynthSpec(count=60_000, seed=23))
     series = vpin_from_ticks(ticks, window=50)
     assert np.all(series.values >= 0.0) and np.all(series.values <= 1.0)
-    assert series.bucket_indices[0] == 50
-    assert np.all(np.diff(series.bucket_indices) == 1)
+    # one value per complete bucket from the 50th on, stamped with its end
+    buckets = bucket_fill(ticks, default_bucket_volume(ticks.ts, ticks.volume))
+    np.testing.assert_array_equal(series.end_ts,
+                                  buckets.end_ts[49:buckets.complete])
     assert np.all(np.diff(series.end_ts) >= 0)
 
 
@@ -228,9 +250,10 @@ def test_vpin_monotone_in_price_change_scale_for_one_sided_buckets():
     prices = 100.0 + np.cumsum(rng.uniform(0.0, 0.1, 500))
     volumes = rng.integers(1, 20, 500)
     raw = bucket_fill(make_ticks(prices, volumes), 200.0)
-    lo = compute_vpin(classify_buckets(raw, sigma_dp=0.10), window=5,
+    end_ts = raw.end_ts[:raw.complete]
+    lo = compute_vpin(classify_buckets(raw, sigma_dp=0.10), end_ts, window=5,
                       bucket_volume=200.0)
-    hi = compute_vpin(classify_buckets(raw, sigma_dp=0.05), window=5,
+    hi = compute_vpin(classify_buckets(raw, sigma_dp=0.05), end_ts, window=5,
                       bucket_volume=200.0)
     assert np.all(hi.values >= lo.values - 1e-12)
 
