@@ -2,18 +2,18 @@
 
 A run has two stages.
 
-The market-state pass walks the minute bars once and computes everything
-that no layer switch can change: the bars and their session returns; the
-VPIN buckets, series and bucket fluctuations, with bucket size and
-price-change scale frozen on the warmup day; the GARCH refits and, at each
-trading bar, the one-step mean and variance forecasts (the standardized
-forecast and return feed the delta1 grid and the SVM features); the delta1
-recalibration every `delta1_every` bars. When a requested variant uses the
-VPIN layer it also fits the daily (delta2, delta3) thresholds, and when one
-uses the SVM layer it builds the feature rows and trains the daily model.
-Failed refits keep the previous model and are counted.
+The market-state pass computes, as per-bar columns, everything that no layer
+switch can change. From the bars it takes the session returns and the VPIN
+series, with bucket size and price-change scale frozen on the warmup days.
+Then come one stage per layer: GARCH, the only one that walks the bars in
+order, refits on schedule and gives each trading bar its one-step mean and
+variance forecasts; delta1 is recalibrated every `delta1_every` bars; when a
+requested variant uses VPIN, the (delta2, delta3) thresholds are fit daily;
+and when one uses the SVM, a model is trained daily and predicts each of the
+day's feature vectors in one call. Failed refits keep the previous model and
+are counted.
 
-The replay runs once per variant over that state. It owns what the layers
+The replay runs once per variant over those columns. It owns what the layers
 change: the VPIN pull on delta1 and its daily extremes, the SVM gate,
 position sizing, stops, margin calls, the double-entry ledger and the
 performance indicators. `run_variants` therefore shares one market-state
@@ -51,7 +51,7 @@ from .strategy import (
     stop_loss_check,
     svm_gate,
 )
-from .svm import DEFAULT_TOL, Kernel, Scaler, SvmModel, train_smo
+from .svm import DEFAULT_TOL, Kernel, Scaler, predict, train_smo
 from .volatility import GarchSpec, GarchState, fit_garch
 from .vpin import (
     DEFAULT_BUCKETS_PER_DAY,
@@ -315,10 +315,10 @@ def variant_tag(cfg: StrategyConfig) -> str:
 class _MarketState:
     """What the replay reads at each bar that no layer switch can change.
 
-    The bar-keyed dicts hold an entry only where the pass produced one: a
-    one-step (mean, variance) forecast once a GARCH fit exists, a delta1 at
-    each recalibration, and new VPIN thresholds, a new SVM model with its
-    scaler, or the gate's feature vector where those were computed.
+    Columns are per bar: NaN marks a bar with no GARCH forecast (warmup, or
+    before the first fit) and one with no delta1 recalibration; `svm_pred`
+    is 0 where no model or feature vector exists; `thresholds` holds the
+    (delta2, delta3) in effect, None when no variant uses the VPIN layer.
     """
 
     ticks: TickSeries
@@ -329,11 +329,11 @@ class _MarketState:
     first_trading: int
     price_idx: list[int]
     vpin_now: list[float]
-    forecasts: dict[int, tuple[float, float]]
-    delta1_fits: dict[int, float]
-    thresholds: dict[int, tuple[float, float]]
-    svm_models: dict[int, tuple[SvmModel, Scaler]]
-    gate_features: dict[int, np.ndarray]
+    mean_fc: np.ndarray
+    var_fc: np.ndarray
+    delta1_fit: np.ndarray
+    thresholds: np.ndarray | None
+    svm_pred: np.ndarray
     garch_failures: int
     svm_failures: int
 
@@ -367,58 +367,147 @@ def _vpin_stream(ticks: TickSeries, days: np.ndarray, eng: EngineConfig):
     return vpin_values, vpin_end_ts, bucket_end_ts, bucket_fluct
 
 
-def _vpin_thresholds(vpin_values: np.ndarray, bucket_end_ts: np.ndarray,
-                     bucket_fluct: np.ndarray, now_ns: int,
-                     cfg: StrategyConfig, window: int):
-    """(delta2, delta3) fit on the pairs complete before `now_ns`, or None."""
+def _garch_path(rets: np.ndarray, first_trading: int, eng: EngineConfig):
+    """One-step mean and variance forecasts at each trading bar, each
+    return's conditional variance under the model that absorbed it, and the
+    failed refit count. A failed refit keeps the model and retries next bar.
+    """
+    mean_fc, var_fc, h = np.full((3, rets.shape[0]), np.nan)
+    failures = 0
+    garch: GarchState | None = None
+    ret_stream: list[float] = []
+    bars_since_fit = 0
+    for t, r in enumerate(rets.tolist()):
+        if math.isfinite(r):
+            ret_stream.append(r)
+            if garch is not None:
+                h[t] = garch.update(r)
+        bars_since_fit += 1
+        if garch is None or bars_since_fit >= eng.garch_refit_every:
+            window = ret_stream[-eng.garch_window:]
+            if len(window) >= eng.garch_min_obs:
+                try:
+                    garch = GarchState(fit_garch(np.asarray(window), eng.garch_spec))
+                except (DataError, NonConvergenceError) as exc:
+                    failures += 1
+                    log.debug("GARCH refit at bar %d failed: %s", t, exc)
+                else:
+                    bars_since_fit = 0
+        if garch is not None and t >= first_trading:
+            mean_fc[t] = garch.mean_forecast()
+            var_fc[t] = garch.variance_forecast()
+    return mean_fc, var_fc, h, failures
+
+
+def _delta1_path(z: np.ndarray, rets: np.ndarray, first_trading: int,
+                 cfg: StrategyConfig, eng: EngineConfig) -> np.ndarray:
+    """delta1 fit every `delta1_every`-th trading bar on the trailing pairs of
+    standardized forecast and the finite return that has followed it."""
+    paired = np.flatnonzero(np.isfinite(z[:-1]) & np.isfinite(rets[1:]))
+    pair_f, pair_r = z[paired], rets[paired + 1]
+    fits = np.full(z.shape[0], np.nan)
+    every = eng.delta1_every
+    for t in range(first_trading + (-first_trading) % every, z.shape[0], every):
+        m = int(np.searchsorted(paired, t))  # pairs whose return closed by t
+        lo = max(0, m - eng.delta1_window)
+        if m - lo >= 30:
+            fits[t] = calibrate_delta1(pair_f[lo:m], pair_r[lo:m], cfg)
+    return fits
+
+
+def _threshold_path(vpin_values: np.ndarray, bucket_end_ts: np.ndarray,
+                    bucket_fluct: np.ndarray, decision_ts: np.ndarray,
+                    day_starts: np.ndarray, cfg: StrategyConfig,
+                    window: int) -> np.ndarray:
+    """(delta2, delta3) in effect at each bar: the config's, then each fit on
+    the pairs complete at a trading day's first decision."""
+    out = np.tile([cfg.delta2, cfg.delta3], (decision_ts.shape[0], 1))
     # vpin value i belongs to bucket i + w - 1; fluct looks `basket_delay`
     # buckets ahead, to bucket j, and the pair counts once bucket j has ended
     # (bucket end times never decrease)
     lead = window - 1 + cfg.basket_delay
-    ended = int(np.searchsorted(bucket_end_ts, now_ns, side="left"))
-    n = max(0, min(vpin_values.shape[0], ended - lead))
-    fluct = bucket_fluct[lead:lead + n]
-    keep = np.isfinite(fluct)
-    pairs_v, pairs_f = vpin_values[:n][keep], fluct[keep]
-    if not (pairs_v.shape[0] >= 30 and np.ptp(pairs_v) > 0):
-        return None
-    th = calibrate_vpin_thresholds(pairs_v, pairs_f, cfg.fluct_hi, cfg.fluct_lo)
-    return th.delta2, th.delta3
+    ended = np.searchsorted(bucket_end_ts, decision_ts[day_starts], side="left")
+    for t, e in zip(day_starts.tolist(), ended.tolist()):
+        n = max(0, min(vpin_values.shape[0], e - lead))
+        fluct = bucket_fluct[lead:lead + n]
+        keep = np.isfinite(fluct)
+        pairs_v, pairs_f = vpin_values[:n][keep], fluct[keep]
+        if pairs_v.shape[0] >= 30 and np.ptp(pairs_v) > 0:
+            th = calibrate_vpin_thresholds(pairs_v, pairs_f, cfg.fluct_hi,
+                                           cfg.fluct_lo)
+            out[t:] = th.delta2, th.delta3
+    return out
 
 
-def _train_svm(rows: tuple[list[float], ...], eng: EngineConfig):
-    """Model and scaler on the trailing rows; None while too few or one-sided."""
-    fz, rz, vp, nxt = rows
-    if len(nxt) < eng.svm_min_rows:
-        return None
-    lo = max(0, len(nxt) - eng.svm_max_rows)
-    X, y = make_svm_dataset(fz[lo:], rz[lo:], vp[lo:], nxt[lo:])
-    if np.unique(y).shape[0] < 2:
-        return None
-    scaler = Scaler.fit(X)
-    model = train_smo(scaler.transform(X), y, c=eng.svm_c,
-                      kernel=Kernel.rbf(eng.svm_kernel_sigma), tol=eng.svm_tol)
-    return model, scaler
+def _svm_path(z: np.ndarray, rets: np.ndarray, h: np.ndarray,
+              vpin_now: list[float], day_starts: np.ndarray,
+              eng: EngineConfig) -> tuple[np.ndarray, int]:
+    """The gate's -1/+1 prediction at each bar (0 without a model or feature
+    vector) and the failed refit count. Each trading day trains on the rows
+    labelled before its first bar, keeps the previous model on a failed or
+    skipped refit, and predicts all its feature vectors in one call."""
+    lags = SVM_FEATURE_LAGS
+    z_at = np.flatnonzero(np.isfinite(z))
+    # a standardized return needs a model that absorbed it and a forecast bar
+    rz_at = np.flatnonzero(np.isfinite(z) & (h > 0))
+    rz = rets[rz_at] / np.sqrt(h[rz_at])
+    # forecast bars with `lags` standardized returns, so also `lags` forecasts
+    n_rz = np.searchsorted(rz_at, z_at, side="right")
+    j = np.flatnonzero(n_rz >= lags)
+    gate_at, n_rz = z_at[j], n_rz[j]
+    v = np.asarray(vpin_now)[gate_at]
+    v[~np.isfinite(v)] = 0.5
+    # the last `lags` standardized forecasts and returns, and the VPIN
+    back = np.arange(-lags, 0)
+    feats = np.hstack([z[z_at][j[:, None] + 1 + back], rz[n_rz[:, None] + back],
+                       v[:, None]])
+    nxt = np.append(rets[1:], np.nan)[gate_at]
+    row = np.isfinite(nxt)
+    # make_svm_dataset lags these rows, so unlike the gate's vector they skip
+    # the bar before each session break, whose next return is NaN
+    fz, rz_row, vp, nxt = z[gate_at][row], rz[n_rz - 1][row], v[row], nxt[row]
+    n_rows = np.searchsorted(gate_at[row] + 1, day_starts)
+    day_lo = np.searchsorted(gate_at, day_starts)
+    day_hi = np.append(day_lo[1:], gate_at.shape[0])
+
+    pred = np.zeros(z.shape[0], dtype=np.int8)
+    failures = 0
+    fitted = None
+    for t, k, lo, hi in zip(day_starts.tolist(), n_rows.tolist(),
+                            day_lo.tolist(), day_hi.tolist()):
+        w = slice(max(0, k - eng.svm_max_rows), k)
+        try:
+            if k >= eng.svm_min_rows:
+                X, y = make_svm_dataset(fz[w], rz_row[w], vp[w], nxt[w])
+                if np.unique(y).shape[0] == 2:
+                    scaler = Scaler.fit(X)
+                    fitted = (train_smo(scaler.transform(X), y, c=eng.svm_c,
+                                        kernel=Kernel.rbf(eng.svm_kernel_sigma),
+                                        tol=eng.svm_tol), scaler)
+        except (DataError, NonConvergenceError) as exc:
+            failures += 1
+            log.debug("SVM refit at bar %d failed: %s", t, exc)
+        if fitted is not None and hi > lo:
+            model, scaler = fitted
+            pred[gate_at[lo:hi]] = predict(model, scaler.transform(feats[lo:hi]))
+    return pred, failures
 
 
 def _market_state(ticks: TickSeries, cfg: StrategyConfig, eng: EngineConfig,
                   *, vpin: bool, svm: bool) -> _MarketState:
-    """One pass over the bars computing what every variant reads.
-
-    VPIN thresholds are recalibrated only with `vpin`, and SVM models and
-    their feature rows built only with `svm`, so a run pays for no layer it
-    does not use. Refits that fail keep the previous model; each failure is
-    counted and logged at debug level.
-    """
+    """The bars and their returns, then one stage per layer. The threshold
+    and SVM stages run only with `vpin` and `svm`, so a run pays for no layer
+    it does not use."""
     bars = resample(ticks, eng.bar_interval_ns)
-    n_bars = len(bars)
     day_codes = bars.ts // NS_PER_DAY
     days = np.unique(day_codes)
     if days.shape[0] < eng.warmup_days + 1:
         raise DataError(f"need at least {eng.warmup_days + 1} trading days, "
                         f"got {days.shape[0]}")
     day_ord = np.searchsorted(days, day_codes)
-    first_trading = int(np.searchsorted(day_ord, eng.warmup_days))
+    # the first bar of each trading day
+    day_starts = np.searchsorted(day_ord, np.arange(eng.warmup_days, days.shape[0]))
+    first_trading = int(day_starts[0])
     decision_ts = bars.ts + eng.bar_interval_ns
     rets = session_log_returns(bars, ticks.calendar)
 
@@ -428,111 +517,24 @@ def _market_state(ticks: TickSeries, cfg: StrategyConfig, eng: EngineConfig,
     k = np.searchsorted(vpin_end_ts, decision_ts, side="left").tolist()
     vpin_now = [float(vpin_values[i - 1]) if i > 0 else math.nan for i in k]
 
-    forecasts: dict[int, tuple[float, float]] = {}
-    delta1_fits: dict[int, float] = {}
-    thresholds: dict[int, tuple[float, float]] = {}
-    svm_models: dict[int, tuple[SvmModel, Scaler]] = {}
-    gate_features: dict[int, np.ndarray] = {}
-    garch_failures = svm_failures = 0
-
-    garch: GarchState | None = None
-    ret_stream: list[float] = []
-    bars_since_fit = 0
-    pair_f: list[float] = []
-    pair_r: list[float] = []
-    pending_pair_z: float | None = None
-    z_hist: list[float] = []
-    rz_hist: list[float] = []
-    svm_rows: tuple[list[float], ...] = ([], [], [], [])  # z, rz, vpin, next ret
-    pending_svm: tuple[float, float, float] | None = None
-    current_day = -1
-
-    for t in range(n_bars):
-        r = float(rets[t])
-        trading = t >= first_trading
-
-        # fold in the bar that just closed
-        h_t = math.nan
-        if math.isfinite(r):
-            ret_stream.append(r)
-            if garch is not None:
-                h_t = garch.update(r)
-        bars_since_fit += 1
-
-        if trading and day_ord[t] != current_day:
-            current_day = int(day_ord[t])
-            if vpin and vpin_values.shape[0]:
-                th = _vpin_thresholds(vpin_values, bucket_end_ts, bucket_fluct,
-                                      int(decision_ts[t]), cfg, eng.vpin_window)
-                if th is not None:
-                    thresholds[t] = th
-            if svm:
-                try:
-                    fitted = _train_svm(svm_rows, eng)
-                except (DataError, NonConvergenceError) as exc:
-                    svm_failures += 1
-                    log.debug("SVM refit at bar %d failed: %s", t, exc)
-                else:
-                    if fitted is not None:
-                        svm_models[t] = fitted
-
-        if garch is None or bars_since_fit >= eng.garch_refit_every:
-            window = ret_stream[-eng.garch_window:]
-            if len(window) >= eng.garch_min_obs:
-                try:
-                    garch = GarchState(fit_garch(np.asarray(window), eng.garch_spec))
-                except (DataError, NonConvergenceError) as exc:
-                    garch_failures += 1
-                    log.debug("GARCH refit at bar %d failed: %s", t, exc)
-                else:
-                    bars_since_fit = 0
-
-        # settle pending next-return bookkeeping before issuing a new forecast
-        if math.isfinite(r):
-            if pending_pair_z is not None:
-                pair_f.append(pending_pair_z)
-                pair_r.append(r)
-            if pending_svm is not None:
-                for col, value in zip(svm_rows, pending_svm + (r,)):
-                    col.append(value)
-        pending_pair_z = None
-        pending_svm = None
-
-        if not trading:
-            continue
-
-        if t % eng.delta1_every == 0 and len(pair_f) >= 30:
-            lo = max(0, len(pair_f) - eng.delta1_window)
-            if len(pair_f) - lo >= 30:
-                delta1_fits[t] = calibrate_delta1(np.asarray(pair_f[lo:]),
-                                                  np.asarray(pair_r[lo:]), cfg)
-
-        if garch is None:
-            continue
-        var_fc = garch.variance_forecast()
-        mean_fc = garch.mean_forecast()
-        forecasts[t] = (mean_fc, var_fc)
-        z = mean_fc / math.sqrt(var_fc)
-        z_hist.append(z)
-        if math.isfinite(h_t) and h_t > 0:
-            rz_hist.append(r / math.sqrt(h_t))
-        pending_pair_z = z
-
-        if svm and len(z_hist) >= SVM_FEATURE_LAGS \
-                and len(rz_hist) >= SVM_FEATURE_LAGS:
-            v = vpin_now[t] if math.isfinite(vpin_now[t]) else 0.5
-            gate_features[t] = np.concatenate([z_hist[-SVM_FEATURE_LAGS:],
-                                               rz_hist[-SVM_FEATURE_LAGS:], [v]])
-            pending_svm = (z, rz_hist[-1], v)
+    mean_fc, var_fc, h, garch_failures = _garch_path(rets, first_trading, eng)
+    z = mean_fc / np.sqrt(var_fc)  # the standardized forecast
+    delta1_fit = _delta1_path(z, rets, first_trading, cfg, eng)
+    thresholds = None
+    if vpin:
+        thresholds = _threshold_path(vpin_values, bucket_end_ts, bucket_fluct,
+                                     decision_ts, day_starts, cfg, eng.vpin_window)
+    svm_pred, svm_failures = np.zeros(len(bars), dtype=np.int8), 0
+    if svm:
+        svm_pred, svm_failures = _svm_path(z, rets, h, vpin_now, day_starts, eng)
 
     return _MarketState(
         ticks=ticks, data_hash=_data_hash(ticks), decision_ts=decision_ts,
         closes=bars.close, day_ord=day_ord, first_trading=first_trading,
         price_idx=(np.searchsorted(ticks.ts, decision_ts, side="left") - 1).tolist(),
-        vpin_now=vpin_now, forecasts=forecasts, delta1_fits=delta1_fits,
-        thresholds=thresholds, svm_models=svm_models,
-        gate_features=gate_features, garch_failures=garch_failures,
-        svm_failures=svm_failures)
+        vpin_now=vpin_now, mean_fc=mean_fc, var_fc=var_fc,
+        delta1_fit=delta1_fit, thresholds=thresholds, svm_pred=svm_pred,
+        garch_failures=garch_failures, svm_failures=svm_failures)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +564,6 @@ def _replay(state: _MarketState, cfg: StrategyConfig, costs: CostModel,
     delta1 = eng.initial_delta1
     day_min_d1 = day_max_d1 = delta1
     delta2, delta3 = cfg.delta2, cfg.delta3
-    svm_model = svm_scaler = None
     current_day = -1
 
     for t in range(state.first_trading, closes.shape[0]):
@@ -570,10 +571,8 @@ def _replay(state: _MarketState, cfg: StrategyConfig, costs: CostModel,
         if state.day_ord[t] != current_day:
             current_day = int(state.day_ord[t])
             day_min_d1 = day_max_d1 = delta1
-        if cfg.use_vpin and t in state.thresholds:
+        if cfg.use_vpin:
             delta2, delta3 = state.thresholds[t]
-        if cfg.use_svm and t in state.svm_models:
-            svm_model, svm_scaler = state.svm_models[t]
 
         price_idx = state.price_idx[t]
         mark_price = closes[t]
@@ -601,8 +600,8 @@ def _replay(state: _MarketState, cfg: StrategyConfig, costs: CostModel,
                         now, _quote_price(ticks, costs, price_idx, book),
                         kind="stop"))
 
-        if t in state.delta1_fits:
-            delta1 = state.delta1_fits[t]
+        if not math.isnan(state.delta1_fit[t]):
+            delta1 = float(state.delta1_fit[t])
             day_min_d1 = min(day_min_d1, delta1)
             day_max_d1 = max(day_max_d1, delta1)
 
@@ -618,14 +617,11 @@ def _replay(state: _MarketState, cfg: StrategyConfig, costs: CostModel,
             day_min_d1 = min(day_min_d1, delta1)
             day_max_d1 = max(day_max_d1, delta1)
 
-        forecast = state.forecasts.get(t)
-        if forecast is None:
+        if math.isnan(state.mean_fc[t]):
             continue
-        sig = garch_signal(forecast, delta1)
-        feats = state.gate_features.get(t)
-        if cfg.use_svm and sig.side != SIDE_NONE and svm_model is not None \
-                and feats is not None:
-            sig = svm_gate(svm_model, svm_scaler.transform(feats[None, :])[0], sig)
+        sig = garch_signal((state.mean_fc[t], state.var_fc[t]), delta1)
+        if cfg.use_svm and sig.side != SIDE_NONE and state.svm_pred[t] != 0:
+            sig = svm_gate(int(state.svm_pred[t]), sig)
 
         if sig.side == SIDE_SELL and account.position > 0:
             trades.append(account.close(

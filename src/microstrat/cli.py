@@ -138,15 +138,15 @@ def cmd_garch(args, cfg: RunConfig, out_dir: str) -> int:
     ticks = load_ticks(args.data)
     r = log_returns(ticks.price)
     fit = fit_garch(r, spec=cfg.engine.garch_spec)
+    table = fit.parameter_table(r)
     path = args.output or os.path.join(out_dir, "garch.csv")
-    rows = [(name, _fmt(est), _fmt(se))
-            for name, est, se in fit.parameter_table()]
+    rows = [(name, _fmt(est), _fmt(se)) for name, est, se in table]
     rows += [("log_likelihood", _fmt(fit.log_likelihood), ""),
              ("persistence", _fmt(fit.persistence), ""),
              ("n_obs", str(r.shape[0]), ""),
              ("iterations", str(fit.iterations), "")]
     _write_csv(path, ("parameter", "estimate", "std_error"), rows)
-    for name, est, se in fit.parameter_table():
+    for name, est, se in table:
         print(f"{name}: {est:.6g} (se {se:.3g})")
     print(f"log-likelihood {fit.log_likelihood:.4f}, "
           f"persistence {fit.persistence:.4f}")

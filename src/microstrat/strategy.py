@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from .errors import DataError
-from .svm import SvmModel, predict
 
 SIDE_BUY = "buy"
 SIDE_SELL = "sell"
@@ -202,14 +201,12 @@ def adjust_delta1(delta1: float, vpin_now: float, delta2: float, delta3: float,
     return delta1
 
 
-def svm_gate(model: SvmModel | None, features, proposed: Signal) -> Signal:
+def svm_gate(pred: int, proposed: Signal) -> Signal:
     """Veto a buy on a -1 prediction and a sell on +1; pass anything else."""
     if proposed.side == SIDE_NONE:
         return proposed
-    if model is None:
-        raise DataError("svm layer enabled without a trained model")
-    x = np.asarray(features, dtype=np.float64).reshape(1, -1)
-    pred = int(predict(model, x)[0])
+    if pred not in (-1, 1):
+        raise DataError(f"SVM prediction must be -1 or +1, got {pred!r}")
     veto = (pred == -1 and proposed.side == SIDE_BUY) or \
            (pred == 1 and proposed.side == SIDE_SELL)
     if veto:

@@ -93,14 +93,13 @@ class GarchFit:
     cond_variance: np.ndarray
     residuals: np.ndarray
     log_likelihood: float
-    std_errors: np.ndarray
     seed_variance: float
     last_return: float
     iterations: int
 
     def __post_init__(self) -> None:
         for name in ("alphas", "gammas", "mean_params", "cond_variance",
-                     "residuals", "std_errors"):
+                     "residuals"):
             object.__setattr__(self, name,
                                np.ascontiguousarray(getattr(self, name), dtype=np.float64))
         if not self.omega > 0:
@@ -124,10 +123,17 @@ class GarchFit:
         parts.append(self.gammas)
         return np.concatenate([np.atleast_1d(np.asarray(p, float)) for p in parts])
 
-    def parameter_table(self) -> list[tuple[str, float, float]]:
-        names = self.spec.param_names()
+    def parameter_table(self, r: np.ndarray) -> list[tuple[str, float, float]]:
+        """(name, estimate, Hessian standard error) on the fitted returns `r`."""
+        x = np.asarray(r, dtype=np.float64)
+        if x.shape != self.cond_variance.shape:
+            raise DataError(f"the fit saw {self.cond_variance.shape[0]} returns, "
+                            f"got {x.size}")
+        theta = self.theta()
+        se = _hessian_std_errors(theta, x, self.spec, self.seed_variance,
+                                 float(np.mean(x)))
         return [(n, float(v), float(s))
-                for n, v, s in zip(names, self.theta(), self.std_errors)]
+                for n, v, s in zip(self.spec.param_names(), theta, se)]
 
 
 @dataclass(frozen=True)
@@ -372,7 +378,6 @@ def fit_garch(r: np.ndarray, spec: GarchSpec | None = None) -> GarchFit:
 
     theta, _, _, _ = _raw_to_natural(res.x, spec)
     h, eps, _, _ = _variance_path(theta, x, spec, seed_var, rbar)
-    se = _hessian_std_errors(theta, x, spec, seed_var, rbar)
     omega, alphas, lam, gammas = _coefficients(theta, spec)
     return GarchFit(
         spec=spec,
@@ -384,7 +389,6 @@ def fit_garch(r: np.ndarray, spec: GarchSpec | None = None) -> GarchFit:
         cond_variance=h,
         residuals=eps,
         log_likelihood=_quasi_loglik(h, eps),
-        std_errors=se,
         seed_variance=seed_var,
         last_return=float(x[-1]),
         iterations=int(res.nit),

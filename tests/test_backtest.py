@@ -375,6 +375,27 @@ def test_no_lookahead_signals_unchanged_by_future_shift(ticks, full_run):
     assert base_rows == other_rows
 
 
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 2**16), st.integers(2, 3))
+def test_no_lookahead_prefix_property(seed, k):
+    """All four variants run on the first k of four days make the same
+    signals and trades as the run on all four, up to the end of day k."""
+    ticks = synth_ticks(SynthSpec(count=4 * 2880, seed=seed, phi=0.15, omega=2e-8,
+                                  alpha=0.08, beta=0.88, tick_interval_ms=5000))
+    eng = EngineConfig(garch_window=200, garch_refit_every=120, garch_min_obs=100,
+                       delta1_every=30, svm_min_rows=40, svm_max_rows=200,
+                       vpin_window=10)
+    end = int(np.unique(ticks.ts // NS_PER_DAY)[k]) * NS_PER_DAY
+    n = int(np.searchsorted(ticks.ts, end))
+    prefix = TickSeries(ticks.ts[:n], ticks.price[:n], ticks.volume[:n],
+                        ticks.bid1[:n], ticks.ask1[:n], calendar=ticks.calendar)
+    full = run_variants(ticks, StrategyConfig(), engine=eng)
+    part = run_variants(prefix, StrategyConfig(), engine=eng)
+    for tag, res in full.items():
+        assert part[tag].signal_log == tuple(s for s in res.signal_log if s.ts < end)
+        assert part[tag].trades == tuple(tr for tr in res.trades if tr.ts < end)
+
+
 def test_engine_preconditions():
     one_day = SynthSpec(count=28800, seed=1, tick_interval_ms=500)
     with pytest.raises(DataError):

@@ -17,12 +17,6 @@ from microstrat.strategy import (
     stop_loss_check,
     svm_gate,
 )
-from microstrat.svm import Kernel, SvmModel
-
-# decision value 2*x[0]: predicts the sign of the first feature
-SIGN_MODEL = SvmModel(support_vectors=np.array([[1.0, 0.0], [-1.0, 0.0]]),
-                      dual_coefs=np.array([1.0, -1.0]), bias=0.0,
-                      kernel=Kernel.linear(), c=10.0, training_tol=1e-3)
 
 
 # -- direction layer --------------------------------------------------------
@@ -186,29 +180,30 @@ def test_adjustment_rejects_out_of_range_delta1():
 
 def test_gate_vetoes_buy_on_negative_prediction():
     proposed = garch_signal((0.5, 1.0), 0.4)
-    out = svm_gate(SIGN_MODEL, [-2.0, 0.0], proposed)
+    out = svm_gate(-1, proposed)
     assert out.side == SIDE_NONE and out.quote is None
     assert "svm-veto" in out.layer_trace
 
 
 def test_gate_passes_agreeing_prediction():
     proposed = garch_signal((0.5, 1.0), 0.4)
-    out = svm_gate(SIGN_MODEL, [2.0, 0.0], proposed)
+    out = svm_gate(1, proposed)
     assert out.side == SIDE_BUY and out.quote == "bid1"
     assert "svm-pass" in out.layer_trace
 
 
 def test_gate_vetoes_sell_on_positive_prediction():
     proposed = garch_signal((-0.5, 1.0), 0.4)
-    assert svm_gate(SIGN_MODEL, [2.0, 0.0], proposed).side == SIDE_NONE
-    assert svm_gate(SIGN_MODEL, [-2.0, 0.0], proposed).side == SIDE_SELL
+    assert svm_gate(1, proposed).side == SIDE_NONE
+    assert svm_gate(-1, proposed).side == SIDE_SELL
 
 
 def test_gate_never_creates_trades():
     quiet = garch_signal((0.0, 1.0), 0.5)
-    assert svm_gate(SIGN_MODEL, [2.0, 0.0], quiet) is quiet
-    with pytest.raises(DataError):
-        svm_gate(None, [1.0, 0.0], garch_signal((0.5, 1.0), 0.4))
+    assert svm_gate(1, quiet) is quiet
+    for pred in (0, 2):
+        with pytest.raises(DataError):
+            svm_gate(pred, garch_signal((0.5, 1.0), 0.4))
 
 
 # -- sizing and stops -------------------------------------------------------

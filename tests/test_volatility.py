@@ -135,7 +135,7 @@ def test_iid_normal_variance_level():
 def test_std_errors_finite_and_named():
     r = simulate_garch(20000, 1e-6, [0.05], [0.90], rng=np.random.default_rng(31))
     fit = fit_garch(r, GarchSpec(1, 1, False, "constant"))
-    table = fit.parameter_table()
+    table = fit.parameter_table(r)
     assert [row[0] for row in table] == ["mu", "omega", "alpha1", "gamma1"]
     for _, est, se in table:
         assert math.isfinite(est)
@@ -162,7 +162,7 @@ def test_tgarch_on_symmetric_data_gives_null_leverage():
         r = simulate_garch(10000, 1e-6, [0.05], [0.90],
                            rng=np.random.default_rng(200 + seed))
         fit = fit_garch(r, GarchSpec(leverage=True))
-        lam_se = dict((n, s) for n, _, s in fit.parameter_table())["lambda"]
+        lam_se = dict((n, s) for n, _, s in fit.parameter_table(r))["lambda"]
         within += abs(fit.leverage_coef) <= 2.0 * lam_se
     assert within >= 9
 
