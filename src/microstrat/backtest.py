@@ -3,21 +3,23 @@
 A run has two stages.
 
 The market-state pass computes, as per-bar columns, everything that no layer
-switch can change. From the bars it takes the session returns and the VPIN
+switch can change. From the bars it takes the session returns, the stop
+scale `stop_sigma` (the std of the trailing close changes) and the VPIN
 series, with bucket size and price-change scale frozen on the warmup days.
 Then come one stage per layer: GARCH, the only one that walks the bars in
-order, refits on schedule and gives each trading bar its one-step mean and
-variance forecasts; delta1 is recalibrated every `delta1_every` bars; when a
-requested variant uses VPIN, the (delta2, delta3) thresholds are fit daily;
-and when one uses the SVM, a model is trained daily and predicts each of the
-day's feature vectors in one call. Failed refits keep the previous model and
-are counted.
+order, refits on schedule and gives each trading bar its standardized
+one-step forecast `z`; delta1 is recalibrated every `delta1_every` bars; when
+a requested variant uses VPIN, the (delta2, delta3) thresholds are fit daily;
+and when one uses the SVM, the stage builds one feature matrix for training
+and one for the gate, trains a model daily on the rows labelled so far, and
+predicts each of the day's feature vectors in one call. Failed refits keep
+the previous model and are counted.
 
-The replay runs once per variant over those columns. It owns what the layers
-change: the VPIN pull on delta1 and its daily extremes, the SVM gate,
-position sizing, stops, margin calls, the double-entry ledger and the
-performance indicators. `run_variants` therefore shares one market-state
-pass among its four replays.
+The replay runs once per variant over those columns and computes none of
+them. It owns what the layers change: the VPIN pull on delta1 and its daily
+extremes, the SVM gate, position sizing, stops, margin calls, the
+double-entry ledger and the performance indicators. `run_variants`
+therefore shares one market-state pass among its four replays.
 
 Every decision at a bar close uses only data that ended strictly before that
 instant: volatility state advances on each completed session return and VPIN
@@ -33,6 +35,7 @@ import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, NonConvergenceError
 from .marketdata import NS_PER_DAY, TickSeries, resample, session_log_returns
@@ -40,13 +43,11 @@ from .strategy import (
     SIDE_BUY,
     SIDE_NONE,
     SIDE_SELL,
-    SVM_FEATURE_LAGS,
     StrategyConfig,
     adjust_delta1,
     calibrate_delta1,
     calibrate_vpin_thresholds,
     garch_signal,
-    make_svm_dataset,
     position_size,
     stop_loss_check,
     svm_gate,
@@ -66,6 +67,10 @@ from .vpin import (
 VARIANTS = ("G", "G+S", "G+V", "G+V+S")
 
 MINUTE_NS = 60_000_000_000
+
+# an SVM feature vector holds this many trailing standardized forecasts, as
+# many standardized returns, and the latest VPIN
+SVM_FEATURE_LAGS = 5
 
 log = logging.getLogger(__name__)
 
@@ -121,6 +126,16 @@ class EngineConfig:
             raise DataError("need at least one warmup day")
         if self.bar_interval_ns <= 0 or self.garch_window < 100:
             raise DataError("bad bar interval or window")
+        if min(self.garch_refit_every, self.delta1_every) < 1:
+            raise DataError("garch_refit_every and delta1_every must be >= 1")
+        # calibrate_delta1 needs 30 points, and a stop scale over 20 closes,
+        # so shorter windows would never recalibrate or never stop
+        if self.delta1_window < 30 or self.sigma_window < 20:
+            raise DataError("need delta1_window >= 30 and sigma_window >= 20")
+        if not (self.svm_kernel_sigma > 0 and self.svm_c > 0 and self.svm_tol > 0):
+            raise DataError("svm kernel_sigma, c and tol must be positive")
+        if not SVM_FEATURE_LAGS < self.svm_min_rows <= self.svm_max_rows:
+            raise DataError(f"need {SVM_FEATURE_LAGS} < svm min_rows <= max_rows")
 
 
 @dataclass(frozen=True)
@@ -315,10 +330,13 @@ def variant_tag(cfg: StrategyConfig) -> str:
 class _MarketState:
     """What the replay reads at each bar that no layer switch can change.
 
-    Columns are per bar: NaN marks a bar with no GARCH forecast (warmup, or
-    before the first fit) and one with no delta1 recalibration; `svm_pred`
-    is 0 where no model or feature vector exists; `thresholds` holds the
-    (delta2, delta3) in effect, None when no variant uses the VPIN layer.
+    Columns are per bar: `z` is the standardized GARCH forecast, NaN on a
+    bar with none (warmup, or before the first fit); `stop_sigma` is the
+    stop's price scale, 0 where too few closes precede the bar; `delta1_fit`
+    is NaN on a bar with no delta1 recalibration; `svm_pred` is the SVM's
+    prediction on the bar's row of the feature matrix, 0 where no model or
+    feature vector exists; `thresholds` holds the (delta2, delta3) in
+    effect, None when no variant uses the VPIN layer.
     """
 
     ticks: TickSeries
@@ -329,8 +347,8 @@ class _MarketState:
     first_trading: int
     price_idx: list[int]
     vpin_now: list[float]
-    mean_fc: np.ndarray
-    var_fc: np.ndarray
+    z: np.ndarray
+    stop_sigma: np.ndarray
     delta1_fit: np.ndarray
     thresholds: np.ndarray | None
     svm_pred: np.ndarray
@@ -367,10 +385,22 @@ def _vpin_stream(ticks: TickSeries, days: np.ndarray, eng: EngineConfig):
     return vpin_values, vpin_end_ts, bucket_end_ts, bucket_fluct
 
 
+def _stop_sigma(closes: np.ndarray, window: int) -> np.ndarray:
+    """The std of the close changes over each bar's trailing `window` bars,
+    or over all earlier bars while fewer exist; 0 with 20 closes or fewer."""
+    d = np.diff(closes)
+    out = np.zeros(closes.shape[0])
+    if d.shape[0] >= window:  # window >= 20, so a full window has > 20 closes
+        out[window:] = np.std(sliding_window_view(d, window), axis=1)
+    for t in range(20, min(window, closes.shape[0])):
+        out[t] = np.std(d[:t])
+    return out
+
+
 def _garch_path(rets: np.ndarray, first_trading: int, eng: EngineConfig):
-    """One-step mean and variance forecasts at each trading bar, each
-    return's conditional variance under the model that absorbed it, and the
-    failed refit count. A failed refit keeps the model and retries next bar.
+    """The standardized one-step forecast at each trading bar, each return's
+    conditional variance under the model that absorbed it, and the failed
+    refit count. A failed refit keeps the model and retries next bar.
     """
     mean_fc, var_fc, h = np.full((3, rets.shape[0]), np.nan)
     failures = 0
@@ -396,7 +426,9 @@ def _garch_path(rets: np.ndarray, first_trading: int, eng: EngineConfig):
         if garch is not None and t >= first_trading:
             mean_fc[t] = garch.mean_forecast()
             var_fc[t] = garch.variance_forecast()
-    return mean_fc, var_fc, h, failures
+    if np.any(var_fc <= 0):
+        raise DataError("GARCH gave a non-positive variance forecast")
+    return mean_fc / np.sqrt(var_fc), h, failures
 
 
 def _delta1_path(z: np.ndarray, rets: np.ndarray, first_trading: int,
@@ -445,7 +477,11 @@ def _svm_path(z: np.ndarray, rets: np.ndarray, h: np.ndarray,
     """The gate's -1/+1 prediction at each bar (0 without a model or feature
     vector) and the failed refit count. Each trading day trains on the rows
     labelled before its first bar, keeps the previous model on a failed or
-    skipped refit, and predicts all its feature vectors in one call."""
+    skipped refit, and predicts all its feature vectors in one call.
+
+    Every feature is finite by construction: `z` at a forecast bar, a
+    standardized return only where h > 0, and VPIN with NaN read as 0.5; so
+    is every label's next return."""
     lags = SVM_FEATURE_LAGS
     z_at = np.flatnonzero(np.isfinite(z))
     # a standardized return needs a model that absorbed it and a forecast bar
@@ -463,9 +499,13 @@ def _svm_path(z: np.ndarray, rets: np.ndarray, h: np.ndarray,
                        v[:, None]])
     nxt = np.append(rets[1:], np.nan)[gate_at]
     row = np.isfinite(nxt)
-    # make_svm_dataset lags these rows, so unlike the gate's vector they skip
-    # the bar before each session break, whose next return is NaN
+    # the training rows are the gate bars with a finite next return, and a
+    # row's lags run over rows, so unlike the gate's vector they skip the bar
+    # before each session break; X_all[m] is row m + lags - 1
     fz, rz_row, vp, nxt = z[gate_at][row], rz[n_rz - 1][row], v[row], nxt[row]
+    lagged = np.arange(lags - 1, nxt.shape[0])[:, None] + 1 + back
+    X_all = np.hstack([fz[lagged], rz_row[lagged], vp[lags - 1:, None]])
+    y_all = np.where(nxt[lags - 1:] > 0, 1.0, -1.0)  # a flat bar counts as down
     n_rows = np.searchsorted(gate_at[row] + 1, day_starts)
     day_lo = np.searchsorted(gate_at, day_starts)
     day_hi = np.append(day_lo[1:], gate_at.shape[0])
@@ -475,10 +515,12 @@ def _svm_path(z: np.ndarray, rets: np.ndarray, h: np.ndarray,
     fitted = None
     for t, k, lo, hi in zip(day_starts.tolist(), n_rows.tolist(),
                             day_lo.tolist(), day_hi.tolist()):
-        w = slice(max(0, k - eng.svm_max_rows), k)
+        # the rows among the last svm_max_rows labelled ones whose lags are
+        # there too; never empty, as svm_min_rows > lags
+        w = slice(max(0, k - eng.svm_max_rows), k - lags + 1)
         try:
             if k >= eng.svm_min_rows:
-                X, y = make_svm_dataset(fz[w], rz_row[w], vp[w], nxt[w])
+                X, y = X_all[w], y_all[w]
                 if np.unique(y).shape[0] == 2:
                     scaler = Scaler.fit(X)
                     fitted = (train_smo(scaler.transform(X), y, c=eng.svm_c,
@@ -517,8 +559,7 @@ def _market_state(ticks: TickSeries, cfg: StrategyConfig, eng: EngineConfig,
     k = np.searchsorted(vpin_end_ts, decision_ts, side="left").tolist()
     vpin_now = [float(vpin_values[i - 1]) if i > 0 else math.nan for i in k]
 
-    mean_fc, var_fc, h, garch_failures = _garch_path(rets, first_trading, eng)
-    z = mean_fc / np.sqrt(var_fc)  # the standardized forecast
+    z, h, garch_failures = _garch_path(rets, first_trading, eng)
     delta1_fit = _delta1_path(z, rets, first_trading, cfg, eng)
     thresholds = None
     if vpin:
@@ -532,7 +573,7 @@ def _market_state(ticks: TickSeries, cfg: StrategyConfig, eng: EngineConfig,
         ticks=ticks, data_hash=_data_hash(ticks), decision_ts=decision_ts,
         closes=bars.close, day_ord=day_ord, first_trading=first_trading,
         price_idx=(np.searchsorted(ticks.ts, decision_ts, side="left") - 1).tolist(),
-        vpin_now=vpin_now, mean_fc=mean_fc, var_fc=var_fc,
+        vpin_now=vpin_now, z=z, stop_sigma=_stop_sigma(bars.close, eng.sigma_window),
         delta1_fit=delta1_fit, thresholds=thresholds, svm_pred=svm_pred,
         garch_failures=garch_failures, svm_failures=svm_failures)
 
@@ -588,9 +629,7 @@ def _replay(state: _MarketState, cfg: StrategyConfig, costs: CostModel,
                     kind="margin-call"))
                 margin_calls += 1
             else:
-                lo = max(0, t - eng.sigma_window)
-                seg = closes[lo:t + 1]
-                sigma_px = float(np.std(np.diff(seg))) if seg.shape[0] > 20 else 0.0
+                sigma_px = state.stop_sigma[t]
                 side = SIDE_BUY if account.position > 0 else SIDE_SELL
                 if sigma_px > 0 and stop_loss_check(
                         account.entry_price, mark_price, sigma_px,
@@ -617,9 +656,9 @@ def _replay(state: _MarketState, cfg: StrategyConfig, costs: CostModel,
             day_min_d1 = min(day_min_d1, delta1)
             day_max_d1 = max(day_max_d1, delta1)
 
-        if math.isnan(state.mean_fc[t]):
+        if math.isnan(state.z[t]):
             continue
-        sig = garch_signal((state.mean_fc[t], state.var_fc[t]), delta1)
+        sig = garch_signal(state.z[t], delta1)
         if cfg.use_svm and sig.side != SIDE_NONE and state.svm_pred[t] != 0:
             sig = svm_gate(int(state.svm_pred[t]), sig)
 

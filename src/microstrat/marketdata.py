@@ -144,35 +144,25 @@ class TickSeries:
 
 @dataclass(frozen=True)
 class BarSeries:
-    """OHLCV bars on a fixed interval; bars never span a session break."""
+    """Close and volume bars on a fixed interval; bars never span a session
+    break."""
 
     interval_ns: int
     ts: np.ndarray
-    open: np.ndarray
-    high: np.ndarray
-    low: np.ndarray
     close: np.ndarray
     volume: np.ndarray
 
     def __post_init__(self) -> None:
         if self.interval_ns <= 0:
             raise DataError("bar interval must be positive")
-        cols = {}
-        for name in ("open", "high", "low", "close"):
-            cols[name] = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, cols[name])
+        object.__setattr__(self, "close", np.ascontiguousarray(self.close, dtype=np.float64))
         object.__setattr__(self, "ts", np.ascontiguousarray(self.ts, dtype=np.int64))
         object.__setattr__(self, "volume", np.ascontiguousarray(self.volume, dtype=np.int64))
         n = self.ts.shape[0]
-        for name in ("open", "high", "low", "close", "volume"):
-            if getattr(self, name).shape[0] != n:
-                raise DataError("bar columns must have equal length")
+        if self.close.shape[0] != n or self.volume.shape[0] != n:
+            raise DataError("bar columns must have equal length")
         if n == 0:
             return
-        if np.any(self.high < np.maximum(self.open, self.close)):
-            raise DataError("bar high below open/close")
-        if np.any(self.low > np.minimum(self.open, self.close)):
-            raise DataError("bar low above open/close")
         if np.any(self.volume < 0):
             raise DataError("bar volume must be non-negative")
         if n > 1 and np.any(np.diff(self.ts) <= 0):
@@ -302,7 +292,7 @@ def session_log_returns(bars: BarSeries,
 
 
 def resample(ticks: TickSeries, interval_ns: int) -> BarSeries:
-    """Aggregate ticks into OHLCV bars of the given interval.
+    """Aggregate ticks into close and volume bars of the given interval.
 
     Bar boundaries are anchored at each session open, so no bar spans a
     session break. Intervals containing no ticks produce no bar.
@@ -323,12 +313,9 @@ def resample(ticks: TickSeries, interval_ns: int) -> BarSeries:
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     ends = np.r_[starts[1:], len(ticks)]
     bar_ts = day[starts] * NS_PER_DAY + open_ns[starts] + bar_in_sess[starts] * interval_ns
-    opens = ticks.price[starts]
     closes = ticks.price[ends - 1]
-    highs = np.maximum.reduceat(ticks.price, starts)
-    lows = np.minimum.reduceat(ticks.price, starts)
     vols = np.add.reduceat(ticks.volume, starts)
-    return BarSeries(interval_ns, bar_ts, opens, highs, lows, closes, vols)
+    return BarSeries(interval_ns, bar_ts, closes, vols)
 
 
 # ---------------------------------------------------------------------------

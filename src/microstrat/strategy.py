@@ -21,8 +21,6 @@ SIDE_BUY = "buy"
 SIDE_SELL = "sell"
 SIDE_NONE = "none"
 
-SVM_FEATURE_LAGS = 5
-
 
 @dataclass(frozen=True)
 class StrategyConfig:
@@ -94,14 +92,12 @@ class VpinThresholds:
     flat_objective: bool = False
 
 
-def garch_signal(forecast: tuple[float, float], delta1: float) -> Signal:
-    """Buy above +delta1, sell below -delta1 on the (mean, variance) forecast."""
-    mean, variance = map(float, forecast)
-    if not (math.isfinite(mean) and math.isfinite(variance) and variance > 0):
-        raise DataError(f"bad forecast mean={mean} variance={variance}")
+def garch_signal(z: float, delta1: float) -> Signal:
+    """Buy above +delta1, sell below -delta1 on the standardized forecast z."""
+    if not math.isfinite(z):
+        raise DataError(f"bad standardized forecast {z}")
     if not (math.isfinite(delta1) and delta1 > 0):
         raise DataError(f"delta1 must be positive, got {delta1}")
-    z = mean / math.sqrt(variance)
     if z > delta1:
         return Signal(SIDE_BUY, ("garch:buy",))
     if z < -delta1:
@@ -245,31 +241,3 @@ def stop_loss_check(entry_price: float, current_price: float,
     else:
         raise DataError(f"stop loss needs an open side, got {side!r}")
     return excursion > k * sigma_price
-
-
-def make_svm_dataset(std_forecasts, std_returns, vpin, next_returns,
-                     lags: int = SVM_FEATURE_LAGS):
-    """Feature rows: `lags` trailing forecasts, `lags` trailing returns, VPIN.
-
-    The label is the sign of the next return; a flat bar counts as down so
-    labels stay in {-1, +1}. Rows touching non-finite values are dropped.
-    """
-    arrs = [np.asarray(a, dtype=np.float64).ravel()
-            for a in (std_forecasts, std_returns, vpin, next_returns)]
-    n = arrs[0].shape[0]
-    if any(a.shape[0] != n for a in arrs):
-        raise DataError("svm dataset inputs must be aligned")
-    if lags < 1 or n < lags:
-        raise DataError(f"need at least {max(lags, 1)} rows, got {n}")
-    fz, rz, vp, nxt = arrs
-    rows, labels = [], []
-    for t in range(lags - 1, n):
-        feat = np.concatenate([fz[t - lags + 1:t + 1], rz[t - lags + 1:t + 1],
-                               [vp[t]]])
-        if not (np.all(np.isfinite(feat)) and np.isfinite(nxt[t])):
-            continue
-        rows.append(feat)
-        labels.append(1.0 if nxt[t] > 0 else -1.0)
-    if not rows:
-        raise DataError("no usable rows after dropping non-finite data")
-    return np.vstack(rows), np.asarray(labels)

@@ -361,6 +361,70 @@ def test_svm_tol_reaches_engine(ticks, tmp_path, monkeypatch):
     assert tols and set(tols) == {0.01}
 
 
+def test_svm_trains_on_lagged_feature_rows(ticks, monkeypatch):
+    """With an identity scaler, train_smo sees the raw rows: 5 standardized
+    forecasts, 5 standardized returns, VPIN; each row lags the one before by
+    one; the label is the sign of the next return, a flat one counting as
+    down; and no window holds more than svm_max_rows rows."""
+    monkeypatch.setattr(bt.Scaler, "fit", classmethod(
+        lambda cls, X: cls(np.zeros(X.shape[1]), np.ones(X.shape[1]))))
+    train = bt.train_smo
+    seen = []
+
+    def spy(X, y, **kwargs):
+        seen.append((X.copy(), y.copy()))
+        return train(X, y, **kwargs)
+
+    monkeypatch.setattr(bt, "train_smo", spy)
+    returns = bt.session_log_returns
+
+    def some_flat(*args):
+        r = returns(*args)
+        r[::7] = np.where(np.isfinite(r[::7]), 0.0, r[::7])
+        return r
+
+    monkeypatch.setattr(bt, "session_log_returns", some_flat)
+    eng = EngineConfig(svm_min_rows=40, svm_max_rows=200)
+    state = bt._market_state(ticks, StrategyConfig(), eng, vpin=False, svm=True)
+    lags = bt.SVM_FEATURE_LAGS
+    assert len(seen) >= 2
+    for X, y in seen:
+        assert X.shape == (y.shape[0], 2 * lags + 1)
+        assert X.shape[0] <= eng.svm_max_rows
+        assert np.all(np.isin(X[:, :lags], state.z))
+        assert np.all((X[:, -1] >= 0.0) & (X[:, -1] <= 1.0))
+        np.testing.assert_array_equal(X[1:, :lags - 1], X[:-1, 1:lags])
+        np.testing.assert_array_equal(X[1:, lags:2 * lags - 1],
+                                      X[:-1, lags + 1:2 * lags])
+        assert set(np.unique(y)) <= {-1.0, 1.0}
+        # the next row's newest standardized return has the sign of the
+        # return each row's label looks ahead to
+        np.testing.assert_array_equal(y[:-1],
+                                      np.where(X[1:, 2 * lags - 1] > 0, 1.0, -1.0))
+    assert max(X.shape[0] for X, _ in seen) == eng.svm_max_rows - lags + 1
+    assert all(np.any(X[:, 2 * lags - 1] == 0.0) for X, _ in seen)
+
+
+@pytest.mark.parametrize("window", [20, 120, 500])
+def test_stop_sigma_equals_per_bar_std(window):
+    """The stop-scale column is bit-identical to the std of each bar's
+    trailing close changes, 0 with 20 closes or fewer, including the short
+    windows at the start."""
+    closes = 3000.0 + 0.2 * np.cumsum(
+        np.random.default_rng(5).integers(-3, 4, 700))
+    expected = []
+    for t in range(closes.shape[0]):
+        seg = closes[max(0, t - window):t + 1]
+        expected.append(float(np.std(np.diff(seg))) if seg.shape[0] > 20 else 0.0)
+    np.testing.assert_array_equal(bt._stop_sigma(closes, window), expected)
+
+
+def test_non_positive_variance_forecast_is_a_data_error(ticks, monkeypatch):
+    monkeypatch.setattr(bt.GarchState, "variance_forecast", lambda self: 0.0)
+    with pytest.raises(DataError, match="variance forecast"):
+        run_backtest(ticks, StrategyConfig(use_vpin=False, use_svm=False))
+
+
 def test_no_lookahead_signals_unchanged_by_future_shift(ticks, full_run):
     cut = full_run.signal_log[len(full_run.signal_log) // 2].ts
     shift = ticks.ts >= cut

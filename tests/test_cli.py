@@ -125,6 +125,21 @@ def test_generate_constraint_error(shared, tmp_path, capsys):
     assert not (out / "resolved_config.json").exists()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("svm", "kernel_sigma", "-1"), ("svm", "c", "-1"), ("svm", "tol", "0"),
+    ("svm", "min_rows", "5"), ("svm", "max_rows", "59"),
+    ("backtest", "delta1_every", "0"), ("backtest", "garch_refit_every", "0"),
+    ("backtest", "delta1_window", "29"), ("backtest", "sigma_window", "-5")])
+def test_bad_engine_value_fails_before_the_run(shared, tmp_path, capsys,
+                                              section, key, value):
+    ini = tmp_path / "bad.ini"
+    ini.write_text(f"[{section}]\n{key} = {value}\n")
+    assert run("--config", str(ini), "--out", str(tmp_path), "backtest",
+               "--variants", str(shared / "two_day.csv")) == 2
+    assert key.split("_")[0] in capsys.readouterr().err
+    assert not (tmp_path / "resolved_config.json").exists()
+
+
 # -- config -----------------------------------------------------------------
 
 

