@@ -471,6 +471,17 @@ def _threshold_path(vpin_values: np.ndarray, bucket_end_ts: np.ndarray,
     return out
 
 
+def _svm_training_rows(fz: np.ndarray, rz: np.ndarray, vp: np.ndarray,
+                       nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lag per-row standardized forecasts, standardized returns, VPIN and
+    next returns into SVM rows: row m holds rows m..m + lags - 1 of `fz` and
+    `rz` and the VPIN of the last, labelled by the sign of its next return."""
+    lags = SVM_FEATURE_LAGS
+    lagged = np.arange(lags)[None, :] + np.arange(nxt.shape[0] - lags + 1)[:, None]
+    X = np.hstack([fz[lagged], rz[lagged], vp[lags - 1:, None]])
+    return X, np.where(nxt[lags - 1:] > 0, 1.0, -1.0)  # a flat bar counts as down
+
+
 def _svm_path(z: np.ndarray, rets: np.ndarray, h: np.ndarray,
               vpin_now: list[float], day_starts: np.ndarray,
               eng: EngineConfig) -> tuple[np.ndarray, int]:
@@ -502,10 +513,8 @@ def _svm_path(z: np.ndarray, rets: np.ndarray, h: np.ndarray,
     # the training rows are the gate bars with a finite next return, and a
     # row's lags run over rows, so unlike the gate's vector they skip the bar
     # before each session break; X_all[m] is row m + lags - 1
-    fz, rz_row, vp, nxt = z[gate_at][row], rz[n_rz - 1][row], v[row], nxt[row]
-    lagged = np.arange(lags - 1, nxt.shape[0])[:, None] + 1 + back
-    X_all = np.hstack([fz[lagged], rz_row[lagged], vp[lags - 1:, None]])
-    y_all = np.where(nxt[lags - 1:] > 0, 1.0, -1.0)  # a flat bar counts as down
+    X_all, y_all = _svm_training_rows(z[gate_at][row], rz[n_rz - 1][row],
+                                      v[row], nxt[row])
     n_rows = np.searchsorted(gate_at[row] + 1, day_starts)
     day_lo = np.searchsorted(gate_at, day_starts)
     day_hi = np.append(day_lo[1:], gate_at.shape[0])

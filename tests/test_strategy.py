@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from microstrat.backtest import _svm_training_rows
 from microstrat.errors import DataError
 from microstrat.strategy import (
     SIDE_BUY,
@@ -238,3 +239,28 @@ def test_stop_loss_validation():
         stop_loss_check(100.0, 99.0, 0.0)
     with pytest.raises(DataError):
         stop_loss_check(100.0, 99.0, 0.5, side=SIDE_NONE)
+
+
+# -- feature encoding -------------------------------------------------------
+
+
+def test_svm_dataset_layout():
+    n = 12
+    fz = np.arange(n, dtype=float)
+    rz = np.arange(n, dtype=float) + 100.0
+    vp = np.linspace(0.1, 0.9, n)
+    nxt = np.where(np.arange(n) % 2 == 0, 0.01, -0.01)
+    X, y = _svm_training_rows(fz, rz, vp, nxt)
+    assert X.shape == (n - 4, 11)
+    # first row covers t=4: forecasts 0..4, returns 100..104, vpin[4]
+    expected = np.concatenate([np.arange(5.0), np.arange(5.0) + 100.0, [vp[4]]])
+    assert np.array_equal(X[0], expected)
+    assert set(np.unique(y)) <= {-1.0, 1.0}
+    assert y[0] == 1.0 and y[1] == -1.0
+
+
+def test_svm_dataset_flat_bar_counts_as_down():
+    fz = rz = np.ones(6)
+    vp = np.full(6, 0.5)
+    X, y = _svm_training_rows(fz, rz, vp, np.zeros(6))
+    assert np.all(y == -1.0)
