@@ -23,6 +23,7 @@ options so every run records exactly what it ran with.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from operator import attrgetter
 
@@ -127,8 +128,13 @@ def _build(values: dict) -> RunConfig:
     """The defaults with ``{"section.key": value}`` applied.
 
     Every object goes through one ``replace`` call holding all of its new
-    values, which runs its validation on the final values.
+    values, which runs its validation on the final values. A NaN or infinite
+    float fails first, by key: the objects' checks are comparisons, which
+    NaN passes.
     """
+    for key, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
     by_path = {KEYS[key]: value for key, value in values.items()}
 
     def build(obj, prefix: str):

@@ -112,7 +112,7 @@ def haar_idwt(dec: WaveletDecomposition) -> np.ndarray:
 
 def soft_threshold(dec: WaveletDecomposition, thr: float) -> WaveletDecomposition:
     """Shrink every detail toward zero by thr; the approximation is kept."""
-    if thr < 0:
+    if not thr >= 0:
         raise DataError(f"threshold must be non-negative, got {thr}")
     shrunk = tuple(np.sign(d) * np.maximum(np.abs(d) - thr, 0.0) for d in dec.details)
     return WaveletDecomposition(level=dec.level, approximation=dec.approximation,

@@ -377,12 +377,15 @@ def synth_ticks(spec: SynthSpec,
         hv = spec.omega + coef[t - 1] * hv
         h[t] = hv
     eps = z * np.sqrt(h)
+    r = spec.mu + eps
     if spec.phi != 0.0:
-        from scipy.signal import lfilter
-
-        r = lfilter([1.0], [1.0, -spec.phi], spec.mu + eps)
-    else:
-        r = spec.mu + eps
+        # AR(1) mean r_t = x_t + phi r_{t-1} over x = mu + eps, in place: the
+        # operations lfilter([1], [1, -phi], x) performs, in the same order
+        phi, rs, p = spec.phi, r.tolist(), 0.0
+        for t, x in enumerate(rs):
+            p = x + phi * p
+            rs[t] = p
+        r = np.array(rs)
     prices = spec.start_price * np.exp(np.cumsum(np.r_[0.0, r]))
     if np.any(prices <= spec.spread / 2):
         raise DataError("synthetic path hit non-positive quotes; lower spread or variance")

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.special import betainc, gammaincc, ndtr
 
 from .errors import DataError, NumericalError
 
@@ -55,6 +53,8 @@ def chi2_sf(x: float, df: float) -> float:
         raise DataError(f"chi-squared df must be positive, got {df}")
     if x <= 0:
         return 1.0
+    from scipy.special import gammaincc
+
     return float(gammaincc(df / 2.0, x / 2.0))
 
 
@@ -66,6 +66,8 @@ def f_sf(x: float, d1: float, d2: float) -> float:
         return 1.0
     if math.isinf(x):
         return 0.0
+    from scipy.special import betainc
+
     return float(betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x)))
 
 
@@ -215,6 +217,8 @@ def _mackinnon_p(tau: float) -> float:
     z = 0.0
     for c in reversed(coeffs):
         z = z * tau + c
+    from scipy.special import ndtr
+
     return float(ndtr(z))
 
 
@@ -252,6 +256,8 @@ def _sic_values(y: np.ndarray, dy: np.ndarray, max_lag: int) -> np.ndarray:
     block are those of the candidate's design, which gives the rank that
     ``lstsq`` reports with its default cut-off.
     """
+    from scipy.linalg import qr
+
     z = _adf_design(y, dy, max_lag, start=max_lag)
     m = z.shape[0]
     (_, _), r = qr(z, mode="raw", overwrite_a=True, check_finite=False)

@@ -186,6 +186,8 @@ def train_smo(X: np.ndarray, y: np.ndarray, c: float = DEFAULT_C,
         raise DataError("C and tol must be positive")
     if max_iter is None:
         max_iter = max(20_000, 100 * n)
+    elif max_iter < 1:
+        raise DataError(f"max_iter must be at least 1, got {max_iter}")
 
     K = kernel_matrix(X, X, kernel)
     alpha = np.zeros(n)

@@ -29,9 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import lfilter, lfiltic
-from scipy.special import expit
 
 from .errors import DataError, NonConvergenceError
 from .marketdata import BarSeries, session_log_returns
@@ -202,6 +199,8 @@ def _variance_path(theta: np.ndarray, x: np.ndarray, spec: GarchSpec,
     if spec.q == 0:
         h[1:] = forcing[1:]
     else:
+        from scipy.signal import lfilter, lfiltic
+
         zi = lfiltic([1.0], a_poly, np.full(spec.q, seed_var))
         h[1:] = lfilter([1.0], a_poly, forcing[1:], zi=zi)[0]
     return h, eps, deps, a_poly
@@ -243,6 +242,7 @@ def garch_loglik(theta: np.ndarray, r: np.ndarray, spec: GarchSpec,
     neg = eps < 0.0
     dldh = 0.5 * (e2 / h - 1.0) / h
     dlde = -eps / h
+    from scipy.signal import lfilter
 
     def ar_filter(src: np.ndarray) -> np.ndarray:
         # dh/dtheta: the same recursion from a zero seed
@@ -283,6 +283,8 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _raw_to_natural(raw: np.ndarray, spec: GarchSpec):
+    from scipy.special import expit
+
     nm, p, q = spec.n_mean, spec.p, spec.q
     m = p + q
     mean = raw[:nm].copy()
@@ -348,6 +350,8 @@ def _initial_raw(spec: GarchSpec, seed_var: float, rbar: float) -> np.ndarray:
 
 def fit_garch(r: np.ndarray, spec: GarchSpec | None = None) -> GarchFit:
     """Quasi-maximum-likelihood fit with constraints built into the transform."""
+    from scipy.optimize import minimize
+
     if spec is None:
         spec = GarchSpec()
     x = np.asarray(r, dtype=np.float64)

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import DataError
 from .marketdata import NS_PER_DAY, TickSeries
@@ -106,6 +105,8 @@ def sigma_delta_p(price: np.ndarray) -> float:
 
 def classify_buckets(buckets: Buckets, sigma_dp: float) -> np.ndarray:
     """Buy volume of every complete bucket, clipped to [0, bucket_volume]."""
+    from scipy.special import ndtr
+
     if not sigma_dp > 0:
         raise DataError(f"sigma_dp must be positive, got {sigma_dp}")
     offsets = buckets.offsets[:buckets.complete + 1]

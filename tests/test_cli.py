@@ -1,13 +1,18 @@
 import copy
 import csv
+import importlib.util
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import microstrat
 from microstrat.cli import main
-from microstrat.config import load_config
+from microstrat.config import _PARSE, _opt_float, load_config
 from microstrat.errors import ConfigError, DataError
 from microstrat.svgplot import line_chart
 
@@ -116,6 +121,9 @@ def test_generate_constraint_error(shared, tmp_path, capsys):
     assert "alpha + beta" in capsys.readouterr().err
     # a bad value fails when the config resolves, before anything is written
     assert not (tmp_path / "resolved_config.json").exists()
+    assert run("--out", str(tmp_path), "generate", "--spread", "nan") == 2
+    assert "data.spread" in capsys.readouterr().err
+    assert not (tmp_path / "resolved_config.json").exists()
     ini = tmp_path / "bad.ini"
     ini.write_text("[strategy]\ndelta2 = 0.1\ndelta3 = 0.2\n")
     out = tmp_path / "o"
@@ -175,6 +183,17 @@ def test_unknown_key_rejected(tmp_path):
     ini.write_text("[strategy]\nuse_garch = true\n")
     with pytest.raises(ConfigError, match="use_garch"):
         load_config(str(ini))
+
+
+@pytest.mark.parametrize("key", [key for key, parse in _PARSE.items()
+                                 if parse in (float, _opt_float)])
+def test_non_finite_float_key_rejected(tmp_path, key):
+    sect, name = key.split(".")
+    ini = tmp_path / "bad.ini"
+    for value in ("nan", "inf", "-inf"):
+        ini.write_text(f"[{sect}]\n{name} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(ini))
 
 
 def test_env_var_supplies_config(tmp_path, monkeypatch):
@@ -358,6 +377,16 @@ def test_svm_train_rejects_bad_labels(tmp_path, capsys):
     assert "label" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_iter", ["0", "-4"])
+def test_svm_train_rejects_non_positive_max_iter(tmp_path, capsys, max_iter):
+    feats = tmp_path / "features.csv"
+    write_features(feats)
+    assert run("--out", str(tmp_path), "svm-train", str(feats),
+               "--max-iter", max_iter) == 2
+    assert "max_iter" in capsys.readouterr().err
+    assert not (tmp_path / "svm.csv").exists()
+
+
 # -- denoise ----------------------------------------------------------------
 
 
@@ -369,6 +398,14 @@ def test_denoise_output_schema(shared, tmp_path):
     assert len(rows) == 6000
     assert set(rows[0]) == {"ts_ns", "price", "denoised"}
     assert all(float(r["denoised"]) > 0 for r in rows[:100])
+
+
+def test_denoise_rejects_nan_threshold(shared, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run("--out", str(out), "denoise", str(shared / "walk.csv"),
+               "--threshold", "nan") == 2
+    assert "threshold" in capsys.readouterr().err
+    assert not (out / "denoised.csv").exists()
 
 
 # -- backtest and report ----------------------------------------------------
@@ -458,3 +495,56 @@ def test_line_chart_validation(tmp_path):
                                 np.full(3, np.nan))])
     with pytest.raises(DataError):
         line_chart(path, "t", [])
+
+
+# -- imports ------------------------------------------------------------------
+
+# Runs in a fresh interpreter: records the scipy modules loaded after
+# `import microstrat.cli` and after each command, and the microstrat modules
+# the import loaded, as JSON in argv[1]; commands write under argv[2].
+_IMPORT_PROBE = """
+import json, os, sys
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+import microstrat.cli as cli
+
+seen = {"import": scipy_loaded(), "modules": sorted(sys.modules)}
+out = sys.argv[2]
+report = os.path.join(out, "report.csv")
+with open(report, "w") as fh:
+    fh.write(",".join(cli.REPORT_HEADER) + "\\n")
+    fh.write(",".join(["G"] + ["0"] * (len(cli.REPORT_HEADER) - 1)) + "\\n")
+ticks = os.path.join(out, "ticks.csv")
+for name, argv in (
+        ("generate", ["generate", "--count", "3000", "--phi", "0.15", "-o", ticks]),
+        ("report", ["report", report]),
+        ("vpin", ["vpin", ticks, "--window", "10"])):
+    assert cli.main(["--out", out, *argv]) == 0, name
+    seen[name] = scipy_loaded()
+with open(sys.argv[1], "w") as fh:
+    json.dump(seen, fh)
+"""
+
+
+def test_scipy_loads_only_in_the_functions_that_use_it(tmp_path):
+    # the benchmark's tracer wraps these modules right after `import
+    # microstrat.cli`, so that import must still load every one of them
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", tracer)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    src = os.path.dirname(os.path.dirname(microstrat.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    record = tmp_path / "seen.json"
+    subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(record),
+                    str(tmp_path)], env=env, check=True, capture_output=True)
+    seen = json.loads(record.read_text())
+    assert seen["import"] == [] and seen["generate"] == [] \
+        and seen["report"] == []
+    assert {f"microstrat.{name}" for name in module.TARGETS} \
+        <= set(seen["modules"])
+    assert "scipy.signal" not in seen["vpin"]
+    assert "scipy.optimize" not in seen["vpin"]

@@ -119,8 +119,9 @@ def test_soft_threshold_shrinkage_values():
 
 def test_soft_threshold_rejects_negative():
     dec = haar_dwt(np.arange(4.0), level=1)
-    with pytest.raises(DataError):
-        soft_threshold(dec, -0.1)
+    for thr in (-0.1, math.nan):
+        with pytest.raises(DataError):
+            soft_threshold(dec, thr)
 
 
 def test_universal_threshold_values():

@@ -330,6 +330,24 @@ def test_synth_ar1_mean_shows_up_in_autocorrelation():
     assert 0.44 < rho1 < 0.56
 
 
+@pytest.mark.parametrize("phi", [0.15, -0.6, 0.95])
+@pytest.mark.parametrize("mu", [0.0, 3e-5])
+def test_synth_ar1_mean_matches_lfilter_bit_for_bit(phi, mu):
+    from scipy.signal import lfilter
+
+    spec = SynthSpec(omega=1e-9, phi=phi, mu=mu, count=100_000, seed=6)
+    # the generator's shocks, drawn and scaled as synth_ticks does
+    z = np.random.default_rng(spec.seed).standard_normal(spec.count - 1)
+    coef = spec.alpha * z * z + spec.beta
+    h = np.empty(spec.count - 1)
+    h[0] = spec.omega / (1.0 - spec.alpha - spec.beta)
+    for t in range(1, spec.count - 1):
+        h[t] = spec.omega + coef[t - 1] * h[t - 1]
+    r = lfilter([1.0], [1.0, -phi], mu + z * np.sqrt(h))
+    expected = spec.start_price * np.exp(np.cumsum(np.r_[0.0, r]))
+    assert np.array_equal(synth_ticks(spec).price, expected)
+
+
 def test_synth_rejects_non_stationary_parameters():
     with pytest.raises(DataError):
         SynthSpec(alpha=0.5, beta=0.5)
