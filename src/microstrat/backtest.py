@@ -85,9 +85,10 @@ class CostModel:
     maintenance_rate: float | None = None  # None: 75% of the initial margin
 
     def __post_init__(self) -> None:
-        if self.capital <= 0 or self.multiplier <= 0 or self.tick_size < 0:
+        # negated comparisons, so that NaN fails them
+        if not (self.capital > 0 and self.multiplier > 0 and self.tick_size >= 0):
             raise DataError("capital and multiplier must be positive")
-        if not 0 < self.margin_rate <= 1 or self.fee_rate < 0:
+        if not (0 < self.margin_rate <= 1 and self.fee_rate >= 0):
             raise DataError("bad margin or fee rate")
         if self.maintenance_rate is not None and not 0 < self.maintenance_rate <= 1:
             raise DataError("bad maintenance rate")
@@ -132,6 +133,8 @@ class EngineConfig:
         # so shorter windows would never recalibrate or never stop
         if self.delta1_window < 30 or self.sigma_window < 20:
             raise DataError("need delta1_window >= 30 and sigma_window >= 20")
+        if not (math.isfinite(self.initial_delta1) and self.initial_delta1 > 0):
+            raise DataError("initial_delta1 must be positive")
         if not (self.svm_kernel_sigma > 0 and self.svm_c > 0 and self.svm_tol > 0):
             raise DataError("svm kernel_sigma, c and tol must be positive")
         if not SVM_FEATURE_LAGS < self.svm_min_rows <= self.svm_max_rows:

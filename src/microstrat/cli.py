@@ -21,7 +21,15 @@ import os
 import sys
 from dataclasses import fields
 
-import numpy as np
+# An idle OpenBLAS worker spins for about 2**28 cycles before it sleeps. The
+# GARCH fit calls a threaded ddot every few ms, so without a short timeout
+# the second thread never sleeps and slows the main thread's Python loops.
+# OpenBLAS reads this when it loads (numpy's copy and scipy's); 4 is the
+# least it accepts. It leaves the thread count, and so every result's bits,
+# unchanged, and a value the user has set is kept.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
+import numpy as np  # noqa: E402
 
 from .backtest import (VARIANTS, BacktestResult, Metrics, run_backtest, run_variants,
                        variant_tag)

@@ -350,16 +350,20 @@ class SynthSpec:
     def __post_init__(self) -> None:
         if not self.omega > 0:
             raise DataError("omega must be positive")
-        if self.alpha < 0 or self.beta < 0:
+        # negated comparisons, so that NaN fails them
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise DataError("alpha and beta must be non-negative")
-        if self.alpha + self.beta >= 1:
+        if not self.alpha + self.beta < 1:
             raise DataError(f"alpha + beta must be < 1, got {self.alpha + self.beta}")
-        if abs(self.phi) >= 1:
+        if not abs(self.phi) < 1:
             raise DataError("phi must satisfy |phi| < 1")
         if self.count < 2:
             raise DataError("count must be >= 2")
-        if self.start_price <= 0 or self.spread < 0 or self.tick_interval_ms <= 0:
+        if not (self.start_price > 0 and self.spread >= 0 and self.tick_interval_ms > 0):
             raise DataError("invalid start_price, spread, or tick interval")
+        if not all(map(math.isfinite, (self.mu, self.volume_log_mean,
+                                       self.volume_log_sigma))):
+            raise DataError("mu and the volume parameters must be finite")
 
 
 def synth_ticks(spec: SynthSpec,

@@ -46,16 +46,19 @@ class StrategyConfig:
         if not (0.0 <= self.delta3 <= self.delta2 <= 1.0):
             raise DataError(f"need 0 <= delta3 <= delta2 <= 1, "
                             f"got {self.delta3}, {self.delta2}")
-        if not (0 < self.delta1_lo < self.delta1_hi) or self.delta1_step <= 0:
+        # negated comparisons, so that NaN fails them
+        if not (0 < self.delta1_lo < self.delta1_hi and self.delta1_step > 0):
             raise DataError("bad delta1 grid")
         if not 0.0 < self.position_fraction <= 1.0:
             raise DataError("position_fraction must be in (0, 1]")
         if not 0.0 < self.size_cap <= 1.0:
             raise DataError("size_cap must be in (0, 1]")
-        if self.size_reduce <= 0 or self.size_boost <= 0:
+        if not (self.size_reduce > 0 and self.size_boost > 0):
             raise DataError("sizing factors must be positive")
-        if self.stop_loss_sigmas <= 0:
+        if not self.stop_loss_sigmas > 0:
             raise DataError("stop_loss_sigmas must be positive")
+        if not (math.isfinite(self.fluct_hi) and math.isfinite(self.fluct_lo)):
+            raise DataError("fluct_hi and fluct_lo must be finite")
         if self.basket_delay < 0:
             raise DataError("basket_delay must be >= 0")
 

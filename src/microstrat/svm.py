@@ -55,7 +55,11 @@ class Kernel:
 
 
 def kernel_matrix(A: np.ndarray, B: np.ndarray, kernel: Kernel) -> np.ndarray:
-    """Pairwise kernel evaluations, rows of A against rows of B."""
+    """Pairwise kernel evaluations, rows of A against rows of B.
+
+    With B the same array as A the result is exactly symmetric: numpy forms
+    A @ A.T by a symmetric rank-k update, and s_i + s_j == s_j + s_i.
+    """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
@@ -227,7 +231,8 @@ def train_smo(X: np.ndarray, y: np.ndarray, c: float = DEFAULT_C,
             alpha[i] = c if y[i] > 0 else 0.0
         if t == cap_j:
             alpha[j] = 0.0 if y[j] > 0 else c
-        G += y * t * (K[:, i] - K[:, j])
+        # K is exactly symmetric (see kernel_matrix): read its contiguous rows
+        G += y * t * (K[i] - K[j])
         iterations += 1
         # maximized dual W = e'a - 0.5 a'Qa = 0.5 (sum(a) - a'G)
         objective_log.append(0.5 * float(alpha.sum() - alpha @ G))

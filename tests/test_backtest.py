@@ -159,6 +159,20 @@ def test_cost_model_validation():
         CostModel(margin_rate=1.5)
 
 
+# every float field of the run dataclasses a library caller builds directly;
+# the checks used to be comparisons that NaN passes
+_NAN_FIELDS = [(cls, f.name) for cls in (SynthSpec, CostModel, EngineConfig,
+                                         StrategyConfig)
+               for f in fields(cls) if f.type.startswith("float")]
+
+
+@pytest.mark.parametrize("cls,name", _NAN_FIELDS,
+                         ids=[f"{cls.__name__}-{name}" for cls, name in _NAN_FIELDS])
+def test_run_dataclasses_reject_nan(cls, name):
+    with pytest.raises(DataError):
+        cls(**{name: math.nan})
+
+
 # -- metrics ----------------------------------------------------------------
 
 

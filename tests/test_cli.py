@@ -500,8 +500,9 @@ def test_line_chart_validation(tmp_path):
 # -- imports ------------------------------------------------------------------
 
 # Runs in a fresh interpreter: records the scipy modules loaded after
-# `import microstrat.cli` and after each command, and the microstrat modules
-# the import loaded, as JSON in argv[1]; commands write under argv[2].
+# `import microstrat.cli` and after each command, the microstrat modules the
+# import loaded and the OPENBLAS_THREAD_TIMEOUT it left, as JSON in argv[1];
+# commands write under argv[2].
 _IMPORT_PROBE = """
 import json, os, sys
 
@@ -510,7 +511,8 @@ def scipy_loaded():
 
 import microstrat.cli as cli
 
-seen = {"import": scipy_loaded(), "modules": sorted(sys.modules)}
+seen = {"import": scipy_loaded(), "modules": sorted(sys.modules),
+        "openblas_thread_timeout": os.environ.get("OPENBLAS_THREAD_TIMEOUT")}
 out = sys.argv[2]
 report = os.path.join(out, "report.csv")
 with open(report, "w") as fh:
@@ -528,6 +530,21 @@ with open(sys.argv[1], "w") as fh:
 """
 
 
+def _run_import_probe(tmp_path, openblas_thread_timeout):
+    """The probe's record, run with OPENBLAS_THREAD_TIMEOUT set to the given
+    value, or unset for None (importing microstrat.cli here has set it)."""
+    src = os.path.dirname(os.path.dirname(microstrat.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if openblas_thread_timeout is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = openblas_thread_timeout
+    record = tmp_path / "seen.json"
+    subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(record),
+                    str(tmp_path)], env=env, check=True, capture_output=True)
+    return json.loads(record.read_text())
+
+
 def test_scipy_loads_only_in_the_functions_that_use_it(tmp_path):
     # the benchmark's tracer wraps these modules right after `import
     # microstrat.cli`, so that import must still load every one of them
@@ -535,16 +552,19 @@ def test_scipy_loads_only_in_the_functions_that_use_it(tmp_path):
     spec = importlib.util.spec_from_file_location("bench_tracer", tracer)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    src = os.path.dirname(os.path.dirname(microstrat.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    record = tmp_path / "seen.json"
-    subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(record),
-                    str(tmp_path)], env=env, check=True, capture_output=True)
-    seen = json.loads(record.read_text())
+    seen = _run_import_probe(tmp_path, None)
     assert seen["import"] == [] and seen["generate"] == [] \
         and seen["report"] == []
     assert {f"microstrat.{name}" for name in module.TARGETS} \
         <= set(seen["modules"])
     assert "scipy.signal" not in seen["vpin"]
     assert "scipy.optimize" not in seen["vpin"]
+
+
+@pytest.mark.parametrize("preset,expected", [(None, "4"), ("28", "28")])
+def test_cli_import_shortens_openblas_thread_timeout_unless_set(
+        tmp_path, preset, expected):
+    # idle OpenBLAS workers spin ~2**28 cycles by default; the CLI sets the
+    # least timeout before numpy loads, and keeps a value the user has set
+    assert _run_import_probe(tmp_path, preset)["openblas_thread_timeout"] \
+        == expected
