@@ -38,7 +38,14 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, NonConvergenceError
-from .marketdata import NS_PER_DAY, TickSeries, resample, session_log_returns
+from .marketdata import (
+    NS_PER_DAY,
+    SESSION_CLOSES_NS,
+    SESSION_OPENS_NS,
+    TickSeries,
+    resample,
+    session_log_returns,
+)
 from .strategy import (
     SIDE_BUY,
     SIDE_NONE,
@@ -127,6 +134,11 @@ class EngineConfig:
             raise DataError("need at least one warmup day")
         if self.bar_interval_ns <= 0 or self.garch_window < 100:
             raise DataError("bad bar interval or window")
+        # a window never holds more than garch_window returns, so a larger
+        # garch_min_obs would never refit and the run would never trade
+        if not 0 < self.garch_min_obs <= self.garch_window:
+            raise DataError(f"need 0 < garch_min_obs <= garch_window "
+                            f"({self.garch_window}), got {self.garch_min_obs}")
         if min(self.garch_refit_every, self.delta1_every) < 1:
             raise DataError("garch_refit_every and delta1_every must be >= 1")
         # calibrate_delta1 needs 30 points, and a stop scale over 20 closes,
@@ -139,6 +151,8 @@ class EngineConfig:
             raise DataError("svm kernel_sigma, c and tol must be positive")
         if not SVM_FEATURE_LAGS < self.svm_min_rows <= self.svm_max_rows:
             raise DataError(f"need {SVM_FEATURE_LAGS} < svm min_rows <= max_rows")
+        if self.trading_days_per_year < 1:
+            raise DataError("trading_days_per_year must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -563,7 +577,7 @@ def _market_state(ticks: TickSeries, cfg: StrategyConfig, eng: EngineConfig,
     day_starts = np.searchsorted(day_ord, np.arange(eng.warmup_days, days.shape[0]))
     first_trading = int(day_starts[0])
     decision_ts = bars.ts + eng.bar_interval_ns
-    rets = session_log_returns(bars, ticks.calendar)
+    rets = session_log_returns(bars)
 
     vpin_values, vpin_end_ts, bucket_end_ts, bucket_fluct = \
         _vpin_stream(ticks, days, eng)
@@ -703,8 +717,10 @@ def _replay(state: _MarketState, cfg: StrategyConfig, costs: CostModel,
     mark_idx = np.searchsorted(state.decision_ts, equity_ts)
     bench_px = closes[mark_idx]
     benchmark = costs.capital * bench_px / bench_px[0]
-    bars_per_day = ticks.calendar.seconds_per_day() \
-        // (eng.bar_interval_ns // 1_000_000_000)
+    # resample starts a bar at each session open, so a session's last bar
+    # may be short
+    bars_per_day = int(np.sum(-((SESSION_OPENS_NS - SESSION_CLOSES_NS)
+                                // eng.bar_interval_ns)))
     ppy = int(bars_per_day * eng.trading_days_per_year)
     m = compute_metrics(equity, benchmark, ppy)
     report = BacktestReport(**asdict(m), trade_count=len(trades),

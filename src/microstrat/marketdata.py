@@ -1,15 +1,16 @@
 """Tick and bar data: ingestion, validation, resampling, synthesis, log returns.
 
 Timestamps are integer nanoseconds since epoch and are interpreted in the
-exchange's local clock. A session calendar (intraday open/close intervals,
-seconds of day) constrains where ticks may live; resampling never builds a
-bar across a session break.
+exchange's local clock. Every tick lies in one of the fixed CSI300 index
+futures sessions, 09:30-11:30 and 13:00-15:00 (`CSI300_SESSIONS`);
+resampling never builds a bar across a session break. `simulate_garch` is
+the one GARCH simulator: `synth_ticks` and the tests both draw from it.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,57 +20,24 @@ from .errors import DataError
 NS_PER_SEC = 1_000_000_000
 NS_PER_DAY = 86_400 * NS_PER_SEC
 
-# CSI300 index futures hours: 09:30-11:30 and 13:00-15:00.
+# CSI300 index futures hours as (open, close) seconds of day: 09:30-11:30 and
+# 13:00-15:00.
 CSI300_SESSIONS: tuple[tuple[int, int], ...] = (
     (9 * 3600 + 1800, 11 * 3600 + 1800),
     (13 * 3600, 15 * 3600),
 )
+SESSION_OPENS_NS = np.array([o for o, _ in CSI300_SESSIONS], dtype=np.int64) * NS_PER_SEC
+SESSION_CLOSES_NS = np.array([c for _, c in CSI300_SESSIONS], dtype=np.int64) * NS_PER_SEC
 
 TICK_CSV_HEADER = ("ts_ns", "price", "volume", "bid1", "ask1")
 
 
-# ---------------------------------------------------------------------------
-# Session calendar
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SessionCalendar:
-    """Intraday trading sessions as (open, close) seconds-of-day pairs."""
-
-    sessions: tuple[tuple[int, int], ...] = CSI300_SESSIONS
-
-    def __post_init__(self) -> None:
-        if not self.sessions:
-            raise DataError("calendar needs at least one session")
-        prev_close = -1
-        for open_s, close_s in self.sessions:
-            if not (0 <= open_s < close_s <= 86_400):
-                raise DataError(f"bad session interval ({open_s}, {close_s})")
-            if open_s <= prev_close:
-                raise DataError("sessions must be disjoint and increasing")
-            prev_close = close_s
-
-    @property
-    def opens_ns(self) -> np.ndarray:
-        return np.array([s[0] for s in self.sessions], dtype=np.int64) * NS_PER_SEC
-
-    @property
-    def closes_ns(self) -> np.ndarray:
-        return np.array([s[1] for s in self.sessions], dtype=np.int64) * NS_PER_SEC
-
-    def seconds_per_day(self) -> int:
-        return sum(close - open_ for open_, close in self.sessions)
-
-    def session_index(self, ts: np.ndarray) -> np.ndarray:
-        """Session slot of each timestamp, or -1 when outside every session."""
-        sod = np.asarray(ts, dtype=np.int64) % NS_PER_DAY
-        idx = np.searchsorted(self.opens_ns, sod, side="right") - 1
-        ok = (idx >= 0) & (sod <= self.closes_ns[np.clip(idx, 0, None)])
-        return np.where(ok, idx, -1)
-
-
-DEFAULT_CALENDAR = SessionCalendar()
+def session_index(ts: np.ndarray) -> np.ndarray:
+    """Session slot of each timestamp, or -1 when outside every session."""
+    sod = np.asarray(ts, dtype=np.int64) % NS_PER_DAY
+    idx = np.searchsorted(SESSION_OPENS_NS, sod, side="right") - 1
+    ok = (idx >= 0) & (sod <= SESSION_CLOSES_NS[np.clip(idx, 0, None)])
+    return np.where(ok, idx, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +60,7 @@ class TickSeries:
 
     Columns are stored as numpy arrays. Every tick has a positive finite
     price, a volume of at least 1, a timestamp no earlier than the tick
-    before and inside a calendar session. Each quote is NaN (missing) or
+    before and inside a CSI300 session. Each quote is NaN (missing) or
     positive and finite, and a bid never exceeds its ask.
     """
 
@@ -101,7 +69,6 @@ class TickSeries:
     volume: np.ndarray
     bid1: np.ndarray | None = None
     ask1: np.ndarray | None = None
-    calendar: SessionCalendar = field(default=DEFAULT_CALENDAR)
 
     def __post_init__(self) -> None:
         n = np.shape(self.ts)[0]
@@ -135,7 +102,7 @@ class TickSeries:
         if self.bid1 is not None and self.ask1 is not None:
             check(self.bid1 > self.ask1,
                   lambda i: f"crossed quotes: bid1 {self.bid1[i]} > ask1 {self.ask1[i]}")
-        check(self.calendar.session_index(ts) < 0,
+        check(session_index(ts) < 0,
               lambda i: f"timestamp {ts[i]} falls outside every session interval")
 
     def __len__(self) -> int:
@@ -279,11 +246,10 @@ def log_returns(prices: np.ndarray | Sequence[float]) -> np.ndarray:
     return np.diff(np.log(p))
 
 
-def session_log_returns(bars: BarSeries,
-                        calendar: SessionCalendar = DEFAULT_CALENDAR) -> np.ndarray:
+def session_log_returns(bars: BarSeries) -> np.ndarray:
     """Close-to-close log returns aligned with the bars, never across a
     session break: NaN at the first bar of each session."""
-    sess = (bars.ts // NS_PER_DAY) * len(calendar.sessions) + calendar.session_index(bars.ts)
+    sess = (bars.ts // NS_PER_DAY) * len(CSI300_SESSIONS) + session_index(bars.ts)
     same = sess[1:] == sess[:-1]
     c = bars.close
     r = np.full(len(bars), np.nan)
@@ -301,14 +267,13 @@ def resample(ticks: TickSeries, interval_ns: int) -> BarSeries:
         raise DataError("bar interval must be positive")
     if len(ticks) == 0:
         raise DataError("cannot resample an empty tick series")
-    cal = ticks.calendar
     sod = ticks.ts % NS_PER_DAY
-    sess_idx = cal.session_index(ticks.ts)
-    open_ns = cal.opens_ns[sess_idx]
+    sess_idx = session_index(ticks.ts)
+    open_ns = SESSION_OPENS_NS[sess_idx]
     bar_in_sess = (sod - open_ns) // interval_ns
     day = ticks.ts // NS_PER_DAY
     # Composite group key; ticks are time ordered so keys are non-decreasing.
-    key = ((day * len(cal.sessions) + sess_idx) * (NS_PER_DAY // interval_ns + 1)
+    key = ((day * len(CSI300_SESSIONS) + sess_idx) * (NS_PER_DAY // interval_ns + 1)
            + bar_in_sess)
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     ends = np.r_[starts[1:], len(ticks)]
@@ -361,35 +326,52 @@ class SynthSpec:
             raise DataError("count must be >= 2")
         if not (self.start_price > 0 and self.spread >= 0 and self.tick_interval_ms > 0):
             raise DataError("invalid start_price, spread, or tick interval")
+        if self.tick_interval_ms * 1_000_000 > np.min(SESSION_CLOSES_NS - SESSION_OPENS_NS):
+            raise DataError(f"tick_interval_ms {self.tick_interval_ms} is longer than "
+                            "a session, which then has no tick slot")
         if not all(map(math.isfinite, (self.mu, self.volume_log_mean,
                                        self.volume_log_sigma))):
             raise DataError("mu and the volume parameters must be finite")
 
 
-def synth_ticks(spec: SynthSpec,
-                calendar: SessionCalendar = DEFAULT_CALENDAR) -> TickSeries:
-    """Generate a deterministic synthetic TickSeries from a SynthSpec."""
-    rng = np.random.default_rng(spec.seed)
-    n = spec.count
-    z = rng.standard_normal(n - 1)
-    h = np.empty(n - 1)
+def simulate_garch(z: np.ndarray, omega: float, alpha: float, beta: float,
+                   leverage: float = 0.0, mu: float = 0.0,
+                   phi: float = 0.0) -> np.ndarray:
+    """Returns of a GARCH(1,1) model driven by the standardized shocks `z`.
+
+    h_t = omega + (alpha + leverage 1[eps_{t-1} < 0]) eps_{t-1}^2 + beta h_{t-1}
+    starts at the unconditional variance, eps_t = z_t sqrt(h_t), and the mean
+    is r_t = mu + eps_t + phi r_{t-1} with r_{-1} = 0. One return per shock.
+    """
+    if not (omega > 0 and alpha + beta + leverage / 2.0 < 1):
+        raise DataError("simulation parameters must be stationary")
     # Sequential variance recursion; eps_t^2 = z_t^2 h_t keeps it scalar.
-    hv = spec.omega / (1.0 - spec.alpha - spec.beta)
-    coef = spec.alpha * z * z + spec.beta
-    h[0] = hv
-    for t in range(1, n - 1):
-        hv = spec.omega + coef[t - 1] * hv
-        h[t] = hv
-    eps = z * np.sqrt(h)
-    r = spec.mu + eps
-    if spec.phi != 0.0:
+    coef = alpha * z * z + beta
+    if leverage != 0.0:
+        coef = coef + leverage * z * z * (z < 0)
+    hv = omega / (1.0 - alpha - beta - leverage / 2.0)
+    h = []
+    for c in coef.tolist():
+        h.append(hv)
+        hv = omega + c * hv
+    r = mu + z * np.sqrt(h)
+    if phi != 0.0:
         # AR(1) mean r_t = x_t + phi r_{t-1} over x = mu + eps, in place: the
         # operations lfilter([1], [1, -phi], x) performs, in the same order
-        phi, rs, p = spec.phi, r.tolist(), 0.0
+        rs, p = r.tolist(), 0.0
         for t, x in enumerate(rs):
             p = x + phi * p
             rs[t] = p
         r = np.array(rs)
+    return r
+
+
+def synth_ticks(spec: SynthSpec) -> TickSeries:
+    """Generate a deterministic synthetic TickSeries from a SynthSpec."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.count
+    r = simulate_garch(rng.standard_normal(n - 1), spec.omega, spec.alpha,
+                       spec.beta, mu=spec.mu, phi=spec.phi)
     prices = spec.start_price * np.exp(np.cumsum(np.r_[0.0, r]))
     if np.any(prices <= spec.spread / 2):
         raise DataError("synthetic path hit non-positive quotes; lower spread or variance")
@@ -398,8 +380,7 @@ def synth_ticks(spec: SynthSpec,
     volumes = np.maximum(volumes, 1.0).astype(np.int64)
 
     interval_ns = spec.tick_interval_ms * 1_000_000
-    slots_per_sess = [int((c - o) * NS_PER_SEC // interval_ns)
-                      for o, c in calendar.sessions]
+    slots_per_sess = ((SESSION_CLOSES_NS - SESSION_OPENS_NS) // interval_ns).tolist()
     per_day = sum(slots_per_sess)
     cum = np.cumsum([0] + slots_per_sess)
     idx = np.arange(n, dtype=np.int64)
@@ -407,9 +388,9 @@ def synth_ticks(spec: SynthSpec,
     within = idx % per_day
     sess = np.searchsorted(cum, within, side="right") - 1
     offset = within - cum[sess]
-    ts = day * NS_PER_DAY + calendar.opens_ns[sess] + offset * interval_ns
+    ts = day * NS_PER_DAY + SESSION_OPENS_NS[sess] + offset * interval_ns
 
     half = spec.spread / 2.0
     bid = prices - half if spec.spread > 0 else None
     ask = prices + half if spec.spread > 0 else None
-    return TickSeries(ts, prices, volumes, bid, ask, calendar)
+    return TickSeries(ts, prices, volumes, bid, ask)

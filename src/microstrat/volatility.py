@@ -13,6 +13,9 @@ implementations with different jobs:
 - Out of sample, `GarchState` advances a fitted model one return at a time
   in Python floats; the backtest engine steps it once per bar.
 
+The GARCH(1,1) simulator that the synthetic tick generator and the tests
+draw from is `marketdata.simulate_garch`.
+
 The optimizer works on transformed parameters (log variance intercept,
 logistic persistence split across terms) so the positivity and stationarity
 constraints hold by construction; the leverage coefficient is unconstrained
@@ -422,7 +425,7 @@ def _hessian_std_errors(theta, x, spec, seed_var, rbar) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Out-of-sample stepping and simulation
+# Out-of-sample stepping (the GARCH simulator is marketdata.simulate_garch)
 # ---------------------------------------------------------------------------
 
 
@@ -479,50 +482,6 @@ class GarchState:
         self.h = [h] + self.h[:-1]
         self.r_last = r
         return h
-
-
-def simulate_garch(n: int, omega: float, alphas, gammas, leverage: float = 0.0,
-                   mu: float = 0.0, phi: float = 0.0,
-                   rng: np.random.Generator | None = None,
-                   burn: int = 500) -> np.ndarray:
-    """Simulated returns from the model, Gaussian shocks, burn-in discarded."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=np.float64))
-    gammas = np.atleast_1d(np.asarray(gammas, dtype=np.float64))
-    persistence = float(alphas.sum() + gammas.sum() + leverage / 2.0)
-    if not omega > 0 or persistence >= 1:
-        raise DataError("simulation parameters must be stationary")
-    p, q = alphas.shape[0], gammas.shape[0]
-    total = n + burn
-    z = rng.standard_normal(total)
-    hv = omega / (1.0 - persistence)
-    eps = np.zeros(total)
-    hbuf = np.full(max(q, 1), hv)
-    ebuf = np.zeros(max(p, 1))
-    nbuf = np.zeros(max(p, 1), dtype=bool)
-    r = np.empty(total)
-    prev_r = mu / (1.0 - phi) if phi else mu
-    for t in range(total):
-        h = omega
-        for i in range(p):
-            h += alphas[i] * ebuf[i]
-        if leverage and p:
-            h += leverage * ebuf[0] * nbuf[0]
-        for j in range(q):
-            h += gammas[j] * hbuf[j]
-        e = z[t] * math.sqrt(h)
-        r[t] = mu + phi * prev_r + e if phi else mu + e
-        prev_r = r[t]
-        if p:
-            ebuf[1:] = ebuf[:-1]
-            nbuf[1:] = nbuf[:-1]
-            ebuf[0] = e * e
-            nbuf[0] = e < 0
-        if q:
-            hbuf[1:] = hbuf[:-1]
-            hbuf[0] = h
-    return r[burn:]
 
 
 # ---------------------------------------------------------------------------

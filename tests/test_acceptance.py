@@ -18,11 +18,11 @@ from microstrat.backtest import Account, CostModel, EngineConfig, compute_metric
 from microstrat.cli import main as cli_main
 from microstrat.denoise import denoise, haar_dwt, haar_idwt, max_level
 from microstrat.errors import NonConvergenceError
-from microstrat.marketdata import SynthSpec, TickSeries, synth_ticks
+from microstrat.marketdata import SynthSpec, TickSeries, simulate_garch, synth_ticks
 from microstrat.stats import adf_test, granger_test
 from microstrat.strategy import SIDE_BUY, SIDE_SELL, StrategyConfig
 from microstrat.svm import Kernel, predict, train_smo
-from microstrat.volatility import GarchSpec, fit_garch, garch_loglik, simulate_garch
+from microstrat.volatility import GarchSpec, fit_garch, garch_loglik
 from microstrat.vpin import bucket_fill, default_bucket_volume, vpin_from_ticks
 
 
@@ -57,8 +57,7 @@ def test_criterion_1_vpin_bounds_and_conservation():
     template = synth_ticks(SynthSpec(count=200_000, seed=1))
     rng = np.random.default_rng(2)
     up = 3000.0 + np.cumsum(10.0 + 0.01 * rng.standard_normal(len(template)))
-    all_buy = TickSeries(template.ts, up, template.volume, None, None,
-                         calendar=template.calendar)
+    all_buy = TickSeries(template.ts, up, template.volume)
     buy_min = float(vpin_from_ticks(all_buy).values.min())
     assert buy_min > 0.999
     elapsed = time.perf_counter() - t0
@@ -74,8 +73,8 @@ def test_criterion_2_garch_recovery():
     hits = 0
     fails = 0
     for seed in range(20):
-        r = simulate_garch(20_000, 1e-6, [0.05], [0.90],
-                           rng=np.random.default_rng(seed))
+        r = simulate_garch(np.random.default_rng(seed).standard_normal(20_000),
+                           1e-6, 0.05, 0.90)
         try:
             fit = fit_garch(r, spec)
         except NonConvergenceError:
@@ -86,8 +85,7 @@ def test_criterion_2_garch_recovery():
             hits += 1
     assert hits >= 18
 
-    r0 = simulate_garch(20_000, 1e-6, [0.05], [0.90],
-                        rng=np.random.default_rng(0))
+    r0 = simulate_garch(np.random.default_rng(0).standard_normal(20_000), 1e-6, 0.05, 0.90)
     theta = np.array([1e-6, 0.05, 0.90])
     _, grad = garch_loglik(theta, r0, spec)
     fd = np.empty_like(theta)
@@ -284,8 +282,7 @@ def test_criterion_8_no_lookahead(ticks4, base_run):
         shift = ticks4.ts >= cut
         moved = TickSeries(ticks4.ts, ticks4.price + 25.0 * shift,
                            ticks4.volume, ticks4.bid1 + 25.0 * shift,
-                           ticks4.ask1 + 25.0 * shift,
-                           calendar=ticks4.calendar)
+                           ticks4.ask1 + 25.0 * shift)
         other = run_backtest(moved, StrategyConfig())
         base_rows = [s for s in base_run.signal_log if s.ts <= cut]
         other_rows = [s for s in other.signal_log if s.ts <= cut]

@@ -445,8 +445,7 @@ def test_no_lookahead_signals_unchanged_by_future_shift(ticks, full_run):
     shifted = TickSeries(ticks.ts, ticks.price + 25.0 * shift,
                          ticks.volume,
                          None if ticks.bid1 is None else ticks.bid1 + 25.0 * shift,
-                         None if ticks.ask1 is None else ticks.ask1 + 25.0 * shift,
-                         calendar=ticks.calendar)
+                         None if ticks.ask1 is None else ticks.ask1 + 25.0 * shift)
     other = run_backtest(shifted, StrategyConfig())
     base_rows = [s for s in full_run.signal_log if s.ts <= cut]
     other_rows = [s for s in other.signal_log if s.ts <= cut]
@@ -466,12 +465,26 @@ def test_no_lookahead_prefix_property(seed, k):
     end = int(np.unique(ticks.ts // NS_PER_DAY)[k]) * NS_PER_DAY
     n = int(np.searchsorted(ticks.ts, end))
     prefix = TickSeries(ticks.ts[:n], ticks.price[:n], ticks.volume[:n],
-                        ticks.bid1[:n], ticks.ask1[:n], calendar=ticks.calendar)
+                        ticks.bid1[:n], ticks.ask1[:n])
     full = run_variants(ticks, StrategyConfig(), engine=eng)
     part = run_variants(prefix, StrategyConfig(), engine=eng)
     for tag, res in full.items():
         assert part[tag].signal_log == tuple(s for s in res.signal_log if s.ts < end)
         assert part[tag].trades == tuple(tr for tr in res.trades if tr.ts < end)
+
+
+def test_sub_second_bars_annualize_by_bars_per_session():
+    """500 ms bars on 5 s ticks: each 2-hour session holds 14,400 bar
+    slots, and the metrics annualize over 28,800 bars a day."""
+    ticks = synth_ticks(SynthSpec(count=2 * 2880, seed=3, phi=0.15, omega=2e-8,
+                                  alpha=0.08, beta=0.88, tick_interval_ms=5000))
+    eng = EngineConfig(bar_interval_ns=500_000_000, garch_window=200,
+                       garch_refit_every=1440, garch_min_obs=100, delta1_every=30)
+    res = run_backtest(ticks, StrategyConfig(use_vpin=False, use_svm=False),
+                       engine=eng)
+    assert res.report.trade_count > 0
+    m = compute_metrics(res.equity, res.benchmark, 28_800 * eng.trading_days_per_year)
+    assert res.report.sharpe == m.sharpe
 
 
 def test_engine_preconditions():

@@ -123,6 +123,11 @@ def test_generate_constraint_error(shared, tmp_path, capsys):
     assert not (tmp_path / "resolved_config.json").exists()
     assert run("--out", str(tmp_path), "generate", "--spread", "nan") == 2
     assert "data.spread" in capsys.readouterr().err
+    # an 8,000 s tick interval leaves each 2-hour session without a tick slot
+    assert run("--out", str(tmp_path), "generate", "--tick-interval-ms", "8000000",
+               "-o", str(tmp_path / "x.csv")) == 2
+    assert "tick_interval_ms" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
     assert not (tmp_path / "resolved_config.json").exists()
     ini = tmp_path / "bad.ini"
     ini.write_text("[strategy]\ndelta2 = 0.1\ndelta3 = 0.2\n")
@@ -137,7 +142,9 @@ def test_generate_constraint_error(shared, tmp_path, capsys):
     ("svm", "kernel_sigma", "-1"), ("svm", "c", "-1"), ("svm", "tol", "0"),
     ("svm", "min_rows", "5"), ("svm", "max_rows", "59"),
     ("backtest", "delta1_every", "0"), ("backtest", "garch_refit_every", "0"),
-    ("backtest", "delta1_window", "29"), ("backtest", "sigma_window", "-5")])
+    ("backtest", "delta1_window", "29"), ("backtest", "sigma_window", "-5"),
+    ("backtest", "garch_min_obs", "3000"), ("backtest", "garch_min_obs", "-1"),
+    ("backtest", "trading_days_per_year", "0")])
 def test_bad_engine_value_fails_before_the_run(shared, tmp_path, capsys,
                                               section, key, value):
     ini = tmp_path / "bad.ini"

@@ -10,14 +10,16 @@ from hypothesis import strategies as st
 
 from microstrat.errors import DataError
 from microstrat.marketdata import (
-    SessionCalendar,
+    SESSION_OPENS_NS,
     SynthSpec,
     TickSeries,
     load_ticks,
     log_returns,
     resample,
     save_ticks,
+    session_index,
     session_log_returns,
+    simulate_garch,
     synth_ticks,
 )
 
@@ -66,7 +68,7 @@ def test_tick_series_allows_equal_timestamps():
 
 
 def test_tick_series_rejects_out_of_session_ticks():
-    # 12:00 falls in the lunch break of the default calendar
+    # 12:00 falls in the lunch break
     with pytest.raises(DataError, match="session"):
         series([(43200, 100.0, 1)])
 
@@ -94,11 +96,6 @@ def test_tick_series_rejects_ragged_columns():
     with pytest.raises(DataError):
         TickSeries(np.array([ts_of(34200)]), np.array([100.0, 101.0]),
                    np.array([1], dtype=np.int64))
-
-
-def test_calendar_rejects_overlapping_sessions():
-    with pytest.raises(DataError):
-        SessionCalendar(((100, 200), (150, 300)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +258,10 @@ def test_resample_anchors_at_session_open_and_conserves_volume():
     ticks = synth_ticks(SynthSpec(count=30_000, seed=3))
     interval = 300 * NS_PER_SEC
     bars = resample(ticks, interval)
-    cal = ticks.calendar
     sod = bars.ts % NS_PER_DAY
-    sess = cal.session_index(bars.ts)
+    sess = session_index(bars.ts)
     assert np.all(sess >= 0)
-    assert np.all((sod - cal.opens_ns[sess]) % interval == 0)
+    assert np.all((sod - SESSION_OPENS_NS[sess]) % interval == 0)
     assert bars.volume.sum() == ticks.volume.sum()
 
 
@@ -353,3 +349,20 @@ def test_synth_rejects_non_stationary_parameters():
         SynthSpec(alpha=0.5, beta=0.5)
     with pytest.raises(DataError):
         SynthSpec(phi=1.0)
+
+
+@pytest.mark.parametrize("omega, alpha, beta, leverage", [
+    (1e-6, 0.5, 0.5, 0.0), (1e-6, 0.05, 0.90, 0.1), (0.0, 0.05, 0.90, 0.0),
+    (-1e-6, 0.05, 0.90, 0.0), (math.nan, 0.05, 0.90, 0.0)])
+def test_simulate_garch_rejects_non_stationary_parameters(omega, alpha, beta, leverage):
+    z = np.random.default_rng(0).standard_normal(10)
+    with pytest.raises(DataError, match="stationary"):
+        simulate_garch(z, omega, alpha, beta, leverage=leverage)
+
+
+def test_simulate_garch_with_leverage_matches_unconditional_variance():
+    # a down shock adds leverage * eps^2, on half the shocks on average
+    r = simulate_garch(np.random.default_rng(9).standard_normal(200_000),
+                       1e-6, 0.05, 0.85, leverage=0.08)
+    target = 1e-6 / (1.0 - 0.05 - 0.85 - 0.08 / 2.0)
+    assert abs(np.var(r) / target - 1.0) < 0.15

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from microstrat.errors import DataError
+from microstrat.marketdata import simulate_garch
 from microstrat.stats import (
     _sic_values,
     adf_critical_values,
@@ -16,17 +17,6 @@ from microstrat.stats import (
     jarque_bera,
     ols,
 )
-
-
-def simulate_garch(omega, alpha, beta, n, rng):
-    z = rng.standard_normal(n)
-    h = omega / (1.0 - alpha - beta)
-    eps = np.empty(n)
-    for t in range(n):
-        if t > 0:
-            h = omega + alpha * eps[t - 1] ** 2 + beta * h
-        eps[t] = z[t] * math.sqrt(h)
-    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +281,7 @@ def test_arch_effect_size_on_iid_gaussian():
 def test_arch_effect_detects_volatility_clustering():
     rng = np.random.default_rng(10)
     for _ in range(5):
-        eps = simulate_garch(1e-6, 0.3, 0.6, 5000, rng)
+        eps = simulate_garch(rng.standard_normal(5000), 1e-6, 0.3, 0.6)
         assert arch_effect_test(eps, lags=12).p_value < 0.01
 
 

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from microstrat.errors import DataError
-from microstrat.marketdata import NS_PER_DAY, NS_PER_SEC, BarSeries
+from microstrat.marketdata import NS_PER_DAY, NS_PER_SEC, BarSeries, simulate_garch
 from microstrat.volatility import (
     GarchFit,
     GarchSpec,
@@ -16,7 +16,6 @@ from microstrat.volatility import (
     fit_har_vpin,
     garch_loglik,
     realized_vol,
-    simulate_garch,
 )
 
 
@@ -44,7 +43,7 @@ def central_fd(theta, r, spec):
 
 
 def test_gradient_matches_finite_differences():
-    r = simulate_garch(3000, 1e-6, [0.05], [0.90], rng=np.random.default_rng(7))
+    r = simulate_garch(np.random.default_rng(7).standard_normal(3000), 1e-6, 0.05, 0.90)
     bases = [
         (GarchSpec(1, 1, False, "constant"), np.array([1e-5, 2e-6, 0.08, 0.85])),
         (GarchSpec(1, 2, False, "zero"), np.array([2e-6, 0.10, 0.40, 0.45])),
@@ -65,13 +64,13 @@ def test_gradient_matches_finite_differences():
 
 
 def test_loglik_layout_validated():
-    r = simulate_garch(500, 1e-6, [0.05], [0.9], rng=np.random.default_rng(0))
+    r = simulate_garch(np.random.default_rng(0).standard_normal(500), 1e-6, 0.05, 0.9)
     with pytest.raises(DataError):
         garch_loglik(np.array([1e-6, 0.05]), r, GarchSpec(1, 1))
 
 
 def test_infeasible_point_returns_minus_inf():
-    r = simulate_garch(500, 1e-6, [0.05], [0.9], rng=np.random.default_rng(1))
+    r = simulate_garch(np.random.default_rng(1).standard_normal(500), 1e-6, 0.05, 0.9)
     # strongly negative leverage drives h below zero on the first down tick
     theta = np.array([0.0, 1e-9, 0.0, -5.0, 0.0])
     ll, g = garch_loglik(theta, r, GarchSpec(1, 1, True, "constant"))
@@ -80,7 +79,7 @@ def test_infeasible_point_returns_minus_inf():
 
 
 def test_variance_recursion_reevaluates_exactly():
-    r = simulate_garch(2000, 1e-6, [0.05], [0.45, 0.45], rng=np.random.default_rng(3))
+    r = simulate_garch(np.random.default_rng(3).standard_normal(2000), 1e-6, 0.05, 0.90)
     fit = fit_garch(r, GarchSpec(1, 2, False, "constant"))
     eps = r - fit.mean_params[0]
     n = r.shape[0]
@@ -105,8 +104,8 @@ def test_variance_recursion_reevaluates_exactly():
 def test_garch11_parameter_recovery():
     hits = 0
     for seed in range(5):
-        r = simulate_garch(20000, 1e-6, [0.05], [0.90],
-                           rng=np.random.default_rng(seed))
+        r = simulate_garch(np.random.default_rng(seed).standard_normal(20000),
+                           1e-6, 0.05, 0.90)
         fit = fit_garch(r, GarchSpec(1, 1, False, "constant"))
         assert fit.persistence < 1.0
         assert np.all(fit.cond_variance > 0)
@@ -120,8 +119,8 @@ def test_garch11_parameter_recovery():
 def test_loglik_at_fit_beats_truth():
     spec = GarchSpec(1, 1, False, "constant")
     for seed in (11, 12):
-        r = simulate_garch(20000, 1e-6, [0.05], [0.90],
-                           rng=np.random.default_rng(seed))
+        r = simulate_garch(np.random.default_rng(seed).standard_normal(20000),
+                           1e-6, 0.05, 0.90)
         fit = fit_garch(r, spec)
         ll_true, _ = garch_loglik(np.array([0.0, 1e-6, 0.05, 0.90]), r, spec)
         assert fit.log_likelihood >= ll_true - 1e-6
@@ -135,7 +134,7 @@ def test_iid_normal_variance_level():
 
 
 def test_std_errors_finite_and_named():
-    r = simulate_garch(20000, 1e-6, [0.05], [0.90], rng=np.random.default_rng(31))
+    r = simulate_garch(np.random.default_rng(31).standard_normal(20000), 1e-6, 0.05, 0.90)
     fit = fit_garch(r, GarchSpec(1, 1, False, "constant"))
     table = fit.parameter_table(r)
     assert [row[0] for row in table] == ["mu", "omega", "alpha1", "gamma1"]
@@ -151,8 +150,8 @@ def test_std_errors_finite_and_named():
 def test_tgarch_recovers_leverage_sign():
     pos = 0
     for seed in range(10):
-        r = simulate_garch(20000, 1e-6, [0.05], [0.88], leverage=0.05,
-                           rng=np.random.default_rng(100 + seed))
+        r = simulate_garch(np.random.default_rng(100 + seed).standard_normal(20000),
+                           1e-6, 0.05, 0.88, leverage=0.05)
         fit = fit_garch(r, GarchSpec(leverage=True))
         pos += fit.leverage_coef > 0
     assert pos >= 9
@@ -161,8 +160,8 @@ def test_tgarch_recovers_leverage_sign():
 def test_tgarch_on_symmetric_data_gives_null_leverage():
     within = 0
     for seed in range(10):
-        r = simulate_garch(10000, 1e-6, [0.05], [0.90],
-                           rng=np.random.default_rng(200 + seed))
+        r = simulate_garch(np.random.default_rng(200 + seed).standard_normal(10000),
+                           1e-6, 0.05, 0.90)
         fit = fit_garch(r, GarchSpec(leverage=True))
         lam_se = dict((n, s) for n, _, s in fit.parameter_table(r))["lambda"]
         within += abs(fit.leverage_coef) <= 2.0 * lam_se
@@ -183,7 +182,7 @@ def test_fit_rejects_bad_input():
 
 
 def test_fit_is_deterministic():
-    r = simulate_garch(5000, 1e-6, [0.05], [0.90], rng=np.random.default_rng(17))
+    r = simulate_garch(np.random.default_rng(17).standard_normal(5000), 1e-6, 0.05, 0.90)
     a = fit_garch(r)
     b = fit_garch(r)
     assert np.array_equal(a.theta(), b.theta())
@@ -194,7 +193,7 @@ def test_fit_is_deterministic():
 
 
 def test_forecast_one_step_is_exact():
-    r = simulate_garch(5000, 1e-6, [0.05], [0.90], rng=np.random.default_rng(5))
+    r = simulate_garch(np.random.default_rng(5).standard_normal(5000), 1e-6, 0.05, 0.90)
     fit = fit_garch(r)
     manual = fit.omega
     manual += fit.alphas[0] * fit.residuals[-1] ** 2
@@ -203,12 +202,12 @@ def test_forecast_one_step_is_exact():
 
 
 def test_forecast_mean_paths():
-    r = simulate_garch(5000, 1e-6, [0.05], [0.90], rng=np.random.default_rng(6))
+    r = simulate_garch(np.random.default_rng(6).standard_normal(5000), 1e-6, 0.05, 0.90)
     zero_fit = fit_garch(r, GarchSpec(1, 1, False, "zero"))
     assert GarchState(zero_fit).mean_forecast() == 0.0
 
-    r2 = simulate_garch(10000, 1e-6, [0.05], [0.90], mu=1e-5, phi=0.3,
-                        rng=np.random.default_rng(8))
+    r2 = simulate_garch(np.random.default_rng(8).standard_normal(10000), 1e-6, 0.05, 0.90,
+                        mu=1e-5, phi=0.3)
     ar_fit = fit_garch(r2, GarchSpec(1, 1, False, "ar1"))
     mu, phi = ar_fit.mean_params
     assert GarchState(ar_fit).mean_forecast() == mu + phi * ar_fit.last_return
@@ -219,8 +218,8 @@ def test_forecast_mean_paths():
     GarchSpec(2, 1, True, "constant"), GarchSpec(1, 0, False, "zero"),
     GarchSpec(1, 2, True, "zero")], ids=str)
 def test_stepper_continues_the_in_sample_filter(spec):
-    x = simulate_garch(1500, 1e-6, [0.05], [0.88], leverage=0.04, mu=1e-5,
-                       phi=0.2, rng=np.random.default_rng(23))
+    x = simulate_garch(np.random.default_rng(23).standard_normal(1500), 1e-6, 0.05, 0.88,
+                       leverage=0.04, mu=1e-5, phi=0.2)
     n = 1200
     fit = fit_garch(x[:n], spec)
     state = GarchState(fit)
