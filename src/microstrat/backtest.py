@@ -566,6 +566,12 @@ def _market_state(ticks: TickSeries, cfg: StrategyConfig, eng: EngineConfig,
     """The bars and their returns, then one stage per layer. The threshold
     and SVM stages run only with `vpin` and `svm`, so a run pays for no layer
     it does not use."""
+    # checked here, not in EngineConfig: [garch] p and q also set the garch
+    # command's model, which garch_min_obs does not bound
+    spec = eng.garch_spec
+    if eng.garch_min_obs < spec.min_obs:
+        raise DataError(f"GARCH({spec.p},{spec.q}) needs garch_min_obs >= "
+                        f"{spec.min_obs}, got {eng.garch_min_obs}")
     bars = resample(ticks, eng.bar_interval_ns)
     day_codes = bars.ts // NS_PER_DAY
     days = np.unique(day_codes)

@@ -28,7 +28,11 @@ before the first observation.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +76,11 @@ class GarchSpec:
     @property
     def n_params(self) -> int:
         return self.n_mean + 1 + self.p + int(self.leverage) + self.q
+
+    @property
+    def min_obs(self) -> int:
+        """The fewest returns `fit_garch` accepts."""
+        return 50 * (self.p + self.q)
 
     def param_names(self) -> tuple[str, ...]:
         names = {"zero": [], "constant": ["mu"], "ar1": ["mu", "phi"]}[self.mean_model]
@@ -153,6 +162,45 @@ class HarVpinFit:
 # ---------------------------------------------------------------------------
 
 
+def _lfilter_kernel():
+    """`_linear_filter(b, a, x, axis[, zi])`, the compiled kernel that
+    `scipy.signal.lfilter` calls whenever len(a) > 1.
+
+    Importing `scipy.signal` runs its package init, which loads about a dozen
+    scipy subpackages; this loads only the kernel's extension module, once.
+    It goes into `sys.modules` under its full name, so a later `import
+    scipy.signal` reuses it rather than loading the extension again.
+    """
+    name = "scipy.signal._sigtools"
+    module = sys.modules.get(name)
+    if module is None:
+        import scipy
+
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(scipy.__path__[0], "signal")])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module._linear_filter
+
+
+def _ar_filter(a_poly: np.ndarray, x: np.ndarray,
+               presample: np.ndarray | None = None) -> np.ndarray:
+    """y with a_poly[0] y_t + a_poly[1] y_{t-1} + ... = x_t, bit for bit
+    `lfilter([1], a_poly, x, zi=lfiltic([1], a_poly, presample))[0]`, where
+    `presample` holds y_{-1}, y_{-2}, ...; without it the presample is zero.
+    """
+    kernel, unit = _lfilter_kernel(), np.ones(1)
+    if presample is None:
+        return kernel(unit, a_poly, x, -1)
+    # lfiltic's state for a unit numerator and a_poly[0] == 1
+    q = a_poly.shape[0] - 1
+    zi = np.zeros(q)
+    for m in range(q):
+        zi[m] -= np.sum(a_poly[m + 1:] * presample[:q - m], axis=0)
+    return kernel(unit, a_poly, x, -1, zi)[0]
+
+
 def _lag(x: np.ndarray, k: int, fill: float = 0.0) -> np.ndarray:
     out = np.empty_like(x)
     out[:k] = fill
@@ -202,10 +250,7 @@ def _variance_path(theta: np.ndarray, x: np.ndarray, spec: GarchSpec,
     if spec.q == 0:
         h[1:] = forcing[1:]
     else:
-        from scipy.signal import lfilter, lfiltic
-
-        zi = lfiltic([1.0], a_poly, np.full(spec.q, seed_var))
-        h[1:] = lfilter([1.0], a_poly, forcing[1:], zi=zi)[0]
+        h[1:] = _ar_filter(a_poly, forcing[1:], np.full(spec.q, seed_var))
     return h, eps, deps, a_poly
 
 
@@ -245,13 +290,12 @@ def garch_loglik(theta: np.ndarray, r: np.ndarray, spec: GarchSpec,
     neg = eps < 0.0
     dldh = 0.5 * (e2 / h - 1.0) / h
     dlde = -eps / h
-    from scipy.signal import lfilter
 
     def ar_filter(src: np.ndarray) -> np.ndarray:
         # dh/dtheta: the same recursion from a zero seed
         out = np.empty(n)
         out[0] = 0.0
-        out[1:] = src[1:] if q == 0 else lfilter([1.0], a_poly, src[1:])
+        out[1:] = src[1:] if q == 0 else _ar_filter(a_poly, src[1:])
         return out
 
     grad = np.empty(spec.n_params)
@@ -359,8 +403,8 @@ def fit_garch(r: np.ndarray, spec: GarchSpec | None = None) -> GarchFit:
         spec = GarchSpec()
     x = np.asarray(r, dtype=np.float64)
     n = x.shape[0]
-    if n < 50 * (spec.p + spec.q):
-        raise DataError(f"need at least {50 * (spec.p + spec.q)} observations, got {n}")
+    if n < spec.min_obs:
+        raise DataError(f"need at least {spec.min_obs} observations, got {n}")
     if float(np.std(x)) == 0.0:
         raise DataError("cannot fit a constant series")
     seed_var = float(np.var(x))

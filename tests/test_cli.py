@@ -155,6 +155,29 @@ def test_bad_engine_value_fails_before_the_run(shared, tmp_path, capsys,
     assert not (tmp_path / "resolved_config.json").exists()
 
 
+@pytest.mark.parametrize("argv, data, code", [
+    (("garch",), "garch6k.csv", 0),
+    (("backtest",), "two_day.csv", 2),
+    (("backtest", "--variants"), "two_day.csv", 2)],
+    ids=["garch", "backtest", "backtest-variants"])
+def test_garch_orders_bound_only_the_backtest_min_obs(shared, tmp_path, capsys,
+                                                      argv, data, code):
+    # [garch] p and q set both commands' model: the garch command fits
+    # GARCH(2,3), while the backtest stops before its run, since every refit
+    # on fewer than 50 * (2 + 3) returns would fail
+    ini = tmp_path / "orders.ini"
+    ini.write_text("[garch]\np = 2\nq = 3\n")
+    out = tmp_path / "o"
+    assert run("--config", str(ini), "--out", str(out), *argv,
+               str(shared / data)) == code
+    if code:
+        assert "garch_min_obs >= 250, got 200" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+    else:
+        names = [row["parameter"] for row in read_csv(out / "garch.csv")]
+        assert {"alpha2", "gamma3"} <= set(names)
+
+
 # -- config -----------------------------------------------------------------
 
 
@@ -529,7 +552,8 @@ ticks = os.path.join(out, "ticks.csv")
 for name, argv in (
         ("generate", ["generate", "--count", "3000", "--phi", "0.15", "-o", ticks]),
         ("report", ["report", report]),
-        ("vpin", ["vpin", ticks, "--window", "10"])):
+        ("vpin", ["vpin", ticks, "--window", "10"]),
+        ("garch", ["garch", ticks])):
     assert cli.main(["--out", out, *argv]) == 0, name
     seen[name] = scipy_loaded()
 with open(sys.argv[1], "w") as fh:
@@ -566,6 +590,11 @@ def test_scipy_loads_only_in_the_functions_that_use_it(tmp_path):
         <= set(seen["modules"])
     assert "scipy.signal" not in seen["vpin"]
     assert "scipy.optimize" not in seen["vpin"]
+    # the GARCH filter loads its compiled kernel without the scipy.signal
+    # package, whose init imports about a dozen scipy subpackages
+    assert "scipy.signal" not in seen["garch"]
+    assert "scipy.signal._sigtools" in seen["garch"]
+    assert "scipy.optimize" in seen["garch"]
 
 
 @pytest.mark.parametrize("preset,expected", [(None, "4"), ("28", "28")])

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import microstrat
 from microstrat.errors import DataError
 from microstrat.marketdata import NS_PER_DAY, NS_PER_SEC, BarSeries, simulate_garch
 from microstrat.volatility import (
@@ -262,6 +266,46 @@ def test_stepper_equals_filter_property(p, q, leverage, mean_model, data):
     stepped = [state.update(float(r)) for r in x[n:]]
     whole, _, _, _ = _variance_path(theta, x, spec, seed_var, rbar)
     np.testing.assert_allclose(stepped, whole[n:], rtol=1e-12, atol=0.0)
+
+
+# Runs in a fresh interpreter, so `scipy.signal` is first imported after the
+# filter has loaded its kernel and must reuse that module.
+_KERNEL_PROBE = """
+import sys
+import numpy as np
+from microstrat.volatility import _ar_filter
+
+rng = np.random.default_rng(5)
+cases = []
+for q in (1, 2, 3) * 10:
+    a_poly = np.concatenate([[1.0], -rng.uniform(0.0, 0.95 / q, q)])
+    x = rng.uniform(1e-7, 1e-5, 500)
+    presample = rng.uniform(1e-7, 1e-5, q)
+    cases.append((a_poly, x, presample,
+                  _ar_filter(a_poly, x), _ar_filter(a_poly, x, presample)))
+kernel = sys.modules["scipy.signal._sigtools"]
+assert "scipy.signal" not in sys.modules
+
+from scipy.signal import lfilter, lfiltic
+
+assert sys.modules["scipy.signal._sigtools"] is kernel
+for a_poly, x, presample, bare, seeded in cases:
+    zi = lfiltic([1.0], a_poly, presample)
+    np.testing.assert_array_equal(bare.view(np.int64),
+                                  lfilter([1.0], a_poly, x).view(np.int64))
+    np.testing.assert_array_equal(
+        seeded.view(np.int64),
+        lfilter([1.0], a_poly, x, zi=zi)[0].view(np.int64))
+"""
+
+
+def test_ar_filter_matches_lfilter_bit_for_bit():
+    src = os.path.dirname(os.path.dirname(microstrat.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", _KERNEL_PROBE], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- realized volatility ----------------------------------------------------
