@@ -29,7 +29,6 @@ through a double-entry ledger whose residual is tracked and exposed.
 """
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -162,7 +161,6 @@ class Trade:
     qty: int
     price: float
     fee: float
-    realized: float
     position_after: int
     cash_after: float
     kind: str  # open | close | stop | margin-call
@@ -211,7 +209,6 @@ class BacktestResult:
     signal_log: tuple[SignalRecord, ...]
     margin_calls: int
     max_ledger_residual: float
-    data_hash: str
     garch_failures: int  # refits that raised; the previous fit stays in use
     svm_failures: int  # the same for SVM refits; 0 when the gate is off
 
@@ -262,7 +259,7 @@ class Account:
         self.position = qty if side == SIDE_BUY else -qty
         self.entry_price = price
         self._book(self.cash - cash0, self.margin_held - margin0, fee, 0.0)
-        return Trade(ts, side, qty, price, fee, 0.0, self.position, self.cash, kind)
+        return Trade(ts, side, qty, price, fee, self.position, self.cash, kind)
 
     def close(self, ts: int, price: float, kind: str = "close") -> Trade:
         if self.position == 0:
@@ -279,7 +276,7 @@ class Account:
         self.position = 0
         self.entry_price = 0.0
         self._book(self.cash - cash0, self.margin_held - margin0, fee, realized)
-        return Trade(ts, side, qty, price, fee, realized, 0, self.cash, kind)
+        return Trade(ts, side, qty, price, fee, 0, self.cash, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +323,6 @@ def compute_metrics(equity: np.ndarray, benchmark: np.ndarray,
                    alpha=alpha, beta=beta, max_drawdown=dd, sharpe=sharpe)
 
 
-def _data_hash(ticks: TickSeries) -> str:
-    digest = hashlib.md5()
-    digest.update(ticks.ts.tobytes())
-    digest.update(ticks.price.tobytes())
-    digest.update(ticks.volume.tobytes())
-    return digest.hexdigest()
-
-
 def variant_tag(cfg: StrategyConfig) -> str:
     return "G" + ("+V" if cfg.use_vpin else "") + ("+S" if cfg.use_svm else "")
 
@@ -357,7 +346,6 @@ class _MarketState:
     """
 
     ticks: TickSeries
-    data_hash: str
     decision_ts: np.ndarray
     closes: np.ndarray
     day_ord: np.ndarray
@@ -602,7 +590,7 @@ def _market_state(ticks: TickSeries, cfg: StrategyConfig, eng: EngineConfig,
         svm_pred, svm_failures = _svm_path(z, rets, h, vpin_now, day_starts, eng)
 
     return _MarketState(
-        ticks=ticks, data_hash=_data_hash(ticks), decision_ts=decision_ts,
+        ticks=ticks, decision_ts=decision_ts,
         closes=bars.close, day_ord=day_ord, first_trading=first_trading,
         price_idx=(np.searchsorted(ticks.ts, decision_ts, side="left") - 1).tolist(),
         vpin_now=vpin_now, z=z, stop_sigma=_stop_sigma(bars.close, eng.sigma_window),
@@ -736,7 +724,6 @@ def _replay(state: _MarketState, cfg: StrategyConfig, costs: CostModel,
                           signal_log=tuple(signal_log),
                           margin_calls=margin_calls,
                           max_ledger_residual=account.max_residual,
-                          data_hash=state.data_hash,
                           garch_failures=state.garch_failures,
                           svm_failures=state.svm_failures if cfg.use_svm else 0)
 

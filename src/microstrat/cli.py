@@ -19,6 +19,7 @@ import logging
 import math
 import os
 import sys
+import warnings
 from dataclasses import fields
 
 # An idle OpenBLAS worker spins for about 2**28 cycles before it sleeps. The
@@ -163,9 +164,13 @@ def cmd_garch(args, cfg: RunConfig, out_dir: str) -> int:
 
 def cmd_svm_train(args, cfg: RunConfig, out_dir: str) -> int:
     try:
-        table = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # no data rows
+            table = np.loadtxt(args.data, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
         raise DataError(f"{args.data}: not a numeric feature CSV: {exc}") from exc
+    if table.shape[0] == 0:
+        raise DataError(f"{args.data}: no data rows")
     if table.shape[1] < 2:
         raise DataError("feature CSV needs at least one feature and a label")
     X, y = table[:, :-1], table[:, -1]

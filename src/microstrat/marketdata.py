@@ -111,27 +111,17 @@ class TickSeries:
 
 @dataclass(frozen=True)
 class BarSeries:
-    """Close and volume bars on a fixed interval; bars never span a session
-    break."""
+    """Bar start times and closing prices; bars never span a session break."""
 
-    interval_ns: int
     ts: np.ndarray
     close: np.ndarray
-    volume: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.interval_ns <= 0:
-            raise DataError("bar interval must be positive")
         object.__setattr__(self, "close", np.ascontiguousarray(self.close, dtype=np.float64))
         object.__setattr__(self, "ts", np.ascontiguousarray(self.ts, dtype=np.int64))
-        object.__setattr__(self, "volume", np.ascontiguousarray(self.volume, dtype=np.int64))
         n = self.ts.shape[0]
-        if self.close.shape[0] != n or self.volume.shape[0] != n:
+        if self.close.shape[0] != n:
             raise DataError("bar columns must have equal length")
-        if n == 0:
-            return
-        if np.any(self.volume < 0):
-            raise DataError("bar volume must be non-negative")
         if n > 1 and np.any(np.diff(self.ts) <= 0):
             raise DataError("bar timestamps must strictly increase")
 
@@ -258,7 +248,8 @@ def session_log_returns(bars: BarSeries) -> np.ndarray:
 
 
 def resample(ticks: TickSeries, interval_ns: int) -> BarSeries:
-    """Aggregate ticks into close and volume bars of the given interval.
+    """Aggregate ticks into bars of the given interval, each closing at the
+    price of its last tick.
 
     Bar boundaries are anchored at each session open, so no bar spans a
     session break. Intervals containing no ticks produce no bar.
@@ -278,9 +269,7 @@ def resample(ticks: TickSeries, interval_ns: int) -> BarSeries:
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     ends = np.r_[starts[1:], len(ticks)]
     bar_ts = day[starts] * NS_PER_DAY + open_ns[starts] + bar_in_sess[starts] * interval_ns
-    closes = ticks.price[ends - 1]
-    vols = np.add.reduceat(ticks.volume, starts)
-    return BarSeries(interval_ns, bar_ts, closes, vols)
+    return BarSeries(bar_ts, ticks.price[ends - 1])
 
 
 # ---------------------------------------------------------------------------

@@ -81,8 +81,6 @@ class OlsFit:
     coefficients: np.ndarray
     standard_errors: np.ndarray
     residuals: np.ndarray
-    r_squared: float
-    log_likelihood: float
     n_obs: int
 
     @property
@@ -94,14 +92,12 @@ class OlsFit:
 class TestResult:
     """A scalar hypothesis test: statistic, p-value, rejection at 5%.
 
-    `df` carries chi-squared or (numerator, denominator) F degrees of
-    freedom; `critical_values` and `lag` are populated by the ADF test.
+    `critical_values` and `lag` are populated by the ADF test.
     """
 
     statistic: float
     p_value: float
     reject_at_5pct: bool
-    df: int | tuple[int, int] | None = None
     critical_values: dict[str, float] | None = None
     lag: int | None = None
 
@@ -142,13 +138,7 @@ def ols(X: np.ndarray, y: np.ndarray) -> OlsFit:
     sigma2 = ssr / (n - k)
     cov = sigma2 * np.linalg.inv(X.T @ X)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    tss = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 - ssr / tss if tss > 0 else 0.0
-    if ssr > 0:
-        llf = -0.5 * n * (math.log(2.0 * math.pi) + math.log(ssr / n) + 1.0)
-    else:
-        llf = math.inf
-    return OlsFit(coef, se, residuals, r_squared, llf, n)
+    return OlsFit(coef, se, residuals, n)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +168,7 @@ def jarque_bera(r: np.ndarray) -> TestResult:
     kurt = float(np.mean(d**4)) / (m2 * m2)
     jb = n / 6.0 * (skew * skew + 0.25 * (kurt - 3.0) ** 2)
     p = chi2_sf(jb, 2)
-    return TestResult(statistic=jb, p_value=p, reject_at_5pct=p < 0.05, df=2)
+    return TestResult(statistic=jb, p_value=p, reject_at_5pct=p < 0.05)
 
 
 def arch_effect_test(r: np.ndarray, lags: int = 12) -> TestResult:
@@ -200,7 +190,7 @@ def arch_effect_test(r: np.ndarray, lags: int = 12) -> TestResult:
         q += rho * rho / (n - k)
     q *= n * (n + 2.0)
     p = chi2_sf(q, lags)
-    return TestResult(statistic=q, p_value=p, reject_at_5pct=p < 0.05, df=lags)
+    return TestResult(statistic=q, p_value=p, reject_at_5pct=p < 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +324,7 @@ def _granger_one_way(cause: np.ndarray, effect: np.ndarray, lag: int) -> TestRes
     else:
         stat = max((ssr_r - ssr_u) / lag / (ssr_u / df_den), 0.0)
         p = f_sf(stat, lag, df_den)
-    return TestResult(statistic=stat, p_value=p, reject_at_5pct=p < 0.05,
-                      df=(lag, df_den))
+    return TestResult(statistic=stat, p_value=p, reject_at_5pct=p < 0.05)
 
 
 def granger_test(x: np.ndarray, y: np.ndarray, lag: int = 2) -> GrangerResult:

@@ -1,4 +1,4 @@
-"""GARCH-family estimation, a one-step stepper, realized volatility, HAR-VPIN.
+"""GARCH-family estimation and a one-step out-of-sample stepper.
 
 The conditional variance h_t = a0 + sum_i a_i e_{t-i}^2 + lam e_{t-1}^2
 1[e_{t-1}<0] + sum_j g_j h_{t-j} is computed here and nowhere else, by two
@@ -38,8 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NonConvergenceError
-from .marketdata import BarSeries, session_log_returns
-from .stats import OlsFit, ols
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -143,18 +141,6 @@ class GarchFit:
                                  float(np.mean(x)))
         return [(n, float(v), float(s))
                 for n, v, s in zip(self.spec.param_names(), theta, se)]
-
-
-@dataclass(frozen=True)
-class HarVpinFit:
-    beta0: float
-    betaF: float
-    betaH: float
-    betaD: float
-    betaV: float
-    betaVPIN: float
-    horizon: int
-    diagnostics: OlsFit
 
 
 # ---------------------------------------------------------------------------
@@ -527,54 +513,3 @@ class GarchState:
         self.r_last = r
         return h
 
-
-# ---------------------------------------------------------------------------
-# Realized volatility and HAR-VPIN
-# ---------------------------------------------------------------------------
-
-
-def realized_vol(bars: BarSeries, blocks: int) -> np.ndarray:
-    """Rolling sum of squared session log returns over `blocks` bars.
-
-    Returns are `session_log_returns`, so a return across a session break
-    (lunch or overnight) adds nothing. Aligned with the input bars; the
-    first `blocks` positions are NaN.
-    """
-    if blocks < 1:
-        raise DataError("blocks must be >= 1")
-    n = len(bars)
-    if blocks >= n:
-        raise DataError(f"need more than {blocks} bars, got {n}")
-    r2 = np.nan_to_num(session_log_returns(bars)[1:] ** 2)
-    csum = np.concatenate([[0.0], np.cumsum(r2)])
-    rv = np.full(n, np.nan)
-    rv[blocks:] = csum[blocks:] - csum[:-blocks]
-    return rv
-
-
-def fit_har_vpin(rv_f: np.ndarray, rv_h: np.ndarray, rv_d: np.ndarray,
-                 volume: np.ndarray, vpin: np.ndarray,
-                 horizon: int = 1) -> HarVpinFit:
-    """OLS of the next-`horizon` realized variance on the HAR terms and VPIN."""
-    if horizon < 1:
-        raise DataError("horizon must be >= 1")
-    cols = [np.asarray(c, dtype=np.float64).ravel()
-            for c in (rv_f, rv_h, rv_d, volume, vpin)]
-    n = cols[0].shape[0]
-    if any(c.shape[0] != n for c in cols):
-        raise DataError("HAR inputs must be aligned")
-    if n < 100:
-        raise DataError(f"need at least 100 aligned observations, got {n}")
-    # forward target: realized variance accumulated over the next H blocks
-    fcs = np.concatenate([[0.0], np.cumsum(cols[0])])
-    target = np.full(n, np.nan)
-    target[:n - horizon] = fcs[1 + horizon:] - fcs[1:n - horizon + 1]
-    keep = np.isfinite(target)
-    for c in cols:
-        keep &= np.isfinite(c)
-    X = np.column_stack([np.ones(int(keep.sum()))] + [c[keep] for c in cols])
-    fit = ols(X, target[keep])
-    b = fit.coefficients
-    return HarVpinFit(beta0=float(b[0]), betaF=float(b[1]), betaH=float(b[2]),
-                      betaD=float(b[3]), betaV=float(b[4]), betaVPIN=float(b[5]),
-                      horizon=horizon, diagnostics=fit)

@@ -1,3 +1,4 @@
+import ast
 import copy
 import csv
 import importlib.util
@@ -5,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +409,15 @@ def test_svm_train_rejects_bad_labels(tmp_path, capsys):
     assert "label" in capsys.readouterr().err
 
 
+def test_svm_train_rejects_a_header_only_csv(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("a,label\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("--out", str(tmp_path), "svm-train", str(empty)) == 2
+    assert f"{empty}: no data rows" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("max_iter", ["0", "-4"])
 def test_svm_train_rejects_non_positive_max_iter(tmp_path, capsys, max_iter):
     feats = tmp_path / "features.csv"
@@ -604,3 +615,27 @@ def test_cli_import_shortens_openblas_thread_timeout_unless_set(
     # least timeout before numpy loads, and keeps a value the user has set
     assert _run_import_probe(tmp_path, preset)["openblas_thread_timeout"] \
         == expected
+
+
+def test_every_public_name_is_reached_from_the_package():
+    # a public top-level function or class stays only if some code in the
+    # package refers to it (a name, an attribute or an import) outside its
+    # own definition
+    pkg = Path(microstrat.__file__).parent
+    public, refs = set(), set()
+    for path in sorted(pkg.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
+                    and not stmt.name.startswith("_"):
+                owner = f"{path.stem}.{stmt.name}"
+                public.add((owner, stmt.name))
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        node.name if isinstance(node, ast.alias) else None)
+                if name is not None:
+                    refs.add((name, owner))
+    unreached = sorted(owner for owner, name in public
+                       if not any(n == name and o != owner for n, o in refs))
+    assert unreached == []

@@ -10,25 +10,15 @@ from hypothesis import strategies as st
 
 import microstrat
 from microstrat.errors import DataError
-from microstrat.marketdata import NS_PER_DAY, NS_PER_SEC, BarSeries, simulate_garch
+from microstrat.marketdata import simulate_garch
 from microstrat.volatility import (
     GarchFit,
     GarchSpec,
     GarchState,
     _variance_path,
     fit_garch,
-    fit_har_vpin,
     garch_loglik,
-    realized_vol,
 )
-
-
-def bars_from_closes(closes):
-    closes = np.asarray(closes, dtype=np.float64)
-    n = closes.shape[0]
-    ts = (np.arange(n) + 1) * 300_000_000_000
-    return BarSeries(interval_ns=300_000_000_000, ts=ts, close=closes,
-                     volume=np.ones(n))
 
 
 def central_fd(theta, r, spec):
@@ -307,96 +297,3 @@ def test_ar_filter_matches_lfilter_bit_for_bit():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
-
-# -- realized volatility ----------------------------------------------------
-
-
-def test_realized_vol_constant_prices():
-    rv = realized_vol(bars_from_closes(np.full(60, 3000.0)), 10)
-    assert np.all(np.isnan(rv[:10]))
-    assert np.all(rv[10:] == 0.0)
-
-
-def test_realized_vol_two_block_oracle():
-    closes = [100.0, 100.0 * math.exp(0.01), 100.0 * math.exp(0.01) * math.exp(-0.01)]
-    rv = realized_vol(bars_from_closes(closes), 2)
-    assert rv[2] == pytest.approx(2e-4, rel=1e-12)
-
-
-def test_realized_vol_window_alignment():
-    closes = 100.0 * np.exp(np.cumsum(0.01 * np.random.default_rng(0).standard_normal(50)))
-    rv = realized_vol(bars_from_closes(closes), 5)
-    r2 = np.diff(np.log(closes)) ** 2
-    assert rv[7] == pytest.approx(float(r2[2:7].sum()), rel=1e-12)
-
-
-def test_realized_vol_skips_session_breaks():
-    # one-minute bars at 11:27-11:29 and 13:00-13:02: the 11:29 -> 13:00
-    # return crosses the lunch break, where the 10% jump must not count
-    seconds = np.array([41_220, 41_280, 41_340, 46_800, 46_860, 46_920])
-    closes = np.array([100.0, 101.0, 100.0, 110.0, 111.0, 110.0])
-    bars = BarSeries(interval_ns=60 * NS_PER_SEC,
-                     ts=17_000 * NS_PER_DAY + seconds * NS_PER_SEC,
-                     close=closes, volume=np.ones(6))
-    rv = realized_vol(bars, 5)
-    within = [math.log(101 / 100), math.log(100 / 101),
-              math.log(111 / 110), math.log(110 / 111)]
-    assert rv[5] == pytest.approx(sum(r * r for r in within), rel=1e-12)
-
-
-def test_realized_vol_needs_enough_bars():
-    with pytest.raises(DataError):
-        realized_vol(bars_from_closes(np.full(10, 100.0)), 10)
-    with pytest.raises(DataError):
-        realized_vol(bars_from_closes(np.full(10, 100.0)), 0)
-
-
-# -- HAR with order flow ----------------------------------------------------
-
-
-def har_inputs(n, seed):
-    rng = np.random.default_rng(seed)
-    rv_f = np.empty(n)
-    rv_f[0] = 1.0
-    noise = 0.1 * np.abs(rng.standard_normal(n)) + 0.05
-    for t in range(1, n):
-        rv_f[t] = 0.5 * rv_f[t - 1] + noise[t]
-    rv_h = np.abs(rng.standard_normal(n)) + 1.0
-    rv_d = np.abs(rng.standard_normal(n)) + 1.0
-    volume = rng.uniform(100.0, 200.0, n)
-    vpin = rng.uniform(0.1, 0.9, n)
-    return rv_f, rv_h, rv_d, volume, vpin
-
-
-def test_har_recovers_persistence_coefficient():
-    rv_f, rv_h, rv_d, volume, vpin = har_inputs(2000, 4)
-    fit = fit_har_vpin(rv_f, rv_h, rv_d, volume, vpin, horizon=1)
-    assert abs(fit.betaF - 0.5) <= 0.05
-    se = fit.diagnostics.standard_errors
-    assert abs(fit.betaH) <= 2 * se[2]
-    assert abs(fit.betaD) <= 2 * se[3]
-    assert abs(fit.betaV) <= 2 * se[4]
-    assert abs(fit.betaVPIN) <= 2 * se[5]
-    assert fit.horizon == 1
-
-
-def test_har_longer_horizon_sums_forward_blocks():
-    rv_f, rv_h, rv_d, volume, vpin = har_inputs(500, 3)
-    fit = fit_har_vpin(rv_f, rv_h, rv_d, volume, vpin, horizon=3)
-    # target drops the last 3 rows, so the regression still runs
-    assert fit.diagnostics.n_obs == 497
-
-
-def test_har_rejects_degenerate_inputs():
-    rv_f, rv_h, rv_d, volume, vpin = har_inputs(300, 5)
-    with pytest.raises(DataError):
-        fit_har_vpin(rv_f, rv_h, rv_d, volume, np.full(300, 0.5))
-    with pytest.raises(DataError):
-        fit_har_vpin(np.ones(300), np.ones(300), np.ones(300),
-                     np.ones(300), np.ones(300))
-    with pytest.raises(DataError):
-        fit_har_vpin(rv_f[:99], rv_h[:99], rv_d[:99], volume[:99], vpin[:99])
-    with pytest.raises(DataError):
-        fit_har_vpin(rv_f, rv_h, rv_d, volume[:200], vpin)
-    with pytest.raises(DataError):
-        fit_har_vpin(rv_f, rv_h, rv_d, volume, vpin, horizon=0)
