@@ -172,10 +172,11 @@ def cmd_svm_train(args, cfg: RunConfig, out_dir: str) -> int:
     if table.shape[0] == 0:
         raise DataError(f"{args.data}: no data rows")
     if table.shape[1] < 2:
-        raise DataError("feature CSV needs at least one feature and a label")
+        raise DataError(f"{args.data}: feature CSV needs at least one feature "
+                        "and a label")
     X, y = table[:, :-1], table[:, -1]
     if not np.all(np.isin(y, (-1.0, 1.0))):
-        raise DataError("labels must be -1 or 1")
+        raise DataError(f"{args.data}: labels must be -1 or 1")
     scaler = Scaler.fit(X)
     Xs = scaler.transform(X)
     eng = cfg.engine

@@ -9,7 +9,11 @@ implementations with different jobs:
   `garch_loglik`, every partial derivative of it come from the same IIR
   filter, which keeps the quasi-likelihood and its analytic gradient exact
   and fast. `fit_garch` and `garch_loglik` both call it, and both read the
-  likelihood from its output through `_quasi_loglik`.
+  likelihood from its output through `_quasi_loglik`. The filter and the
+  gradient write every length-n intermediate into a `_Workspace`, which
+  `fit_garch` and the Hessian standard errors allocate once per fit and
+  pass to every evaluation; only the filter kernel's output is allocated
+  per call.
 - Out of sample, `GarchState` advances a fitted model one return at a time
   in Python floats; the backtest engine steps it once per bar.
 
@@ -187,23 +191,61 @@ def _ar_filter(a_poly: np.ndarray, x: np.ndarray,
     return kernel(unit, a_poly, x, -1, zi)[0]
 
 
-def _lag(x: np.ndarray, k: int, fill: float = 0.0) -> np.ndarray:
-    out = np.empty_like(x)
+class _Workspace:
+    """The length-n buffers one fit's likelihood evaluations write into.
+
+    Every call overwrites each buffer before it reads it, so nothing carries
+    over from one call to the next, not even from one that returned early at
+    an infeasible point; reusing a workspace only spares each evaluation the
+    fresh temporaries, whose pages the allocator would hand back and fault
+    in again. Arrays a caller keeps must come from a workspace nothing
+    writes to afterwards.
+    """
+
+    __slots__ = ("eps", "e2", "h", "dldh", "lag", "src", "out")
+
+    def __init__(self, n: int):
+        for name in self.__slots__:
+            setattr(self, name, np.empty(n))
+
+
+def _lag(x: np.ndarray, k: int, out: np.ndarray,
+         fill: float = 0.0) -> np.ndarray:
     out[:k] = fill
     out[k:] = x[:-k]
     return out
 
 
+def _lag_negative(x: np.ndarray, eps: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+    """x * (eps < 0), lagged once."""
+    out[0] = 0.0
+    np.less(eps[:-1], 0.0, out=out[1:])
+    np.multiply(x[:-1], out[1:], out=out[1:])
+    return out
+
+
 def _mean_residuals(theta_mean: np.ndarray, r: np.ndarray, mean_model: str,
-                    r_prev: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Residuals and their derivatives w.r.t. each mean parameter."""
+                    r_prev: float, work: _Workspace) -> None:
+    """Residuals into work.eps; the AR(1) mean uses work.lag as scratch."""
+    eps = work.eps
     if mean_model == "zero":
-        return r.copy(), []
-    if mean_model == "constant":
-        return r - theta_mean[0], [np.full(r.shape[0], -1.0)]
-    rlag = np.concatenate([[r_prev], r[:-1]])
-    eps = r - theta_mean[0] - theta_mean[1] * rlag
-    return eps, [np.full(r.shape[0], -1.0), -rlag]
+        eps[:] = r
+        return
+    np.subtract(r, theta_mean[0], out=eps)
+    if mean_model == "ar1":
+        rlag = _lag(r, 1, work.lag, fill=r_prev)
+        eps -= np.multiply(theta_mean[1], rlag, out=rlag)
+
+
+def _mean_derivative(m: int, r: np.ndarray, r_prev: float,
+                     out: np.ndarray) -> np.ndarray:
+    """The residuals' derivative w.r.t. mean parameter m: -1 for mu,
+    -r_{t-1} for phi."""
+    if m == 0:
+        out.fill(-1.0)
+        return out
+    return np.negative(_lag(r, 1, out, fill=r_prev), out=out)
 
 
 def _coefficients(theta: np.ndarray, spec: GarchSpec):
@@ -215,46 +257,56 @@ def _coefficients(theta: np.ndarray, spec: GarchSpec):
 
 
 def _variance_path(theta: np.ndarray, x: np.ndarray, spec: GarchSpec,
-                   seed_var: float, r_prev: float):
-    """The in-sample filter at theta.
+                   seed_var: float, r_prev: float,
+                   work: _Workspace | None = None):
+    """The in-sample filter at theta, written into `work` (a fresh
+    workspace when None).
 
-    Returns h, the residuals, the residuals' derivatives with respect to each
-    mean parameter, and the AR polynomial [1, -gamma_1..q] of h.
+    Returns h, the residuals and their squares, which are the workspace's
+    own arrays, and the AR polynomial [1, -gamma_1..q] of h.
     """
+    if work is None:
+        work = _Workspace(x.shape[0])
     omega, alphas, lam, gammas = _coefficients(theta, spec)
-    eps, deps = _mean_residuals(theta[:spec.n_mean], x, spec.mean_model, r_prev)
-    e2 = eps * eps
-    forcing = np.full(x.shape[0], omega)
+    _mean_residuals(theta[:spec.n_mean], x, spec.mean_model, r_prev, work)
+    eps, e2, h, lag = work.eps, work.e2, work.h, work.lag
+    np.multiply(eps, eps, out=e2)
+    # the forcing term, filtered in place below
+    h.fill(omega)
     for i in range(1, spec.p + 1):
-        forcing += alphas[i - 1] * _lag(e2, i)
+        h += np.multiply(alphas[i - 1], _lag(e2, i, lag), out=lag)
     if spec.leverage:
-        forcing += lam * _lag(e2 * (eps < 0.0), 1)
+        h += np.multiply(lam, _lag_negative(e2, eps, lag), out=lag)
     a_poly = np.concatenate([[1.0], -gammas])
     # recursion runs from t=1; position 0 is the (parameter-free) seed
-    h = np.empty(x.shape[0])
     h[0] = seed_var
-    if spec.q == 0:
-        h[1:] = forcing[1:]
-    else:
-        h[1:] = _ar_filter(a_poly, forcing[1:], np.full(spec.q, seed_var))
-    return h, eps, deps, a_poly
+    if spec.q:
+        h[1:] = _ar_filter(a_poly, h[1:], np.full(spec.q, seed_var))
+    return h, eps, e2, a_poly
 
 
-def _quasi_loglik(h: np.ndarray, eps: np.ndarray) -> float:
-    """Gaussian quasi log-likelihood of residuals eps with variances h; -inf
-    when some h_t is not positive and finite."""
+def _quasi_loglik(work: _Workspace) -> float:
+    """Gaussian quasi log-likelihood of the residuals in `work` given its
+    variances h; -inf when some h_t is not positive and finite. Uses
+    work.dldh and work.out as scratch."""
+    h = work.h
     if not np.all(np.isfinite(h)) or np.any(h <= 0.0):
         return -math.inf
-    return -0.5 * float(np.sum(LOG_2PI + np.log(h) + eps * eps / h))
+    terms, ratio = work.dldh, work.out
+    np.add(LOG_2PI, np.log(h, out=terms), out=terms)
+    terms += np.divide(work.e2, h, out=ratio)
+    return -0.5 * float(np.sum(terms))
 
 
 def garch_loglik(theta: np.ndarray, r: np.ndarray, spec: GarchSpec,
                  seed_var: float | None = None,
-                 r_prev: float | None = None) -> tuple[float, np.ndarray]:
+                 r_prev: float | None = None,
+                 work: _Workspace | None = None) -> tuple[float, np.ndarray]:
     """Gaussian quasi log-likelihood and its gradient in natural parameters.
 
     Layout: [mean params..., omega, alpha_1..p, (lambda,) gamma_1..q].
     Infeasible points (any h_t <= 0) return -inf with a zero gradient.
+    Intermediates go into `work`, a fresh workspace when None.
     """
     x = np.asarray(r, dtype=np.float64)
     n = x.shape[0]
@@ -265,42 +317,50 @@ def garch_loglik(theta: np.ndarray, r: np.ndarray, spec: GarchSpec,
         seed_var = float(np.var(x))
     if r_prev is None:
         r_prev = float(np.mean(x))
-    h, eps, deps, a_poly = _variance_path(theta, x, spec, seed_var, r_prev)
-    ll = _quasi_loglik(h, eps)
+    if work is None:
+        work = _Workspace(n)
+    h, eps, e2, a_poly = _variance_path(theta, x, spec, seed_var, r_prev, work)
+    ll = _quasi_loglik(work)
     if ll == -math.inf:
         return ll, np.zeros(spec.n_params)
 
     nm, p, q = spec.n_mean, spec.p, spec.q
     _, alphas, lam, _ = _coefficients(theta, spec)
-    e2 = eps * eps
-    neg = eps < 0.0
-    dldh = 0.5 * (e2 / h - 1.0) / h
-    dlde = -eps / h
+    dldh, lag, src, out = work.dldh, work.lag, work.src, work.out
+    # dl/dh = 0.5 * (e2 / h - 1) / h
+    np.divide(e2, h, out=dldh)
+    dldh -= 1.0
+    np.multiply(0.5, dldh, out=dldh)
+    dldh /= h
 
-    def ar_filter(src: np.ndarray) -> np.ndarray:
-        # dh/dtheta: the same recursion from a zero seed
-        out = np.empty(n)
+    def dldh_dot_filtered(v: np.ndarray) -> float:
+        # dh/dtheta: the same recursion from a zero seed, into `out`
         out[0] = 0.0
-        out[1:] = src[1:] if q == 0 else _ar_filter(a_poly, src[1:])
-        return out
+        out[1:] = v[1:] if q == 0 else _ar_filter(a_poly, v[1:])
+        return float(dldh @ out)
 
     grad = np.empty(spec.n_params)
-    for m, dm in enumerate(deps):
-        src = np.zeros(n)
+    for m in range(nm):
+        dm = _mean_derivative(m, x, r_prev, src)
+        # dl/de = -eps / h, dotted with dm before `out` is reused
+        direct = float(np.divide(np.negative(eps, out=out), h, out=out) @ dm)
+        deps2 = np.multiply(np.multiply(2.0, eps, out=out), dm, out=out)
+        src.fill(0.0)
         for i in range(1, p + 1):
-            src += alphas[i - 1] * _lag(2.0 * eps * dm, i)
+            src += np.multiply(alphas[i - 1], _lag(deps2, i, lag), out=lag)
         if spec.leverage:
-            src += lam * _lag(2.0 * eps * dm * neg, 1)
-        grad[m] = float(dldh @ ar_filter(src)) + float(dlde @ dm)
-    grad[nm] = float(dldh @ ar_filter(np.ones(n)))
+            src += np.multiply(lam, _lag_negative(deps2, eps, lag), out=lag)
+        grad[m] = dldh_dot_filtered(src) + direct
+    src.fill(1.0)
+    grad[nm] = dldh_dot_filtered(src)
     for i in range(1, p + 1):
-        grad[nm + i] = float(dldh @ ar_filter(_lag(e2, i)))
+        grad[nm + i] = dldh_dot_filtered(_lag(e2, i, lag))
     off = nm + 1 + p
     if spec.leverage:
-        grad[off] = float(dldh @ ar_filter(_lag(e2 * neg, 1)))
+        grad[off] = dldh_dot_filtered(_lag_negative(e2, eps, lag))
         off += 1
     for j in range(1, q + 1):
-        grad[off + j - 1] = float(dldh @ ar_filter(_lag(h, j, fill=seed_var)))
+        grad[off + j - 1] = dldh_dot_filtered(_lag(h, j, lag, fill=seed_var))
     return ll, grad
 
 
@@ -395,10 +455,11 @@ def fit_garch(r: np.ndarray, spec: GarchSpec | None = None) -> GarchFit:
         raise DataError("cannot fit a constant series")
     seed_var = float(np.var(x))
     rbar = float(np.mean(x))
+    work = _Workspace(n)
 
     def objective(raw: np.ndarray):
         theta, omega, s, wts = _raw_to_natural(raw, spec)
-        ll, g = garch_loglik(theta, x, spec, seed_var, rbar)
+        ll, g = garch_loglik(theta, x, spec, seed_var, rbar, work)
         if not math.isfinite(ll):
             return 1e12, np.zeros(raw.shape[0])
         return -ll, -_chain_gradient(g, raw, spec, omega, s, wts)
@@ -414,7 +475,10 @@ def fit_garch(r: np.ndarray, spec: GarchSpec | None = None) -> GarchFit:
             iterations=int(res.nit), gradient_norm=grad_norm)
 
     theta, _, _, _ = _raw_to_natural(res.x, spec)
-    h, eps, _, _ = _variance_path(theta, x, spec, seed_var, rbar)
+    # the fit keeps h and eps, so they come from a new workspace; rebinding
+    # `work` frees the optimizer's before the new one is written
+    work = _Workspace(n)
+    h, eps, _, _ = _variance_path(theta, x, spec, seed_var, rbar, work)
     omega, alphas, lam, gammas = _coefficients(theta, spec)
     return GarchFit(
         spec=spec,
@@ -425,7 +489,7 @@ def fit_garch(r: np.ndarray, spec: GarchSpec | None = None) -> GarchFit:
         mean_params=theta[:spec.n_mean],
         cond_variance=h,
         residuals=eps,
-        log_likelihood=_quasi_loglik(h, eps),
+        log_likelihood=_quasi_loglik(work),
         seed_variance=seed_var,
         last_return=float(x[-1]),
         iterations=int(res.nit),
@@ -435,14 +499,15 @@ def fit_garch(r: np.ndarray, spec: GarchSpec | None = None) -> GarchFit:
 def _hessian_std_errors(theta, x, spec, seed_var, rbar) -> np.ndarray:
     k = theta.shape[0]
     H = np.empty((k, k))
+    work = _Workspace(x.shape[0])
     for idx in range(k):
         step = 6e-6 * max(abs(float(theta[idx])), 1e-8)
         tp = theta.copy()
         tp[idx] += step
-        _, gp = garch_loglik(tp, x, spec, seed_var, rbar)
+        _, gp = garch_loglik(tp, x, spec, seed_var, rbar, work)
         tm = theta.copy()
         tm[idx] -= step
-        _, gm = garch_loglik(tm, x, spec, seed_var, rbar)
+        _, gm = garch_loglik(tm, x, spec, seed_var, rbar, work)
         H[:, idx] = (gp - gm) / (2.0 * step)
     H = 0.5 * (H + H.T)
     try:

@@ -1,6 +1,6 @@
 import logging
 import math
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest

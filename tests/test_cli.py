@@ -406,7 +406,14 @@ def test_svm_train_rejects_bad_labels(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("f0,label\n1.0,2.0\n0.5,1.0\n")
     assert run("--out", str(tmp_path), "svm-train", str(bad)) == 2
-    assert "label" in capsys.readouterr().err
+    assert f"{bad}: labels must be -1 or 1" in capsys.readouterr().err
+
+
+def test_svm_train_rejects_a_label_only_csv(tmp_path, capsys):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("label\n1\n-1\n")
+    assert run("--out", str(tmp_path), "svm-train", str(labels)) == 2
+    assert f"{labels}: feature CSV needs" in capsys.readouterr().err
 
 
 def test_svm_train_rejects_a_header_only_csv(tmp_path, capsys):
