@@ -6,9 +6,9 @@ The market-state pass computes, as per-bar columns, everything that no layer
 switch can change. From the bars it takes the session returns, the stop
 scale `stop_sigma` (the std of the trailing close changes) and the VPIN
 series, with bucket size and price-change scale frozen on the warmup days.
-Then come one stage per layer: GARCH, the only one that walks the bars in
-order, refits on schedule and gives each trading bar its standardized
-one-step forecast `z`; delta1 is recalibrated every `delta1_every` bars; when
+Then come one stage per layer: GARCH refits on schedule and reads each
+trading bar's standardized one-step forecast `z` from the path of the model
+in effect there; delta1 is recalibrated every `delta1_every` bars; when
 a requested variant uses VPIN, the (delta2, delta3) thresholds are fit daily;
 and when one uses the SVM, the stage builds one feature matrix for training
 and one for the gate, trains a model daily on the rows labelled so far, and
@@ -22,8 +22,8 @@ double-entry ledger and the performance indicators. `run_variants`
 therefore shares one market-state pass among its four replays.
 
 Every decision at a bar close uses only data that ended strictly before that
-instant: volatility state advances on each completed session return and VPIN
-reads the latest completed bucket. Entries fill passively at the signalled
+instant: a GARCH forecast has absorbed only completed session returns, and
+VPIN reads the latest completed bucket. Entries fill passively at the signalled
 book side; stops and margin calls pay the spread. Cash, margin and fees move
 through a double-entry ledger whose residual is tracked and exposed.
 """
@@ -59,7 +59,7 @@ from .strategy import (
     svm_gate,
 )
 from .svm import DEFAULT_TOL, Kernel, Scaler, predict, train_smo
-from .volatility import GarchSpec, GarchState, fit_garch
+from .volatility import GarchSpec, fit_garch
 from .vpin import (
     DEFAULT_BUCKETS_PER_DAY,
     DEFAULT_WINDOW,
@@ -144,6 +144,8 @@ class EngineConfig:
         # so shorter windows would never recalibrate or never stop
         if self.delta1_window < 30 or self.sigma_window < 20:
             raise DataError("need delta1_window >= 30 and sigma_window >= 20")
+        if min(self.vpin_window, self.buckets_per_day) < 1:
+            raise DataError("[vpin] window and buckets_per_day must be >= 1")
         if not (math.isfinite(self.initial_delta1) and self.initial_delta1 > 0):
             raise DataError("initial_delta1 must be positive")
         if not (self.svm_kernel_sigma > 0 and self.svm_c > 0 and self.svm_tol > 0):
@@ -223,7 +225,6 @@ class Account:
         self.entry_price = 0.0
         self.margin_held = 0.0
         self.fees_paid = 0.0
-        self.equity_ts: list[int] = []
         self.equity: list[float] = []
         self.max_residual = 0.0
 
@@ -233,9 +234,8 @@ class Account:
     def equity_at(self, price: float) -> float:
         return self.cash + self.margin_held + self.unrealized(price)
 
-    def mark(self, ts: int, price: float) -> float:
+    def mark(self, price: float) -> float:
         eq = self.equity_at(price)
-        self.equity_ts.append(ts)
         self.equity.append(eq)
         return eq
 
@@ -405,35 +405,46 @@ def _stop_sigma(closes: np.ndarray, window: int) -> np.ndarray:
 def _garch_path(rets: np.ndarray, first_trading: int, eng: EngineConfig):
     """The standardized one-step forecast at each trading bar, each return's
     conditional variance under the model that absorbed it, and the failed
-    refit count. A failed refit keeps the model and retries next bar.
+    refit count.
+
+    The first refit is at the first bar with `garch_min_obs` finite returns.
+    A failed refit keeps the model and retries next bar; a model fit at bar s
+    serves the bars from s until the next successful refit, having absorbed
+    each finite return up to the bar it serves.
     """
-    mean_fc, var_fc, h = np.full((3, rets.shape[0]), np.nan)
+    n_bars = rets.shape[0]
+    z, h = np.full((2, n_bars), np.nan)
+    finite = np.isfinite(rets)
+    stream = rets[finite]
+    seen = np.cumsum(finite)  # finite returns up to and including each bar
+    fits = []  # (refit bar, window start in `stream`, fit)
     failures = 0
-    garch: GarchState | None = None
-    ret_stream: list[float] = []
-    bars_since_fit = 0
-    for t, r in enumerate(rets.tolist()):
-        if math.isfinite(r):
-            ret_stream.append(r)
-            if garch is not None:
-                h[t] = garch.update(r)
-        bars_since_fit += 1
-        if garch is None or bars_since_fit >= eng.garch_refit_every:
-            window = ret_stream[-eng.garch_window:]
-            if len(window) >= eng.garch_min_obs:
-                try:
-                    garch = GarchState(fit_garch(np.asarray(window), eng.garch_spec))
-                except (DataError, NonConvergenceError) as exc:
-                    failures += 1
-                    log.debug("GARCH refit at bar %d failed: %s", t, exc)
-                else:
-                    bars_since_fit = 0
-        if garch is not None and t >= first_trading:
-            mean_fc[t] = garch.mean_forecast()
-            var_fc[t] = garch.variance_forecast()
-    if np.any(var_fc <= 0):
-        raise DataError("GARCH gave a non-positive variance forecast")
-    return mean_fc / np.sqrt(var_fc), h, failures
+    t = int(np.searchsorted(seen, eng.garch_min_obs))
+    while t < n_bars:
+        lo = max(0, seen[t] - eng.garch_window)
+        try:
+            fits.append((t, lo, fit_garch(stream[lo:seen[t]], eng.garch_spec)))
+        except (DataError, NonConvergenceError) as exc:
+            failures += 1
+            log.debug("GARCH refit at bar %d failed: %s", t, exc)
+            t += 1
+        else:
+            t += eng.garch_refit_every
+    for (s, lo, fit), s_next in zip(fits, [f[0] for f in fits[1:]] + [n_bars]):
+        var_path, mean_path = fit.path(stream[lo:seen[min(s_next, n_bars - 1)]])
+        served = np.arange(max(s, first_trading), s_next)
+        pos = seen[served] - lo  # the path entry after each bar's returns
+        var_fc = var_path[pos]
+        bad = served[var_fc <= 0]
+        if bad.shape[0]:
+            raise DataError(
+                f"GARCH refit at bar {s} gave a non-positive variance forecast "
+                f"at bar {bad[0]} (alpha_1 + lambda = "
+                f"{fit.alphas[:1].sum() + fit.leverage_coef:.4g})")
+        z[served] = mean_path[pos] / np.sqrt(var_fc)
+        absorbed = s + 1 + np.flatnonzero(finite[s + 1:s_next + 1])
+        h[absorbed] = var_path[seen[absorbed] - 1 - lo]
+    return z, h, failures
 
 
 def _delta1_path(z: np.ndarray, rets: np.ndarray, first_trading: int,
@@ -637,7 +648,7 @@ def _replay(state: _MarketState, cfg: StrategyConfig, costs: CostModel,
 
         price_idx = state.price_idx[t]
         mark_price = closes[t]
-        equity = account.mark(now, mark_price)
+        equity = account.mark(mark_price)
 
         if account.position != 0:
             maint = abs(account.position) * mark_price * costs.multiplier \
@@ -704,12 +715,12 @@ def _replay(state: _MarketState, cfg: StrategyConfig, costs: CostModel,
                                        vpin_now,
                                        "|".join(vpin_trace + sig.layer_trace)))
 
-    equity_ts = np.asarray(account.equity_ts, dtype=np.int64)
+    # every trading bar is marked once
+    equity_ts = state.decision_ts[state.first_trading:]
     equity = np.asarray(account.equity)
     if equity.shape[0] < 2:
         raise DataError("not enough trading bars to evaluate")
-    mark_idx = np.searchsorted(state.decision_ts, equity_ts)
-    bench_px = closes[mark_idx]
+    bench_px = closes[state.first_trading:]
     benchmark = costs.capital * bench_px / bench_px[0]
     # resample starts a bar at each session open, so a session's last bar
     # may be short

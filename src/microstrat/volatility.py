@@ -1,21 +1,21 @@
-"""GARCH-family estimation and a one-step out-of-sample stepper.
+"""GARCH-family estimation, and the one-step forecasts of a fitted model.
 
 The conditional variance h_t = a0 + sum_i a_i e_{t-i}^2 + lam e_{t-1}^2
-1[e_{t-1}<0] + sum_j g_j h_{t-j} is computed here and nowhere else, by two
-implementations with different jobs:
+1[e_{t-1}<0] + sum_j g_j h_{t-j} is computed here and nowhere else, by one
+filter, `_variance_path`, over a whole return vector at once. The recursion
+is linear AR in h, so the variance path and, in `garch_loglik`, every
+partial derivative of it come from the same IIR filter, which keeps the
+quasi-likelihood and its analytic gradient exact and fast. `fit_garch` and
+`garch_loglik` both call it, and both read the likelihood from its output
+through `_quasi_loglik`. The filter and the gradient write every length-n
+intermediate into a `_Workspace`, which `fit_garch` and the Hessian standard
+errors allocate once per fit and pass to every evaluation; only the filter
+kernel's output is allocated per call.
 
-- In sample, `_variance_path` filters a whole return vector at once. The
-  recursion is linear AR in h, so the variance path and, in
-  `garch_loglik`, every partial derivative of it come from the same IIR
-  filter, which keeps the quasi-likelihood and its analytic gradient exact
-  and fast. `fit_garch` and `garch_loglik` both call it, and both read the
-  likelihood from its output through `_quasi_loglik`. The filter and the
-  gradient write every length-n intermediate into a `_Workspace`, which
-  `fit_garch` and the Hessian standard errors allocate once per fit and
-  pass to every evaluation; only the filter kernel's output is allocated
-  per call.
-- Out of sample, `GarchState` advances a fitted model one return at a time
-  in Python floats; the backtest engine steps it once per bar.
+The filter is causal, so it also serves out of sample: `GarchFit.path` runs
+it over the fit's own returns followed by later ones, and the entry after
+each return is the one-step variance forecast for the next. The backtest
+engine reads its forecasts from there.
 
 The GARCH(1,1) simulator that the synthetic tick generator and the tests
 draw from is `marketdata.simulate_garch`.
@@ -105,7 +105,6 @@ class GarchFit:
     residuals: np.ndarray
     log_likelihood: float
     seed_variance: float
-    last_return: float
     iterations: int
 
     def __post_init__(self) -> None:
@@ -145,6 +144,29 @@ class GarchFit:
                                  float(np.mean(x)))
         return [(n, float(v), float(s))
                 for n, v, s in zip(self.spec.param_names(), theta, se)]
+
+    def path(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Conditional variances and means of `r`, the fit's own returns
+        followed by later ones, each len(r) + 1 long: entry i is the one-step
+        forecast for r[i] given r[:i], so the last is the forecast for the
+        return after `r`. The filter is the fit's, seed and presample
+        included."""
+        x = np.asarray(r, dtype=np.float64)
+        n = self.cond_variance.shape[0]
+        if x.shape[0] < n:
+            raise DataError(f"the fit saw {n} returns, got {x.shape[0]}")
+        rbar = float(np.mean(x[:n]))
+        # the trailing slot's variance depends only on the returns before it
+        h, _, _, _ = _variance_path(self.theta(), np.append(x, 0.0), self.spec,
+                                    self.seed_variance, rbar)
+        if not np.array_equal(h[:n], self.cond_variance):
+            raise DataError("the returns do not start with the ones the model "
+                            "was fit on")
+        mean = np.full(h.shape[0], self.mean_params[0] if self.spec.n_mean else 0.0)
+        if self.spec.mean_model == "ar1":
+            # the previous return; the window mean before r[0]
+            mean += self.mean_params[1] * np.append(rbar, x)
+        return h, mean
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +513,6 @@ def fit_garch(r: np.ndarray, spec: GarchSpec | None = None) -> GarchFit:
         residuals=eps,
         log_likelihood=_quasi_loglik(work),
         seed_variance=seed_var,
-        last_return=float(x[-1]),
         iterations=int(res.nit),
     )
 
@@ -517,64 +538,3 @@ def _hessian_std_errors(theta, x, spec, seed_var, rbar) -> np.ndarray:
     diag = np.diag(cov).copy()
     diag[diag < 0] = np.nan
     return np.sqrt(diag)
-
-
-# ---------------------------------------------------------------------------
-# Out-of-sample stepping (the GARCH simulator is marketdata.simulate_garch)
-# ---------------------------------------------------------------------------
-
-
-class GarchState:
-    """Out-of-sample stepper: a fitted model advanced one return at a time.
-
-    Holds the newest max(p, 1) squared residuals and their negative parts and
-    the newest max(q, 1) variances, newest first, in Python floats because the
-    engine steps it once per bar. Its presample is the end of the fit's own
-    in-sample path, so stepping it through returns after the fit window gives
-    the variances the in-sample filter would give on the longer series.
-    """
-
-    def __init__(self, fit: GarchFit):
-        spec = fit.spec
-        self.omega = fit.omega
-        self.alphas = [float(a) for a in fit.alphas]
-        self.gammas = [float(g) for g in fit.gammas]
-        self.lam = fit.leverage_coef if spec.leverage else None
-        self.mean_model = spec.mean_model
-        self.mean_params = [float(m) for m in fit.mean_params]
-        k = max(spec.p, 1)
-        tail = [float(e) for e in fit.residuals[::-1][:k]]
-        self.e2 = [e * e for e in tail]
-        self.e2neg = [e * e * (e < 0.0) for e in tail]
-        self.h = [float(v) for v in fit.cond_variance[::-1][:max(spec.q, 1)]]
-        self.r_last = fit.last_return
-
-    def variance_forecast(self) -> float:
-        v = self.omega
-        for a, e2 in zip(self.alphas, self.e2):
-            v += a * e2
-        if self.lam is not None:
-            v += self.lam * self.e2neg[0]
-        for g, h in zip(self.gammas, self.h):
-            v += g * h
-        return v
-
-    def mean_forecast(self) -> float:
-        if self.mean_model == "zero":
-            return 0.0
-        if self.mean_model == "constant":
-            return self.mean_params[0]
-        mu, phi = self.mean_params
-        return mu + phi * self.r_last
-
-    def update(self, r: float) -> float:
-        """Absorb one return; returns its conditional variance."""
-        h = self.variance_forecast()
-        eps = r - self.mean_forecast()
-        e2 = eps * eps
-        self.e2 = [e2] + self.e2[:-1]
-        self.e2neg = [e2 * (eps < 0.0)] + self.e2neg[:-1]
-        self.h = [h] + self.h[:-1]
-        self.r_last = r
-        return h
-

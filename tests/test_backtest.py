@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -20,9 +21,16 @@ from microstrat.backtest import (
 )
 from microstrat.config import load_config
 from microstrat.errors import DataError, NonConvergenceError
-from microstrat.marketdata import NS_PER_DAY, SynthSpec, TickSeries, synth_ticks
+from microstrat.marketdata import (
+    NS_PER_DAY,
+    SynthSpec,
+    TickSeries,
+    resample,
+    session_log_returns,
+    synth_ticks,
+)
 from microstrat.strategy import SIDE_BUY, SIDE_SELL, StrategyConfig
-from microstrat.volatility import GarchSpec
+from microstrat.volatility import GarchFit, GarchSpec
 
 
 @pytest.fixture(scope="module")
@@ -145,7 +153,7 @@ def test_unrealized_moves_equity_not_cash():
     acct = Account(CostModel(fee_rate=0.0))
     acct.open(0, SIDE_BUY, 2, 3000.0)
     cash_after_open = acct.cash
-    eq = acct.mark(1, 3010.0)
+    eq = acct.mark(3010.0)
     assert acct.cash == cash_after_open
     assert eq == pytest.approx(1e7 + 2 * 10.0 * 300.0)
 
@@ -300,6 +308,42 @@ def test_margin_call_forces_flat(ticks):
             assert tr.position_after == 0
 
 
+@pytest.mark.parametrize("quotes", ["none", "gaps"])
+def test_fills_without_a_quote_use_the_trade_price(quotes):
+    """Each fill is at the book side of the last tick before its decision:
+    entries and signal exits buy at the bid and sell at the ask, stops and
+    margin calls pay the spread, and a side with no quote fills at the trade
+    price -+ half a tick."""
+    ticks = synth_ticks(SynthSpec(count=4 * 2880, seed=3, phi=0.15, omega=2e-8,
+                                  alpha=0.08, beta=0.88, tick_interval_ms=5000,
+                                  spread=0.0 if quotes == "none" else 0.2))
+    if quotes == "gaps":
+        rng = np.random.default_rng(7)
+        bid, ask = ticks.bid1.copy(), ticks.ask1.copy()
+        bid[rng.random(bid.shape[0]) < 0.5] = np.nan
+        ask[rng.random(ask.shape[0]) < 0.5] = np.nan
+        ticks = TickSeries(ticks.ts, ticks.price, ticks.volume, bid, ask)
+    eng = EngineConfig(garch_window=200, garch_refit_every=120, garch_min_obs=100,
+                       delta1_every=30, svm_min_rows=40, svm_max_rows=200,
+                       vpin_window=10)
+    runs = run_variants(ticks, StrategyConfig(), CostModel(tick_size=0.4), eng)
+    kinds, quoted = {}, 0
+    for tr in (tr for res in runs.values() for tr in res.trades):
+        i = int(np.searchsorted(ticks.ts, tr.ts, side="left")) - 1
+        at_bid = (tr.side == SIDE_BUY) == (tr.kind in ("open", "close"))
+        book = ticks.bid1 if at_bid else ticks.ask1
+        if book is not None and math.isfinite(book[i]):
+            assert tr.price == book[i], tr
+            quoted += 1
+        else:
+            px = float(ticks.price[i])
+            assert tr.price == (px - 0.2 if at_bid else px + 0.2), tr
+        kinds[tr.kind] = kinds.get(tr.kind, 0) + 1
+    assert min(kinds.get(k, 0) for k in ("open", "close", "stop")) > 0
+    n_trades = sum(kinds.values())
+    assert quoted == 0 if quotes == "none" else 0 < quoted < n_trades
+
+
 def test_variants_share_data_and_tags(variants):
     vs, _ = variants
     assert sorted(vs) == ["G", "G+S", "G+V", "G+V+S"]
@@ -354,6 +398,56 @@ def test_failed_garch_refit_is_counted_and_logged(ticks, monkeypatch, caplog):
     assert len(calls) > 2
     assert res.report.trade_count == len(res.trades)
     assert sum("budget spent" in r.getMessage() for r in caplog.records) == 1
+
+
+def test_garch_path_serves_each_bar_the_latest_fit_through_its_returns(monkeypatch):
+    """The GARCH stage against a bar-by-bar reference: refits follow the
+    schedule (first at garch_min_obs finite returns, retried the next bar
+    after a failure, garch_refit_every bars after a success) on the trailing
+    window, and each bar reads the latest fit's path through the returns
+    that have closed by then, bit for bit."""
+    ticks = synth_ticks(SynthSpec(count=4 * 2880, seed=5, phi=0.15, omega=2e-8,
+                                  alpha=0.08, beta=0.88, tick_interval_ms=5000))
+    eng = EngineConfig(garch_window=200, garch_refit_every=120, garch_min_obs=100)
+    bars = resample(ticks, eng.bar_interval_ns)
+    rets = session_log_returns(bars)
+    first_trading = int(np.searchsorted(
+        bars.ts, (bars.ts[0] // NS_PER_DAY + 1) * NS_PER_DAY))
+    fit, windows, fits = bt.fit_garch, [], []
+
+    def third_fails(r, spec):
+        windows.append(np.array(r))
+        if len(windows) == 3:
+            fits.append(None)
+            raise NonConvergenceError("planted", iterations=1)
+        fits.append(fit(r, spec))
+        return fits[-1]
+
+    monkeypatch.setattr(bt, "fit_garch", third_fails)
+    z, h, failures = bt._garch_path(rets, first_trading, eng)
+    assert failures == 1
+
+    stream, model, since, attempt = [], None, 0, 0
+    want_z, want_h = np.full_like(z, np.nan), np.full_like(h, np.nan)
+    for t, r in enumerate(rets.tolist()):
+        if math.isfinite(r):
+            stream.append(r)
+            if model is not None:
+                want_h[t] = model[0].path(stream[model[1]:])[0][-2]
+        since += 1
+        if (model is None or since >= eng.garch_refit_every) \
+                and len(stream) >= eng.garch_min_obs:
+            start = max(0, len(stream) - eng.garch_window)
+            np.testing.assert_array_equal(windows[attempt], stream[start:])
+            if fits[attempt] is not None:
+                model, since = (fits[attempt], start), 0
+            attempt += 1
+        if model is not None and t >= first_trading:
+            var, mean = model[0].path(stream[model[1]:])
+            want_z[t] = mean[-1] / math.sqrt(var[-1])
+    assert attempt == len(windows) > 3
+    np.testing.assert_array_equal(z, want_z)
+    np.testing.assert_array_equal(h, want_h)
 
 
 def test_svm_tol_reaches_engine(ticks, tmp_path, monkeypatch):
@@ -432,9 +526,23 @@ def test_stop_sigma_equals_per_bar_std(window):
 
 
 def test_non_positive_variance_forecast_is_a_data_error(ticks, monkeypatch):
-    monkeypatch.setattr(bt.GarchState, "variance_forecast", lambda self: 0.0)
-    with pytest.raises(DataError, match="variance forecast"):
+    path = GarchFit.path
+
+    def zero_variances(self, r):
+        h, mean = path(self, r)
+        return np.zeros_like(h), mean
+
+    monkeypatch.setattr(GarchFit, "path", zero_variances)
+    with pytest.raises(DataError, match="variance forecast") as err:
         run_backtest(ticks, StrategyConfig(use_vpin=False, use_svm=False))
+    # the message names the refit, the first bad bar and alpha_1 + lambda
+    found = re.fullmatch(r"GARCH refit at bar (\d+) gave a non-positive variance "
+                         r"forecast at bar (\d+) \(alpha_1 \+ lambda = (\S+)\)",
+                         str(err.value))
+    assert found is not None
+    refit_bar, bad_bar = int(found[1]), int(found[2])
+    assert 0 < refit_bar <= bad_bar
+    assert 0.0 <= float(found[3]) < 1.0
 
 
 def test_no_lookahead_signals_unchanged_by_future_shift(ticks, full_run):

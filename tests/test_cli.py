@@ -146,7 +146,8 @@ def test_generate_constraint_error(shared, tmp_path, capsys):
     ("backtest", "delta1_every", "0"), ("backtest", "garch_refit_every", "0"),
     ("backtest", "delta1_window", "29"), ("backtest", "sigma_window", "-5"),
     ("backtest", "garch_min_obs", "3000"), ("backtest", "garch_min_obs", "-1"),
-    ("backtest", "trading_days_per_year", "0")])
+    ("backtest", "trading_days_per_year", "0"), ("vpin", "window", "0"),
+    ("vpin", "buckets_per_day", "0")])
 def test_bad_engine_value_fails_before_the_run(shared, tmp_path, capsys,
                                               section, key, value):
     ini = tmp_path / "bad.ini"

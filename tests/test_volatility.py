@@ -15,7 +15,6 @@ from microstrat.marketdata import simulate_garch
 from microstrat.volatility import (
     GarchFit,
     GarchSpec,
-    GarchState,
     _variance_path,
     _Workspace,
     fit_garch,
@@ -268,19 +267,19 @@ def test_forecast_one_step_is_exact():
     manual = fit.omega
     manual += fit.alphas[0] * fit.residuals[-1] ** 2
     manual += fit.gammas[0] * fit.cond_variance[-1]
-    assert GarchState(fit).variance_forecast() == manual
+    assert fit.path(r)[0][-1] == manual
 
 
 def test_forecast_mean_paths():
     r = simulate_garch(np.random.default_rng(6).standard_normal(5000), 1e-6, 0.05, 0.90)
     zero_fit = fit_garch(r, GarchSpec(1, 1, False, "zero"))
-    assert GarchState(zero_fit).mean_forecast() == 0.0
+    assert zero_fit.path(r)[1][-1] == 0.0
 
     r2 = simulate_garch(np.random.default_rng(8).standard_normal(10000), 1e-6, 0.05, 0.90,
                         mu=1e-5, phi=0.3)
     ar_fit = fit_garch(r2, GarchSpec(1, 1, False, "ar1"))
     mu, phi = ar_fit.mean_params
-    assert GarchState(ar_fit).mean_forecast() == mu + phi * ar_fit.last_return
+    assert ar_fit.path(r2)[1][-1] == mu + phi * r2[-1]
 
 
 @pytest.mark.parametrize("spec", [
@@ -288,25 +287,31 @@ def test_forecast_mean_paths():
     GarchSpec(2, 1, True, "constant"), GarchSpec(1, 0, False, "zero"),
     GarchSpec(1, 2, True, "zero")], ids=str)
 def test_stepper_continues_the_in_sample_filter(spec):
+    """A fit's path through later returns is the in-sample filter over the
+    longer series, with the fit's seed variance and window mean."""
     x = simulate_garch(np.random.default_rng(23).standard_normal(1500), 1e-6, 0.05, 0.88,
                        leverage=0.04, mu=1e-5, phi=0.2)
     n = 1200
     fit = fit_garch(x[:n], spec)
-    state = GarchState(fit)
-    stepped = [state.update(float(r)) for r in x[n:]]
-    h, _, _, _ = _variance_path(fit.theta(), x, spec, fit.seed_variance,
-                                float(np.mean(x[:n])))
-    np.testing.assert_array_equal(h[:n], fit.cond_variance)
-    np.testing.assert_allclose(stepped, h[n:], rtol=1e-12, atol=0.0)
+    var_path, mean_path = fit.path(x)
+    rbar = float(np.mean(x[:n]))
+    h, eps, _, _ = _variance_path(fit.theta(), x, spec, fit.seed_variance, rbar)
+    np.testing.assert_array_equal(var_path[:n], fit.cond_variance)
+    np.testing.assert_array_equal(var_path[:-1], h)
+    # each return less its conditional mean is the filter's residual, up to
+    # the order the AR(1) residual is rounded in
+    np.testing.assert_allclose(x - mean_path[:-1], eps, rtol=0.0,
+                               atol=1e-15 * np.max(np.abs(x)))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2), st.integers(0, 2), st.booleans(),
        st.sampled_from(("zero", "constant", "ar1")), st.data())
-def test_stepper_equals_filter_property(p, q, leverage, mean_model, data):
-    """A stepper built on the filter's path over a prefix, stepped through
-    the rest of the series, gives the filter's variances on the whole series,
-    for any order, leverage, mean model and stationary coefficients."""
+def test_path_is_causal_property(p, q, leverage, mean_model, data):
+    """For any order, leverage, mean model and stationary coefficients, a
+    fit's path through later returns is causal: changing return j leaves
+    every forecast up to and including the one for return j as it was, and
+    the path over a prefix is the same prefix of the path."""
     assume(p + q >= 1 and (p >= 1 or not leverage))
     spec = GarchSpec(p, q, leverage, mean_model)
     unit = st.floats(0.01, 1.0)
@@ -327,11 +332,32 @@ def test_stepper_equals_filter_property(p, q, leverage, mean_model, data):
     fit = GarchFit(spec=spec, omega=omega, alphas=alphas, gammas=gammas,
                    leverage_coef=lam, mean_params=mean, cond_variance=h,
                    residuals=eps, log_likelihood=0.0, seed_variance=seed_var,
-                   last_return=float(x[n - 1]), iterations=0)
-    state = GarchState(fit)
-    stepped = [state.update(float(r)) for r in x[n:]]
-    whole, _, _, _ = _variance_path(theta, x, spec, seed_var, rbar)
-    np.testing.assert_allclose(stepped, whole[n:], rtol=1e-12, atol=0.0)
+                   iterations=0)
+    var_path, mean_path = fit.path(x)
+    assert var_path.shape == mean_path.shape == (x.shape[0] + 1,)
+
+    j = data.draw(st.integers(n, x.shape[0] - 1))
+    bumped = x.copy()
+    bumped[j] += data.draw(st.sampled_from((-5e-3, 1e-6, 5e-3)))
+    var_b, mean_b = fit.path(bumped)
+    np.testing.assert_array_equal(var_b[:j + 1], var_path[:j + 1])
+    np.testing.assert_array_equal(mean_b[:j + 1], mean_path[:j + 1])
+
+    m = data.draw(st.integers(n, x.shape[0]))
+    var_m, mean_m = fit.path(x[:m])
+    np.testing.assert_array_equal(var_m, var_path[:m + 1])
+    np.testing.assert_array_equal(mean_m, mean_path[:m + 1])
+
+
+def test_path_needs_the_fitted_returns_first():
+    x = simulate_garch(np.random.default_rng(29).standard_normal(800), 1e-6, 0.05, 0.88)
+    fit = fit_garch(x[:500])
+    with pytest.raises(DataError, match="fit on"):
+        fit.path(x[1:])
+    with pytest.raises(DataError, match="fit on"):
+        fit.path(x[::-1])
+    with pytest.raises(DataError, match="500 returns"):
+        fit.path(x[:499])
 
 
 # Runs in a fresh interpreter, so `scipy.signal` is first imported after the
