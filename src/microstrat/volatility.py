@@ -25,6 +25,14 @@ logistic persistence split across terms) so the positivity and stationarity
 constraints hold by construction; the leverage coefficient is unconstrained
 and guarded by a feasibility check on h.
 
+The optimizer is L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995). `_lbfgsb` drives
+scipy's compiled kernel, `setulb`, with the calls `scipy.optimize.minimize`
+makes, so every fit takes the same steps without importing `scipy.optimize`,
+whose package init loads `scipy.linalg`, `scipy.sparse` and `scipy.special`.
+It is used only where the kernel's docstring shows the exact signature it was
+written against; on any other scipy, such as 1.9 with its f2py kernel,
+`fit_garch` calls `minimize` itself.
+
 Presample convention: h is seeded with the sample variance of the input
 (assigned to h_0 and used for every h_{t-j} before the sample), presample
 shocks are zero, and the AR(1) mean uses the sample mean as the price-change
@@ -174,26 +182,33 @@ class GarchFit:
 # ---------------------------------------------------------------------------
 
 
-def _lfilter_kernel():
-    """`_linear_filter(b, a, x, axis[, zi])`, the compiled kernel that
-    `scipy.signal.lfilter` calls whenever len(a) > 1.
+def _scipy_extension(name: str):
+    """The compiled scipy module `name`, such as "scipy.signal._sigtools",
+    loaded on its own.
 
-    Importing `scipy.signal` runs its package init, which loads about a dozen
-    scipy subpackages; this loads only the kernel's extension module, once.
-    It goes into `sys.modules` under its full name, so a later `import
-    scipy.signal` reuses it rather than loading the extension again.
+    Importing a scipy subpackage runs its package init, which loads several
+    other scipy subpackages; this loads only the extension module, once. It
+    goes into `sys.modules` under its full name, so a later import of the
+    subpackage reuses it rather than loading the extension again.
     """
-    name = "scipy.signal._sigtools"
     module = sys.modules.get(name)
     if module is None:
         import scipy
 
         spec = importlib.machinery.PathFinder.find_spec(
-            name, [os.path.join(scipy.__path__[0], "signal")])
+            name, [os.path.join(scipy.__path__[0], *name.split(".")[1:-1])])
+        if spec is None:
+            raise ImportError(f"scipy has no module {name}", name=name)
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
         spec.loader.exec_module(module)
-    return module._linear_filter
+    return module
+
+
+def _lfilter_kernel():
+    """`_linear_filter(b, a, x, axis[, zi])`, the compiled kernel that
+    `scipy.signal.lfilter` calls whenever len(a) > 1."""
+    return _scipy_extension("scipy.signal._sigtools")._linear_filter
 
 
 def _ar_filter(a_poly: np.ndarray, x: np.ndarray,
@@ -397,9 +412,16 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _raw_to_natural(raw: np.ndarray, spec: GarchSpec):
-    from scipy.special import expit
+def _logistic(x: float) -> float:
+    """1 / (1 + e^-x), bit for bit `scipy.special.expit`: 0.0 where e^-x
+    overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:
+        return 0.0
 
+
+def _raw_to_natural(raw: np.ndarray, spec: GarchSpec):
     nm, p, q = spec.n_mean, spec.p, spec.q
     m = p + q
     mean = raw[:nm].copy()
@@ -408,7 +430,7 @@ def _raw_to_natural(raw: np.ndarray, spec: GarchSpec):
     # clamp so a wild line-search step degrades the objective instead of
     # overflowing exp; the optimum is nowhere near the boundary
     omega = math.exp(min(max(raw[nm], -700.0), 700.0))
-    s = float(expit(raw[nm + 1]))
+    s = _logistic(raw[nm + 1])
     logits = np.concatenate([raw[nm + 2:nm + 1 + m], [0.0]])
     wts = _softmax(logits)
     coefs = s * wts
@@ -463,21 +485,11 @@ def _initial_raw(spec: GarchSpec, seed_var: float, rbar: float) -> np.ndarray:
     return raw
 
 
-def fit_garch(r: np.ndarray, spec: GarchSpec | None = None) -> GarchFit:
-    """Quasi-maximum-likelihood fit with constraints built into the transform."""
-    from scipy.optimize import minimize
-
-    if spec is None:
-        spec = GarchSpec()
-    x = np.asarray(r, dtype=np.float64)
-    n = x.shape[0]
-    if n < spec.min_obs:
-        raise DataError(f"need at least {spec.min_obs} observations, got {n}")
-    if float(np.std(x)) == 0.0:
-        raise DataError("cannot fit a constant series")
-    seed_var = float(np.var(x))
-    rbar = float(np.mean(x))
-    work = _Workspace(n)
+def _objective(x: np.ndarray, spec: GarchSpec, seed_var: float, rbar: float):
+    """The function `fit_garch` minimizes: raw parameters to the negative
+    log-likelihood and its gradient, evaluated in a workspace of its own; an
+    infeasible point gives 1e12 and a zero gradient."""
+    work = _Workspace(x.shape[0])
 
     def objective(raw: np.ndarray):
         theta, omega, s, wts = _raw_to_natural(raw, spec)
@@ -486,19 +498,131 @@ def fit_garch(r: np.ndarray, spec: GarchSpec | None = None) -> GarchFit:
             return 1e12, np.zeros(raw.shape[0])
         return -ll, -_chain_gradient(g, raw, spec, omega, s, wts)
 
-    res = minimize(objective, _initial_raw(spec, seed_var, rbar), jac=True,
-                   method="L-BFGS-B",
-                   options={"maxiter": MAX_FIT_ITER, "ftol": 1e-13, "gtol": 1e-7})
-    grad_norm = float(np.max(np.abs(res.jac)))
-    if not res.success and grad_norm > 1.0:
-        raise NonConvergenceError(
-            f"GARCH fit did not converge: {res.message} "
-            f"(iterations {res.nit}, gradient norm {grad_norm:.3e})",
-            iterations=int(res.nit), gradient_norm=grad_norm)
+    return objective
 
-    theta, _, _, _ = _raw_to_natural(res.x, spec)
-    # the fit keeps h and eps, so they come from a new workspace; rebinding
-    # `work` frees the optimizer's before the new one is written
+
+# The compiled kernel's signature that `_lbfgsb` is written against, as the
+# first line of its docstring; it is scipy 1.17's C kernel.
+_SETULB_SIGNATURE = ("setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,"
+                     "isave,dsave,maxls,ln_task)")
+_MAX_FIT_EVALS = 15000  # scipy's default maxfun
+# scipy's names for the kernel's stop codes: task[0], then task[1]
+_LBFGSB_STATES = {4: "CONVERGENCE", 5: "STOP", 6: "WARNING", 7: "ERROR",
+                  8: "ABNORMAL"}
+_LBFGSB_REASONS = {
+    401: "NORM OF PROJECTED GRADIENT <= PGTOL",
+    402: "RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
+    502: "TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT",
+    504: "TOTAL NO. OF ITERATIONS REACHED LIMIT",
+    601: "ROUNDING ERRORS PREVENT PROGRESS",
+    602: "STP = STPMAX",
+    603: "STP = STPMIN",
+    604: "XTOL TEST SATISFIED",
+}
+
+
+def _setulb():
+    """scipy's compiled L-BFGS-B kernel `setulb`, loaded without the
+    `scipy.optimize` package, or None where it is missing or its signature is
+    not `_SETULB_SIGNATURE` (older scipy builds it with f2py)."""
+    try:
+        setulb = _scipy_extension("scipy.optimize._lbfgsb").setulb
+    except (ImportError, AttributeError):
+        return None
+    doc = setulb.__doc__ or ""
+    return setulb if doc.partition("\n")[0] == _SETULB_SIGNATURE else None
+
+
+def _lbfgsb(objective, x0: np.ndarray, setulb):
+    """L-BFGS-B without bounds from x0 on `objective(x) -> (f, gradient)`.
+
+    It makes the calls scipy 1.17's `minimize(method="L-BFGS-B", jac=True)`
+    makes with maxcor 10, ftol 1e-13, gtol 1e-7 and maxls 20, so it takes the
+    same steps bit for bit: it stops after MAX_FIT_ITER iterations or once
+    more than _MAX_FIT_EVALS evaluations are spent, and an x equal to the last
+    one evaluated reuses that f and gradient.
+
+    Returns (x, gradient, iterations, converged, message).
+    """
+    m, n = 10, x0.shape[0]
+    x = np.array(x0, dtype=np.float64)
+    f, g = np.array(0.0), np.zeros(n)
+    unbounded = np.zeros(n)  # l and u, unread with every nbd 0
+    nbd, iwa = np.zeros(n, np.int32), np.zeros(3 * n, np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = (np.zeros(4, np.int32), np.zeros(44, np.int32),
+                           np.zeros(29))
+    factr = 1e-13 / sys.float_info.epsilon
+    nit = evals = 0
+    x_eval = g_eval = None
+    while True:
+        setulb(m, x, unbounded, unbounded, nbd, f, g, factr, 1e-7, wa, iwa,
+               task, lsave, isave, dsave, 20, ln_task)
+        if task[0] == 3:  # FG: evaluate at x
+            if x_eval is None or not np.array_equal(x, x_eval):
+                x_eval = x.copy()
+                f, g_eval = objective(x.copy())
+                evals += 1
+            g = g_eval.copy()
+        elif task[0] == 1:  # NEW_X: one iteration done
+            nit += 1
+            if nit >= MAX_FIT_ITER:
+                task[:] = 5, 504
+            elif evals > _MAX_FIT_EVALS:
+                task[:] = 5, 502
+        else:
+            break
+    state, reason = int(task[0]), int(task[1])
+    message = _LBFGSB_STATES.get(state, str(state))
+    if reason:
+        message += f": {_LBFGSB_REASONS.get(reason, reason)}"
+    return x, g, nit, state == 4, message
+
+
+def _minimize(objective, x0: np.ndarray):
+    """`_lbfgsb` on scipy's kernel where `_setulb` finds it, else scipy's own
+    driver, `minimize`, with the same options."""
+    setulb = _setulb()
+    if setulb is not None:
+        return _lbfgsb(objective, x0, setulb)
+    from scipy.optimize import minimize
+
+    res = minimize(objective, x0, jac=True, method="L-BFGS-B",
+                   options={"maxiter": MAX_FIT_ITER, "ftol": 1e-13, "gtol": 1e-7})
+    return res.x, res.jac, int(res.nit), bool(res.success), res.message
+
+
+def fit_garch(r: np.ndarray, spec: GarchSpec | None = None) -> GarchFit:
+    """Quasi-maximum-likelihood fit with constraints built into the transform."""
+    if spec is None:
+        spec = GarchSpec()
+    x = np.asarray(r, dtype=np.float64)
+    n = x.shape[0]
+    if n < spec.min_obs:
+        raise DataError(f"need at least {spec.min_obs} observations, got {n}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.shape[0]:
+        raise DataError(f"return {bad[0]} is not finite ({x[bad[0]]})")
+    if float(np.std(x)) == 0.0:
+        raise DataError("cannot fit a constant series")
+    seed_var = float(np.var(x))
+    rbar = float(np.mean(x))
+
+    # the objective's workspace is freed when _minimize returns, before the
+    # fit's own is allocated below
+    raw, jac, nit, converged, message = _minimize(
+        _objective(x, spec, seed_var, rbar), _initial_raw(spec, seed_var, rbar))
+    grad_norm = float(np.max(np.abs(jac)))
+    if not converged and grad_norm > 1.0:
+        raise NonConvergenceError(
+            f"GARCH fit did not converge: {message} "
+            f"(iterations {nit}, gradient norm {grad_norm:.3e})",
+            iterations=nit, gradient_norm=grad_norm)
+
+    theta, _, _, _ = _raw_to_natural(raw, spec)
+    # the fit keeps h and eps, so they come from a workspace nothing else
+    # writes to
     work = _Workspace(n)
     h, eps, _, _ = _variance_path(theta, x, spec, seed_var, rbar, work)
     omega, alphas, lam, gammas = _coefficients(theta, spec)
@@ -513,7 +637,7 @@ def fit_garch(r: np.ndarray, spec: GarchSpec | None = None) -> GarchFit:
         residuals=eps,
         log_likelihood=_quasi_loglik(work),
         seed_variance=seed_var,
-        iterations=int(res.nit),
+        iterations=nit,
     )
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import microstrat
+from microstrat import volatility
 from microstrat.cli import main
 from microstrat.config import _PARSE, _opt_float, load_config
 from microstrat.errors import ConfigError, DataError
@@ -551,7 +552,8 @@ def test_line_chart_validation(tmp_path):
 # Runs in a fresh interpreter: records the scipy modules loaded after
 # `import microstrat.cli` and after each command, the microstrat modules the
 # import loaded and the OPENBLAS_THREAD_TIMEOUT it left, as JSON in argv[1];
-# commands write under argv[2].
+# commands write under argv[2]. With argv[3] "garch-first", garch runs before
+# vpin.
 _IMPORT_PROBE = """
 import json, os, sys
 
@@ -568,11 +570,22 @@ with open(report, "w") as fh:
     fh.write(",".join(cli.REPORT_HEADER) + "\\n")
     fh.write(",".join(["G"] + ["0"] * (len(cli.REPORT_HEADER) - 1)) + "\\n")
 ticks = os.path.join(out, "ticks.csv")
-for name, argv in (
-        ("generate", ["generate", "--count", "3000", "--phi", "0.15", "-o", ticks]),
-        ("report", ["report", report]),
-        ("vpin", ["vpin", ticks, "--window", "10"]),
-        ("garch", ["garch", ticks])):
+two_days = os.path.join(out, "two_days.csv")
+g_only = os.path.join(out, "g_only.ini")
+with open(g_only, "w") as fh:
+    fh.write("[strategy]\\nuse_vpin = false\\nuse_svm = false\\n")
+assert cli.main(["--out", out, "generate", "--count", "5760",
+                 "--tick-interval-ms", "5000", "--phi", "0.15", "-o", two_days]) == 0
+commands = [
+    ("generate", ["generate", "--count", "3000", "--phi", "0.15", "-o", ticks]),
+    ("report", ["report", report]),
+    ("vpin", ["vpin", ticks, "--window", "10"]),
+    ("garch", ["garch", ticks]),
+    # G only on two days: the GARCH refits start on the second day
+    ("backtest", ["--config", g_only, "backtest", two_days])]
+if sys.argv[3:] == ["garch-first"]:
+    commands[2], commands[3] = commands[3], commands[2]
+for name, argv in commands:
     assert cli.main(["--out", out, *argv]) == 0, name
     seen[name] = scipy_loaded()
 with open(sys.argv[1], "w") as fh:
@@ -580,9 +593,10 @@ with open(sys.argv[1], "w") as fh:
 """
 
 
-def _run_import_probe(tmp_path, openblas_thread_timeout):
+def _run_import_probe(tmp_path, openblas_thread_timeout, garch_first=False):
     """The probe's record, run with OPENBLAS_THREAD_TIMEOUT set to the given
-    value, or unset for None (importing microstrat.cli here has set it)."""
+    value, or unset for None (importing microstrat.cli here has set it), and
+    with garch before vpin if `garch_first`."""
     src = os.path.dirname(os.path.dirname(microstrat.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -591,7 +605,8 @@ def _run_import_probe(tmp_path, openblas_thread_timeout):
         env["OPENBLAS_THREAD_TIMEOUT"] = openblas_thread_timeout
     record = tmp_path / "seen.json"
     subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(record),
-                    str(tmp_path)], env=env, check=True, capture_output=True)
+                    str(tmp_path), *["garch-first"] * garch_first],
+                   env=env, check=True, capture_output=True)
     return json.loads(record.read_text())
 
 
@@ -602,7 +617,10 @@ def test_scipy_loads_only_in_the_functions_that_use_it(tmp_path):
     spec = importlib.util.spec_from_file_location("bench_tracer", tracer)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    seen = _run_import_probe(tmp_path, None)
+    # where the fit drives L-BFGS-B's kernel itself, garch runs before vpin,
+    # which loads scipy.special, so the probe sees what garch alone loads
+    driver = volatility._setulb() is not None
+    seen = _run_import_probe(tmp_path, None, garch_first=driver)
     assert seen["import"] == [] and seen["generate"] == [] \
         and seen["report"] == []
     assert {f"microstrat.{name}" for name in module.TARGETS} \
@@ -613,7 +631,16 @@ def test_scipy_loads_only_in_the_functions_that_use_it(tmp_path):
     # package, whose init imports about a dozen scipy subpackages
     assert "scipy.signal" not in seen["garch"]
     assert "scipy.signal._sigtools" in seen["garch"]
-    assert "scipy.optimize" in seen["garch"]
+    if not driver:
+        # another L-BFGS-B kernel signature: the fit calls scipy's minimize
+        assert "scipy.optimize" in seen["garch"]
+        return
+    # and so does the fit, without the scipy.optimize package, whose init
+    # imports scipy.linalg and scipy.special among others
+    assert "scipy.optimize._lbfgsb" in seen["garch"]
+    assert not {"scipy.optimize", "scipy.special", "scipy.linalg"} \
+        & set(seen["garch"])
+    assert "scipy.optimize" not in seen["backtest"]
 
 
 @pytest.mark.parametrize("preset,expected", [(None, "4"), ("28", "28")])

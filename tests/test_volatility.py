@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import microstrat
-from microstrat.errors import DataError
+from microstrat import volatility
+from microstrat.errors import DataError, NonConvergenceError
 from microstrat.marketdata import simulate_garch
 from microstrat.volatility import (
     GarchFit,
@@ -256,6 +258,137 @@ def test_fit_is_deterministic():
     b = fit_garch(r)
     assert np.array_equal(a.theta(), b.theta())
     assert a.log_likelihood == b.log_likelihood
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_fit_rejects_non_finite_returns_before_evaluating(value, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("garch_loglik was called")
+
+    monkeypatch.setattr(volatility, "garch_loglik", never)
+    r = simulate_garch(np.random.default_rng(2).standard_normal(3000), 1e-6, 0.05, 0.90)
+    r[[1234, 2000]] = value
+    with pytest.raises(DataError, match="return 1234 is not finite"):
+        fit_garch(r)
+
+
+def _bench_window():
+    """2,000 returns of the benchmark's process: GARCH(0.08, 0.88) with an
+    AR(1) mean of 0.15."""
+    return simulate_garch(np.random.default_rng(3).standard_normal(2000),
+                          2e-8, 0.08, 0.88, phi=0.15)
+
+
+def test_fit_raises_at_the_iteration_limit(monkeypatch):
+    monkeypatch.setattr(volatility, "MAX_FIT_ITER", 2)
+    with pytest.raises(NonConvergenceError,
+                       match="(?i)iterations reached limit") as info:
+        fit_garch(_bench_window(), GarchSpec(1, 1, False, "ar1"))
+    assert info.value.iterations == 2
+    assert info.value.gradient_norm > 1.0
+
+
+def _lbfgsb_cases():
+    x = _bench_window()
+    ar1, tgarch = GarchSpec(1, 1, False, "ar1"), GarchSpec(2, 2, True, "constant")
+    lev = GarchSpec(1, 1, True, "constant")
+    lev_start = volatility._initial_raw(lev, float(np.var(x)), float(np.mean(x)))
+    lev_start[-1] = -0.05  # a line search then steps where some h_t < 0
+
+    def arch(seed):
+        return simulate_garch(np.random.default_rng(seed).standard_normal(400),
+                              1e-6, 0.1, 0.0, phi=0.15)
+
+    arch_zero = GarchSpec(1, 0, False, "zero")
+    return {"ar1": (x, ar1, None, 500),
+            "tgarch22": (x, tgarch, None, 500),
+            "zero-mean": (x, GarchSpec(1, 1, False, "zero"), None, 500),
+            "cut-off": (x, ar1, None, 3),
+            "infeasible": (x, lev, lev_start, 500),
+            # the kernel asks again for the point it was just given
+            "repeated-x": (arch(0), GarchSpec(1, 0, False, "ar1"), None, 500),
+            # stops on gtol
+            "gradient-stop": (arch(3), arch_zero, None, 500),
+            # takes more than 10 line-search steps, and repeats points too
+            "long-line-search": (arch(6), arch_zero, None, 500)}
+
+
+@pytest.mark.parametrize("case", [
+    "ar1", "tgarch22", "zero-mean", "cut-off", "infeasible", "repeated-x",
+    "gradient-stop", "long-line-search"])
+def test_lbfgsb_driver_matches_scipy_minimize(case, monkeypatch):
+    """The driver makes the calls scipy's L-BFGS-B makes on the same kernel,
+    so it takes the same steps bit for bit."""
+    setulb = volatility._setulb()
+    if setulb is None:
+        pytest.skip("this scipy's L-BFGS-B kernel has another signature; "
+                    "fit_garch calls scipy.optimize.minimize there")
+    from scipy.optimize import minimize
+
+    x, spec, start, max_iter = _lbfgsb_cases()[case]
+    monkeypatch.setattr(volatility, "MAX_FIT_ITER", max_iter)
+    seed_var, rbar = float(np.var(x)), float(np.mean(x))
+    if start is None:
+        start = volatility._initial_raw(spec, seed_var, rbar)
+    values = {"driver": [], "scipy": []}
+
+    def counted(side):
+        objective = volatility._objective(x, spec, seed_var, rbar)
+
+        def call(raw):
+            f, g = objective(raw)
+            values[side].append(f)
+            return f, g
+        return call
+
+    requests = []
+
+    def kernel(*args):
+        setulb(*args)
+        requests.append(args[11][0] == 3)  # task FG
+
+    raw, jac, nit, converged, message = volatility._lbfgsb(
+        counted("driver"), start.copy(), kernel)
+    res = minimize(counted("scipy"), start.copy(), jac=True, method="L-BFGS-B",
+                   options={"maxiter": max_iter, "ftol": 1e-13, "gtol": 1e-7})
+    assert raw.tobytes() == res.x.tobytes()
+    assert jac.tobytes() == res.jac.tobytes()
+    assert (nit, converged) == (res.nit, res.success)
+    assert values["driver"] == values["scipy"]
+    if case == "cut-off":
+        assert nit == 3 and not converged
+    if case == "infeasible":
+        assert 1e12 in values["driver"] and nit > 1
+    if case == "gradient-stop":
+        assert message.endswith("PGTOL") and converged
+    # scipy does not evaluate the same x twice in a row, and neither does
+    # the driver
+    assert (sum(requests) > len(values["driver"])) \
+        == (case in ("repeated-x", "long-line-search"))
+
+
+def test_fit_through_scipy_minimize_is_the_same_fit(monkeypatch):
+    """Where the kernel's signature differs, fit_garch calls scipy's own
+    driver, which takes the same steps."""
+    x, spec = _bench_window(), GarchSpec(1, 1, False, "ar1")
+    driven = fit_garch(x, spec)
+    monkeypatch.setattr(volatility, "_setulb", lambda: None)
+    minimized = fit_garch(x, spec)
+    assert minimized.theta().tobytes() == driven.theta().tobytes()
+    assert minimized.iterations == driven.iterations
+
+
+def test_logistic_matches_expit_bit_for_bit():
+    from scipy.special import expit
+
+    rng = np.random.default_rng(4)
+    xs = np.concatenate([rng.uniform(-40.0, 40.0, 200_000),
+                         [700.0, -700.0, 709.8, -709.8, 800.0, -800.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.array([volatility._logistic(v) for v in xs])
+    assert got.tobytes() == expit(xs).tobytes()
+    assert got[-1] == 0.0 and got[-2] == 1.0
 
 
 # -- one-step forecasts -----------------------------------------------------
