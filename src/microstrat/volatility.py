@@ -31,7 +31,9 @@ makes, so every fit takes the same steps without importing `scipy.optimize`,
 whose package init loads `scipy.linalg`, `scipy.sparse` and `scipy.special`.
 It is used only where the kernel's docstring shows the exact signature it was
 written against; on any other scipy, such as 1.9 with its f2py kernel,
-`fit_garch` calls `minimize` itself.
+`fit_garch` calls `minimize` itself. Both compiled kernels, `setulb` and the
+filter's, come from `_scipy.extension`, which loads each compiled module
+without the scipy package around it.
 
 Presample convention: h is seeded with the sample variance of the input
 (assigned to h_0 and used for every h_{t-j} before the sample), presample
@@ -40,15 +42,13 @@ before the first observation.
 """
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _scipy
 from .errors import DataError, NonConvergenceError
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -182,33 +182,10 @@ class GarchFit:
 # ---------------------------------------------------------------------------
 
 
-def _scipy_extension(name: str):
-    """The compiled scipy module `name`, such as "scipy.signal._sigtools",
-    loaded on its own.
-
-    Importing a scipy subpackage runs its package init, which loads several
-    other scipy subpackages; this loads only the extension module, once. It
-    goes into `sys.modules` under its full name, so a later import of the
-    subpackage reuses it rather than loading the extension again.
-    """
-    module = sys.modules.get(name)
-    if module is None:
-        import scipy
-
-        spec = importlib.machinery.PathFinder.find_spec(
-            name, [os.path.join(scipy.__path__[0], *name.split(".")[1:-1])])
-        if spec is None:
-            raise ImportError(f"scipy has no module {name}", name=name)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return module
-
-
 def _lfilter_kernel():
     """`_linear_filter(b, a, x, axis[, zi])`, the compiled kernel that
     `scipy.signal.lfilter` calls whenever len(a) > 1."""
-    return _scipy_extension("scipy.signal._sigtools")._linear_filter
+    return _scipy.extension("scipy.signal._sigtools")._linear_filter
 
 
 def _ar_filter(a_poly: np.ndarray, x: np.ndarray,
@@ -526,7 +503,7 @@ def _setulb():
     `scipy.optimize` package, or None where it is missing or its signature is
     not `_SETULB_SIGNATURE` (older scipy builds it with f2py)."""
     try:
-        setulb = _scipy_extension("scipy.optimize._lbfgsb").setulb
+        setulb = _scipy.extension("scipy.optimize._lbfgsb").setulb
     except (ImportError, AttributeError):
         return None
     doc = setulb.__doc__ or ""

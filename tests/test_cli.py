@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import microstrat
-from microstrat import volatility
+from microstrat import volatility, vpin
 from microstrat.cli import main
 from microstrat.config import _PARSE, _opt_float, load_config
 from microstrat.errors import ConfigError, DataError
@@ -552,8 +552,7 @@ def test_line_chart_validation(tmp_path):
 # Runs in a fresh interpreter: records the scipy modules loaded after
 # `import microstrat.cli` and after each command, the microstrat modules the
 # import loaded and the OPENBLAS_THREAD_TIMEOUT it left, as JSON in argv[1];
-# commands write under argv[2]. With argv[3] "garch-first", garch runs before
-# vpin.
+# commands write under argv[2].
 _IMPORT_PROBE = """
 import json, os, sys
 
@@ -583,8 +582,6 @@ commands = [
     ("garch", ["garch", ticks]),
     # G only on two days: the GARCH refits start on the second day
     ("backtest", ["--config", g_only, "backtest", two_days])]
-if sys.argv[3:] == ["garch-first"]:
-    commands[2], commands[3] = commands[3], commands[2]
 for name, argv in commands:
     assert cli.main(["--out", out, *argv]) == 0, name
     seen[name] = scipy_loaded()
@@ -593,10 +590,9 @@ with open(sys.argv[1], "w") as fh:
 """
 
 
-def _run_import_probe(tmp_path, openblas_thread_timeout, garch_first=False):
+def _run_import_probe(tmp_path, openblas_thread_timeout):
     """The probe's record, run with OPENBLAS_THREAD_TIMEOUT set to the given
-    value, or unset for None (importing microstrat.cli here has set it), and
-    with garch before vpin if `garch_first`."""
+    value, or unset for None (importing microstrat.cli here has set it)."""
     src = os.path.dirname(os.path.dirname(microstrat.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -605,8 +601,7 @@ def _run_import_probe(tmp_path, openblas_thread_timeout, garch_first=False):
         env["OPENBLAS_THREAD_TIMEOUT"] = openblas_thread_timeout
     record = tmp_path / "seen.json"
     subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(record),
-                    str(tmp_path), *["garch-first"] * garch_first],
-                   env=env, check=True, capture_output=True)
+                    str(tmp_path)], env=env, check=True, capture_output=True)
     return json.loads(record.read_text())
 
 
@@ -617,30 +612,31 @@ def test_scipy_loads_only_in_the_functions_that_use_it(tmp_path):
     spec = importlib.util.spec_from_file_location("bench_tracer", tracer)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    # where the fit drives L-BFGS-B's kernel itself, garch runs before vpin,
-    # which loads scipy.special, so the probe sees what garch alone loads
-    driver = volatility._setulb() is not None
-    seen = _run_import_probe(tmp_path, None, garch_first=driver)
+    seen = _run_import_probe(tmp_path, None)
     assert seen["import"] == [] and seen["generate"] == [] \
         and seen["report"] == []
     assert {f"microstrat.{name}" for name in module.TARGETS} \
         <= set(seen["modules"])
+    # VPIN, the GARCH filter and the fit each load one compiled module
+    # without its package, whose init imports other scipy subpackages
     assert "scipy.signal" not in seen["vpin"]
     assert "scipy.optimize" not in seen["vpin"]
-    # the GARCH filter loads its compiled kernel without the scipy.signal
-    # package, whose init imports about a dozen scipy subpackages
     assert "scipy.signal" not in seen["garch"]
     assert "scipy.signal._sigtools" in seen["garch"]
-    if not driver:
+    if volatility._setulb() is None:
         # another L-BFGS-B kernel signature: the fit calls scipy's minimize
         assert "scipy.optimize" in seen["garch"]
         return
-    # and so does the fit, without the scipy.optimize package, whose init
-    # imports scipy.linalg and scipy.special among others
     assert "scipy.optimize._lbfgsb" in seen["garch"]
-    assert not {"scipy.optimize", "scipy.special", "scipy.linalg"} \
-        & set(seen["garch"])
-    assert "scipy.optimize" not in seen["backtest"]
+    if vpin._standalone_ndtr() is None:
+        # no ndtr outside scipy.special: VPIN imports the package
+        assert "scipy.special" in seen["vpin"]
+        return
+    assert "scipy.special._special_ufuncs" in seen["vpin"]
+    packages = {"scipy.special", "scipy.linalg", "scipy.optimize",
+                "scipy.signal"}
+    for name in ("vpin", "garch", "backtest"):
+        assert not packages & set(seen[name]), name
 
 
 @pytest.mark.parametrize("preset,expected", [(None, "4"), ("28", "28")])

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import microstrat
-from microstrat import volatility
+from microstrat import volatility, vpin
 from microstrat.errors import DataError, NonConvergenceError
 from microstrat.marketdata import simulate_garch
 from microstrat.volatility import (
@@ -493,12 +493,16 @@ def test_path_needs_the_fitted_returns_first():
         fit.path(x[:499])
 
 
-# Runs in a fresh interpreter, so `scipy.signal` is first imported after the
-# filter has loaded its kernel and must reuse that module.
+# Runs in a fresh interpreter, so `scipy.special` and `scipy.signal` are
+# first imported after VPIN and the filter have loaded their kernels, and
+# must reuse those modules. With argv[1] "standalone", VPIN's ndtr must come
+# without the scipy.special package.
 _KERNEL_PROBE = """
 import sys
 import numpy as np
+from microstrat.marketdata import SynthSpec, synth_ticks
 from microstrat.volatility import _ar_filter
+from microstrat.vpin import _standalone_ndtr, vpin_from_ticks
 
 rng = np.random.default_rng(5)
 cases = []
@@ -509,7 +513,23 @@ for q in (1, 2, 3) * 10:
     cases.append((a_poly, x, presample,
                   _ar_filter(a_poly, x), _ar_filter(a_poly, x, presample)))
 kernel = sys.modules["scipy.signal._sigtools"]
+vpin_from_ticks(synth_ticks(SynthSpec(count=20_000, seed=22)), window=10)
 assert "scipy.signal" not in sys.modules
+if sys.argv[1:] == ["standalone"]:
+    assert "scipy.special" not in sys.modules
+    ufuncs = sys.modules["scipy.special._special_ufuncs"]
+    ndtr = _standalone_ndtr()
+    assert ndtr is ufuncs.ndtr
+    grid = np.concatenate([np.linspace(-40.0, 40.0, 16_001),
+                           [0.0, -0.0, np.inf, -np.inf, np.nan]])
+    phi = ndtr(grid)
+
+    import scipy.special
+
+    assert sys.modules["scipy.special._special_ufuncs"] is ufuncs
+    assert scipy.special.ndtr is ndtr
+    np.testing.assert_array_equal(phi.view(np.int64),
+                                  scipy.special.ndtr(grid).view(np.int64))
 
 from scipy.signal import lfilter, lfiltic
 
@@ -524,11 +544,13 @@ for a_poly, x, presample, bare, seeded in cases:
 """
 
 
-def test_ar_filter_matches_lfilter_bit_for_bit():
+def test_standalone_kernels_match_scipy_bit_for_bit():
+    standalone = vpin._standalone_ndtr() is not None
     src = os.path.dirname(os.path.dirname(microstrat.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", _KERNEL_PROBE], env=env,
+    proc = subprocess.run([sys.executable, "-c", _KERNEL_PROBE,
+                           *["standalone"] * standalone], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 

@@ -1,10 +1,13 @@
 """Bucket construction, bulk volume classification, and VPIN values."""
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+from microstrat import _scipy, vpin
 from microstrat.errors import DataError
 from microstrat.marketdata import SynthSpec, TickSeries, synth_ticks
 from microstrat.vpin import (
@@ -190,6 +193,35 @@ def test_classify_buckets_invariants():
         vol, dp = fragments(buckets, k)
         split = float(np.sum(vol * ndtr(dp / sigma_delta_p(ticks.price))))
         assert buy[k] == pytest.approx(split, abs=1e-9)
+
+
+@pytest.mark.parametrize("standalone", ["missing", "without-ndtr"])
+def test_classify_through_scipy_special_is_the_same(standalone, monkeypatch):
+    """Where scipy has no standalone ndtr, classify_buckets takes
+    scipy.special's and gives the same buy volumes bit for bit."""
+    import scipy.special
+
+    ticks = synth_ticks(SynthSpec(count=20_000, seed=22))
+    buckets, sigma = bucket_fill(ticks, 500.0), sigma_delta_p(ticks.price)
+    loaded = classify_buckets(buckets, sigma)
+
+    def extension(name):
+        if standalone == "missing":
+            raise ImportError(f"scipy has no module {name}", name=name)
+        return types.SimpleNamespace()
+
+    calls = []
+
+    def special_ndtr(x):
+        calls.append(x.shape)
+        return ndtr(x)
+
+    monkeypatch.setattr(_scipy, "extension", extension)
+    monkeypatch.setattr(scipy.special, "ndtr", special_ndtr)
+    assert vpin._standalone_ndtr() is None
+    imported = classify_buckets(buckets, sigma)
+    assert calls == [(buckets.offsets[buckets.complete],)]
+    assert imported.tobytes() == loaded.tobytes()
 
 
 def test_vpin_zero_when_perfectly_balanced():
