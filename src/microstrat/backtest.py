@@ -13,7 +13,8 @@ a requested variant uses VPIN, the (delta2, delta3) thresholds are fit daily;
 and when one uses the SVM, the stage builds one feature matrix for training
 and one for the gate, trains a model daily on the rows labelled so far, and
 predicts each of the day's feature vectors in one call. Failed refits keep
-the previous model and are counted.
+the previous model and are counted. The pass also prices each bar's fills
+and sets the benchmark curve and the annualization, so no replay reads ticks.
 
 The replay runs once per variant over those columns and computes none of
 them. It owns what the layers change: the VPIN pull on delta1 and its daily
@@ -58,7 +59,7 @@ from .strategy import (
     stop_loss_check,
     svm_gate,
 )
-from .svm import DEFAULT_TOL, Kernel, Scaler, predict, train_smo
+from .svm import DEFAULT_C, DEFAULT_TOL, Kernel, Scaler, predict, train_smo
 from .volatility import GarchSpec, fit_garch
 from .vpin import (
     DEFAULT_BUCKETS_PER_DAY,
@@ -122,7 +123,7 @@ class EngineConfig:
     buckets_per_day: int = DEFAULT_BUCKETS_PER_DAY
     vpin_window: int = DEFAULT_WINDOW
     svm_kernel_sigma: float = 1.0
-    svm_c: float = 1.0
+    svm_c: float = DEFAULT_C
     svm_tol: float = DEFAULT_TOL
     svm_min_rows: int = 60
     svm_max_rows: int = 1500
@@ -209,10 +210,13 @@ class BacktestResult:
     benchmark: np.ndarray
     trades: tuple[Trade, ...]
     signal_log: tuple[SignalRecord, ...]
-    margin_calls: int
     max_ledger_residual: float
     garch_failures: int  # refits that raised; the previous fit stays in use
     svm_failures: int  # the same for SVM refits; 0 when the gate is off
+
+    @property
+    def margin_calls(self) -> int:
+        return sum(tr.kind == "margin-call" for tr in self.trades)
 
 
 class Account:
@@ -342,15 +346,19 @@ class _MarketState:
     is NaN on a bar with no delta1 recalibration; `svm_pred` is the SVM's
     prediction on the bar's row of the feature matrix, 0 where no model or
     feature vector exists; `thresholds` holds the (delta2, delta3) in
-    effect, None when no variant uses the VPIN layer.
+    effect, None when no variant uses the VPIN layer; `bid` and `ask` price
+    the fills. `benchmark` (the capital scaled by the closes over the trading
+    bars) and `periods_per_year` feed the metrics.
     """
 
-    ticks: TickSeries
     decision_ts: np.ndarray
     closes: np.ndarray
     day_ord: np.ndarray
     first_trading: int
-    price_idx: list[int]
+    bid: np.ndarray
+    ask: np.ndarray
+    benchmark: np.ndarray
+    periods_per_year: int
     vpin_now: list[float]
     z: np.ndarray
     stop_sigma: np.ndarray
@@ -481,8 +489,7 @@ def _threshold_path(vpin_values: np.ndarray, bucket_end_ts: np.ndarray,
         keep = np.isfinite(fluct)
         pairs_v, pairs_f = vpin_values[:n][keep], fluct[keep]
         if pairs_v.shape[0] >= 30 and np.ptp(pairs_v) > 0:
-            th = calibrate_vpin_thresholds(pairs_v, pairs_f, cfg.fluct_hi,
-                                           cfg.fluct_lo)
+            th = calibrate_vpin_thresholds(pairs_v, pairs_f, cfg)
             out[t:] = th.delta2, th.delta3
     return out
 
@@ -560,8 +567,21 @@ def _svm_path(z: np.ndarray, rets: np.ndarray, h: np.ndarray,
     return pred, failures
 
 
-def _market_state(ticks: TickSeries, cfg: StrategyConfig, eng: EngineConfig,
-                  *, vpin: bool, svm: bool) -> _MarketState:
+def _quotes(ticks: TickSeries, decision_ts: np.ndarray, costs: CostModel):
+    """The bid and ask of the last tick before each decision, or its trade
+    price -+ half a tick where that side has no quote."""
+    last = np.searchsorted(ticks.ts, decision_ts, side="left") - 1
+    half = costs.tick_size / 2.0
+    bid, ask = ticks.price[last] - half, ticks.price[last] + half
+    if ticks.bid1 is not None:
+        bid = np.where(np.isfinite(ticks.bid1[last]), ticks.bid1[last], bid)
+    if ticks.ask1 is not None:
+        ask = np.where(np.isfinite(ticks.ask1[last]), ticks.ask1[last], ask)
+    return bid, ask
+
+
+def _market_state(ticks: TickSeries, cfg: StrategyConfig, costs: CostModel,
+                  eng: EngineConfig, *, vpin: bool, svm: bool) -> _MarketState:
     """The bars and their returns, then one stage per layer. The threshold
     and SVM stages run only with `vpin` and `svm`, so a run pays for no layer
     it does not use."""
@@ -581,6 +601,8 @@ def _market_state(ticks: TickSeries, cfg: StrategyConfig, eng: EngineConfig,
     # the first bar of each trading day
     day_starts = np.searchsorted(day_ord, np.arange(eng.warmup_days, days.shape[0]))
     first_trading = int(day_starts[0])
+    if len(bars) - first_trading < 2:
+        raise DataError("not enough trading bars to evaluate")
     decision_ts = bars.ts + eng.bar_interval_ns
     rets = session_log_returns(bars)
 
@@ -600,10 +622,16 @@ def _market_state(ticks: TickSeries, cfg: StrategyConfig, eng: EngineConfig,
     if svm:
         svm_pred, svm_failures = _svm_path(z, rets, h, vpin_now, day_starts, eng)
 
+    bid, ask = _quotes(ticks, decision_ts, costs)
+    # resample starts a bar at each session open, so a session's last bar
+    # may be short
+    bars_per_day = int(np.sum(-((SESSION_OPENS_NS - SESSION_CLOSES_NS)
+                                // eng.bar_interval_ns)))
     return _MarketState(
-        ticks=ticks, decision_ts=decision_ts,
-        closes=bars.close, day_ord=day_ord, first_trading=first_trading,
-        price_idx=(np.searchsorted(ticks.ts, decision_ts, side="left") - 1).tolist(),
+        decision_ts=decision_ts, closes=bars.close, day_ord=day_ord,
+        first_trading=first_trading, bid=bid, ask=ask,
+        benchmark=costs.capital * bars.close[first_trading:] / bars.close[first_trading],
+        periods_per_year=bars_per_day * eng.trading_days_per_year,
         vpin_now=vpin_now, z=z, stop_sigma=_stop_sigma(bars.close, eng.sigma_window),
         delta1_fit=delta1_fit, thresholds=thresholds, svm_pred=svm_pred,
         garch_failures=garch_failures, svm_failures=svm_failures)
@@ -614,31 +642,18 @@ def _market_state(ticks: TickSeries, cfg: StrategyConfig, eng: EngineConfig,
 # ---------------------------------------------------------------------------
 
 
-def _quote_price(ticks: TickSeries, costs: CostModel, tick_idx: int,
-                 book_side: str) -> float:
-    """The book quote at a tick, or its trade price -+ half a tick without one."""
-    arr = ticks.bid1 if book_side == "bid" else ticks.ask1
-    if arr is not None and math.isfinite(arr[tick_idx]):
-        return float(arr[tick_idx])
-    px = float(ticks.price[tick_idx])
-    half = costs.tick_size / 2.0
-    return px - half if book_side == "bid" else px + half
-
-
 def _replay(state: _MarketState, cfg: StrategyConfig, costs: CostModel,
             eng: EngineConfig) -> BacktestResult:
     """Walk the trading bars of `state` as the variant `cfg` selects."""
-    ticks, closes = state.ticks, state.closes
     account = Account(costs)
     trades: list[Trade] = []
     signal_log: list[SignalRecord] = []
-    margin_calls = 0
     delta1 = eng.initial_delta1
     day_min_d1 = day_max_d1 = delta1
     delta2, delta3 = cfg.delta2, cfg.delta3
     current_day = -1
 
-    for t in range(state.first_trading, closes.shape[0]):
+    for t in range(state.first_trading, state.closes.shape[0]):
         now = int(state.decision_ts[t])
         if state.day_ord[t] != current_day:
             current_day = int(state.day_ord[t])
@@ -646,29 +661,24 @@ def _replay(state: _MarketState, cfg: StrategyConfig, costs: CostModel,
         if cfg.use_vpin:
             delta2, delta3 = state.thresholds[t]
 
-        price_idx = state.price_idx[t]
-        mark_price = closes[t]
+        mark_price = state.closes[t]
         equity = account.mark(mark_price)
 
         if account.position != 0:
+            long = account.position > 0
             maint = abs(account.position) * mark_price * costs.multiplier \
                 * costs.maintenance
+            kind = None
             if equity < maint:
-                book = "bid" if account.position > 0 else "ask"
-                trades.append(account.close(
-                    now, _quote_price(ticks, costs, price_idx, book),
-                    kind="margin-call"))
-                margin_calls += 1
-            else:
-                sigma_px = state.stop_sigma[t]
-                side = SIDE_BUY if account.position > 0 else SIDE_SELL
-                if sigma_px > 0 and stop_loss_check(
-                        account.entry_price, mark_price, sigma_px,
-                        cfg.stop_loss_sigmas, side):
-                    book = "bid" if account.position > 0 else "ask"
-                    trades.append(account.close(
-                        now, _quote_price(ticks, costs, price_idx, book),
-                        kind="stop"))
+                kind = "margin-call"
+            elif state.stop_sigma[t] > 0 and stop_loss_check(
+                    account.entry_price, mark_price, state.stop_sigma[t],
+                    SIDE_BUY if long else SIDE_SELL, cfg):
+                kind = "stop"
+            if kind is not None:
+                # an exit that is not signalled pays the spread
+                exit_px = float(state.bid[t] if long else state.ask[t])
+                trades.append(account.close(now, exit_px, kind=kind))
 
         if not math.isnan(state.delta1_fit[t]):
             delta1 = float(state.delta1_fit[t])
@@ -682,10 +692,9 @@ def _replay(state: _MarketState, cfg: StrategyConfig, costs: CostModel,
                 vpin_trace = ("vpin-hi",)
             elif vpin_now < delta3:
                 vpin_trace = ("vpin-lo",)
+            # halfway to an extreme stays within the day's extremes
             delta1 = adjust_delta1(delta1, vpin_now, delta2, delta3,
                                    day_max_d1, day_min_d1)
-            day_min_d1 = min(day_min_d1, delta1)
-            day_max_d1 = max(day_max_d1, delta1)
 
         if math.isnan(state.z[t]):
             continue
@@ -693,20 +702,16 @@ def _replay(state: _MarketState, cfg: StrategyConfig, costs: CostModel,
         if cfg.use_svm and sig.side != SIDE_NONE and state.svm_pred[t] != 0:
             sig = svm_gate(int(state.svm_pred[t]), sig)
 
+        # signalled fills are passive: buy at the bid, sell at the ask
         if sig.side == SIDE_SELL and account.position > 0:
-            trades.append(account.close(
-                now, _quote_price(ticks, costs, price_idx, "ask")))
+            trades.append(account.close(now, float(state.ask[t])))
         elif sig.side == SIDE_BUY and account.position < 0:
-            trades.append(account.close(
-                now, _quote_price(ticks, costs, price_idx, "bid")))
+            trades.append(account.close(now, float(state.bid[t])))
         if sig.side != SIDE_NONE and account.position == 0:
-            book = "bid" if sig.side == SIDE_BUY else "ask"
-            px = _quote_price(ticks, costs, price_idx, book)
+            px = float(state.bid[t] if sig.side == SIDE_BUY else state.ask[t])
             commitment = position_size(
                 max(account.cash, 0.0), vpin_now if math.isfinite(vpin_now) else 0.5,
-                delta2, delta3, fraction=cfg.position_fraction,
-                reduce_factor=cfg.size_reduce, boost_factor=cfg.size_boost,
-                cap_fraction=cfg.size_cap, vpin_layer=cfg.use_vpin)
+                delta2, delta3, cfg)
             qty = int(commitment // (px * costs.multiplier * costs.margin_rate))
             if qty >= 1:
                 trades.append(account.open(now, sig.side, qty, px))
@@ -716,24 +721,14 @@ def _replay(state: _MarketState, cfg: StrategyConfig, costs: CostModel,
                                        "|".join(vpin_trace + sig.layer_trace)))
 
     # every trading bar is marked once
-    equity_ts = state.decision_ts[state.first_trading:]
     equity = np.asarray(account.equity)
-    if equity.shape[0] < 2:
-        raise DataError("not enough trading bars to evaluate")
-    bench_px = closes[state.first_trading:]
-    benchmark = costs.capital * bench_px / bench_px[0]
-    # resample starts a bar at each session open, so a session's last bar
-    # may be short
-    bars_per_day = int(np.sum(-((SESSION_OPENS_NS - SESSION_CLOSES_NS)
-                                // eng.bar_interval_ns)))
-    ppy = int(bars_per_day * eng.trading_days_per_year)
-    m = compute_metrics(equity, benchmark, ppy)
+    m = compute_metrics(equity, state.benchmark, state.periods_per_year)
     report = BacktestReport(**asdict(m), trade_count=len(trades),
                             variant=variant_tag(cfg))
-    return BacktestResult(report=report, equity_ts=equity_ts, equity=equity,
-                          benchmark=benchmark, trades=tuple(trades),
-                          signal_log=tuple(signal_log),
-                          margin_calls=margin_calls,
+    return BacktestResult(report=report,
+                          equity_ts=state.decision_ts[state.first_trading:],
+                          equity=equity, benchmark=state.benchmark,
+                          trades=tuple(trades), signal_log=tuple(signal_log),
                           max_ledger_residual=account.max_residual,
                           garch_failures=state.garch_failures,
                           svm_failures=state.svm_failures if cfg.use_svm else 0)
@@ -748,9 +743,10 @@ def run_backtest(ticks: TickSeries, cfg: StrategyConfig,
                  costs: CostModel | None = None,
                  engine: EngineConfig | None = None) -> BacktestResult:
     """Sequential replay of the layered strategy over one tick stream."""
+    costs = costs if costs is not None else CostModel()
     eng = engine if engine is not None else EngineConfig()
-    state = _market_state(ticks, cfg, eng, vpin=cfg.use_vpin, svm=cfg.use_svm)
-    return _replay(state, cfg, costs if costs is not None else CostModel(), eng)
+    state = _market_state(ticks, cfg, costs, eng, vpin=cfg.use_vpin, svm=cfg.use_svm)
+    return _replay(state, cfg, costs, eng)
 
 
 def run_variants(ticks: TickSeries, cfg: StrategyConfig,
@@ -763,7 +759,7 @@ def run_variants(ticks: TickSeries, cfg: StrategyConfig,
     """
     costs = costs if costs is not None else CostModel()
     eng = engine if engine is not None else EngineConfig()
-    state = _market_state(ticks, cfg, eng, vpin=True, svm=True)
+    state = _market_state(ticks, cfg, costs, eng, vpin=True, svm=True)
     out: dict[str, BacktestResult] = {}
     for use_vpin, use_svm in ((False, False), (False, True),
                               (True, False), (True, True)):

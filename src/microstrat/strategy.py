@@ -5,7 +5,8 @@ Direction comes from thresholding the standardized one-step mean forecast at
 toward its daily extremes whenever VPIN crosses the warning thresholds
 (delta2, delta3), themselves fit to two one-sided fluctuation rules. A trained
 classifier may veto either side. The engine owns sequencing; everything here
-is a pure function of its inputs.
+is a pure function of its inputs, and the rules read their settings from one
+`StrategyConfig`.
 """
 from __future__ import annotations
 
@@ -140,14 +141,16 @@ def _misclass_curves(v, hi_mask, lo_mask, grid):
     return a, b
 
 
-def calibrate_vpin_thresholds(vpin, future_fluct, fluct_hi: float = 0.0015,
-                              fluct_lo: float = 0.0005) -> VpinThresholds:
+def calibrate_vpin_thresholds(vpin, future_fluct,
+                              config: StrategyConfig | None = None) -> VpinThresholds:
     """Fit (delta2, delta3) to the two one-sided fluctuation rules.
 
     Minimizes the total misclassification count over delta3 <= delta2 on a
     0.01 grid, then runs a short projected random descent with a fixed seed
-    around the winner. A flat objective falls back to (0.9, 0.1) and flags it.
+    around the winner. A flat objective falls back to the config's (delta2,
+    delta3) and flags it.
     """
+    cfg = config if config is not None else StrategyConfig()
     v = np.asarray(vpin, dtype=np.float64).ravel()
     f = np.asarray(future_fluct, dtype=np.float64).ravel()
     if v.shape[0] == 0:
@@ -156,12 +159,12 @@ def calibrate_vpin_thresholds(vpin, future_fluct, fluct_hi: float = 0.0015,
         raise DataError("VPIN and fluctuation series must be aligned")
     if np.all(v == v[0]):
         raise DataError("constant VPIN series cannot be thresholded")
-    hi_mask = f > fluct_hi
-    lo_mask = f < fluct_lo
+    hi_mask = f > cfg.fluct_hi
+    lo_mask = f < cfg.fluct_lo
     grid = np.arange(101) / 100.0
     a, b = _misclass_curves(v, hi_mask, lo_mask, grid)
     if a.max() == a.min() and b.max() == b.min():
-        return VpinThresholds(0.9, 0.1, int(a[0] + b[0]), flat_objective=True)
+        return VpinThresholds(cfg.delta2, cfg.delta3, int(a[0] + b[0]), flat_objective=True)
 
     # delta3 is constrained below delta2: prefix argmin folds the constraint in
     best_b = np.empty(101, dtype=np.int64)
@@ -214,33 +217,29 @@ def svm_gate(pred: int, proposed: Signal) -> Signal:
 
 
 def position_size(available_funds: float, vpin_now: float, delta2: float,
-                  delta3: float, *, fraction: float = 0.10,
-                  reduce_factor: float = 0.5, boost_factor: float = 1.5,
-                  cap_fraction: float = 0.20, vpin_layer: bool = True) -> float:
-    """Funds committed to the next entry, scaled down or up by the VPIN band."""
+                  delta3: float, config: StrategyConfig) -> float:
+    """Funds committed to the next entry, scaled by the VPIN band if used."""
     if available_funds < 0:
         raise DataError("available funds cannot be negative")
-    base = fraction * available_funds
-    if not vpin_layer:
+    base = config.position_fraction * available_funds
+    if not config.use_vpin:
         return base
     if vpin_now > delta2:
-        return reduce_factor * base
+        return config.size_reduce * base
     if vpin_now < delta3:
-        return min(boost_factor * base, cap_fraction * available_funds)
+        return min(config.size_boost * base, config.size_cap * available_funds)
     return base
 
 
 def stop_loss_check(entry_price: float, current_price: float,
-                    sigma_price: float, k: float = 2.0,
-                    side: str = SIDE_BUY) -> bool:
+                    sigma_price: float, side: str,
+                    config: StrategyConfig) -> bool:
     if sigma_price <= 0:
         raise DataError(f"sigma_price must be positive, got {sigma_price}")
-    if k <= 0:
-        raise DataError("k must be positive")
     if side == SIDE_BUY:
         excursion = entry_price - current_price
     elif side == SIDE_SELL:
         excursion = current_price - entry_price
     else:
         raise DataError(f"stop loss needs an open side, got {side!r}")
-    return excursion > k * sigma_price
+    return excursion > config.stop_loss_sigmas * sigma_price

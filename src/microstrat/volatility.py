@@ -465,15 +465,18 @@ def _initial_raw(spec: GarchSpec, seed_var: float, rbar: float) -> np.ndarray:
 def _objective(x: np.ndarray, spec: GarchSpec, seed_var: float, rbar: float):
     """The function `fit_garch` minimizes: raw parameters to the negative
     log-likelihood and its gradient, evaluated in a workspace of its own; an
-    infeasible point gives 1e12 and a zero gradient."""
+    infeasible point, where either is not finite (h near the underflow limit
+    overflows the gradient), gives 1e12, a zero gradient and no warning."""
     work = _Workspace(x.shape[0])
 
     def objective(raw: np.ndarray):
         theta, omega, s, wts = _raw_to_natural(raw, spec)
-        ll, g = garch_loglik(theta, x, spec, seed_var, rbar, work)
-        if not math.isfinite(ll):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ll, g = garch_loglik(theta, x, spec, seed_var, rbar, work)
+            grad = -_chain_gradient(g, raw, spec, omega, s, wts)
+        if not (math.isfinite(ll) and np.isfinite(grad).all()):
             return 1e12, np.zeros(raw.shape[0])
-        return -ll, -_chain_gradient(g, raw, spec, omega, s, wts)
+        return -ll, grad
 
     return objective
 

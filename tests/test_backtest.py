@@ -491,7 +491,8 @@ def test_svm_trains_on_lagged_feature_rows(ticks, monkeypatch):
 
     monkeypatch.setattr(bt, "session_log_returns", some_flat)
     eng = EngineConfig(svm_min_rows=40, svm_max_rows=200)
-    state = bt._market_state(ticks, StrategyConfig(), eng, vpin=False, svm=True)
+    state = bt._market_state(ticks, StrategyConfig(), CostModel(), eng,
+                             vpin=False, svm=True)
     lags = bt.SVM_FEATURE_LAGS
     assert len(seen) >= 2
     for X, y in seen:
@@ -597,6 +598,19 @@ def test_engine_preconditions():
     one_day = SynthSpec(count=28800, seed=1, tick_interval_ms=500)
     with pytest.raises(DataError):
         run_backtest(synth_ticks(one_day), StrategyConfig())
+
+
+def test_one_trading_bar_fails_before_any_stage_or_replay(monkeypatch):
+    """A warmup day and three ticks of the next make one trading bar; the
+    market-state pass rejects it before it fits or replays anything."""
+    ticks = synth_ticks(SynthSpec(count=2 * 2880, seed=3, tick_interval_ms=5000))
+    n = int(np.searchsorted(ticks.ts, (ticks.ts[0] // NS_PER_DAY + 1) * NS_PER_DAY)) + 3
+    short = TickSeries(ticks.ts[:n], ticks.price[:n], ticks.volume[:n],
+                       ticks.bid1[:n], ticks.ask1[:n])
+    for name in ("fit_garch", "_replay"):
+        monkeypatch.setattr(bt, name, lambda *args: pytest.fail("ran a stage"))
+    with pytest.raises(DataError, match="not enough trading bars"):
+        run_variants(short, StrategyConfig())
 
 
 def test_variant_tag_mapping():

@@ -1,5 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from microstrat.backtest import _svm_training_rows
 from microstrat.errors import DataError
@@ -125,6 +129,22 @@ def test_flat_objective_falls_back():
     assert th.delta2 == 0.9 and th.delta3 == 0.1
 
 
+def test_flat_objective_falls_back_to_the_configured_thresholds():
+    levels = np.repeat([0.1, 0.3, 0.5, 0.7, 0.9], 4)
+    fluct = np.tile([0.002, 0.002, 0.0002, 0.0002], 5)
+    th = calibrate_vpin_thresholds(levels, fluct,
+                                   StrategyConfig(delta2=0.8, delta3=0.2))
+    assert th.flat_objective
+    assert (th.delta2, th.delta3) == (0.8, 0.2)
+
+
+def test_fluctuation_bounds_come_from_the_config():
+    v, f = separable_rows()
+    # every row is volatile under a zero upper bound, so delta2 goes to 0
+    th = calibrate_vpin_thresholds(v, f, StrategyConfig(fluct_hi=0.0))
+    assert th.delta2 == 0.0
+
+
 def test_always_volatile_drives_delta2_to_zero():
     rng = np.random.default_rng(3)
     v = rng.uniform(0.05, 0.95, 300)
@@ -170,6 +190,22 @@ def test_adjustment_stays_in_daily_range():
         assert lo <= out <= hi
 
 
+# below half the largest float, so no sum of two overflows
+_HALF_MAX = sys.float_info.max / 2
+
+
+@given(st.lists(st.floats(-_HALF_MAX, _HALF_MAX), min_size=3, max_size=3),
+       st.floats(0.0, 1.0), st.sampled_from(["low", "mid", "high"]))
+def test_adjustment_never_leaves_the_extremes(values, vpin_now, where):
+    """Halfway between delta1 and a daily extreme stays within the extremes,
+    also with equal extremes and delta1 at either one; the replay relies on
+    it and does not widen the extremes after an adjustment."""
+    lo, d1, hi = sorted(values)
+    d1 = {"low": lo, "mid": d1, "high": hi}[where]
+    out = adjust_delta1(d1, vpin_now, 0.6, 0.3, hi, lo)
+    assert lo <= out <= hi
+
+
 def test_adjustment_rejects_out_of_range_delta1():
     with pytest.raises(DataError):
         adjust_delta1(0.1, 0.5, 0.9, 0.1, 1.0, 0.2)
@@ -210,35 +246,44 @@ def test_gate_never_creates_trades():
 
 
 def test_position_size_bands():
-    assert position_size(1_000_000.0, 0.5, 0.9, 0.1) == pytest.approx(100_000.0)
-    assert position_size(1_000_000.0, 0.95, 0.9, 0.1) == pytest.approx(50_000.0)
-    assert position_size(1_000_000.0, 0.05, 0.9, 0.1) == pytest.approx(150_000.0)
-    assert position_size(0.0, 0.5, 0.9, 0.1) == 0.0
+    cfg = StrategyConfig()
+    assert position_size(1_000_000.0, 0.5, 0.9, 0.1, cfg) == pytest.approx(100_000.0)
+    assert position_size(1_000_000.0, 0.95, 0.9, 0.1, cfg) == pytest.approx(50_000.0)
+    assert position_size(1_000_000.0, 0.05, 0.9, 0.1, cfg) == pytest.approx(150_000.0)
+    assert position_size(0.0, 0.5, 0.9, 0.1, cfg) == 0.0
 
 
 def test_position_size_cap_and_layer_switch():
-    capped = position_size(1_000_000.0, 0.05, 0.9, 0.1, fraction=0.15)
+    capped = position_size(1_000_000.0, 0.05, 0.9, 0.1,
+                           StrategyConfig(position_fraction=0.15))
     assert capped == pytest.approx(200_000.0)
-    flat = position_size(1_000_000.0, 0.95, 0.9, 0.1, vpin_layer=False)
+    flat = position_size(1_000_000.0, 0.95, 0.9, 0.1, StrategyConfig(use_vpin=False))
     assert flat == pytest.approx(100_000.0)
+    scaled = StrategyConfig(size_reduce=0.25, size_boost=1.2, size_cap=1.0)
+    assert position_size(1_000_000.0, 0.95, 0.9, 0.1, scaled) == pytest.approx(25_000.0)
+    assert position_size(1_000_000.0, 0.05, 0.9, 0.1, scaled) == pytest.approx(120_000.0)
     with pytest.raises(DataError):
-        position_size(-1.0, 0.5, 0.9, 0.1)
+        position_size(-1.0, 0.5, 0.9, 0.1, StrategyConfig())
 
 
 def test_stop_loss_rule():
-    assert not stop_loss_check(100.0, 100.0, 0.5, side=SIDE_BUY)
-    assert stop_loss_check(100.0, 98.9, 0.5, side=SIDE_BUY)
-    assert not stop_loss_check(100.0, 100.9, 0.5, side=SIDE_SELL)
-    assert stop_loss_check(100.0, 101.1, 0.5, side=SIDE_SELL)
+    cfg = StrategyConfig()
+    assert not stop_loss_check(100.0, 100.0, 0.5, SIDE_BUY, cfg)
+    assert stop_loss_check(100.0, 98.9, 0.5, SIDE_BUY, cfg)
+    assert not stop_loss_check(100.0, 100.9, 0.5, SIDE_SELL, cfg)
+    assert stop_loss_check(100.0, 101.1, 0.5, SIDE_SELL, cfg)
     # the boundary itself does not trigger
-    assert not stop_loss_check(100.0, 99.0, 0.5, side=SIDE_BUY)
+    assert not stop_loss_check(100.0, 99.0, 0.5, SIDE_BUY, cfg)
+    # the width is the config's stop_loss_sigmas
+    assert stop_loss_check(100.0, 99.0, 0.5, SIDE_BUY,
+                           StrategyConfig(stop_loss_sigmas=1.5))
 
 
 def test_stop_loss_validation():
     with pytest.raises(DataError):
-        stop_loss_check(100.0, 99.0, 0.0)
+        stop_loss_check(100.0, 99.0, 0.0, SIDE_BUY, StrategyConfig())
     with pytest.raises(DataError):
-        stop_loss_check(100.0, 99.0, 0.5, side=SIDE_NONE)
+        stop_loss_check(100.0, 99.0, 0.5, SIDE_NONE, StrategyConfig())
 
 
 # -- feature encoding -------------------------------------------------------

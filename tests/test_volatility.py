@@ -367,6 +367,25 @@ def test_lbfgsb_driver_matches_scipy_minimize(case, monkeypatch):
         == (case in ("repeated-x", "long-line-search"))
 
 
+def test_non_finite_gradient_is_an_infeasible_point():
+    """At a raw TGARCH(2,2) point with omega e^-484 and ARCH weights e^-700,
+    h sinks to omega: the log-likelihood stays finite, but dl/dh overflows.
+    The objective treats the point as infeasible and warns of nothing, which
+    the warnings-as-errors setting checks."""
+    spec = GarchSpec(2, 2, True, "constant")
+    x = simulate_garch(np.random.default_rng(5).standard_normal(500), 2e-8, 0.1, 0.8)
+    seed_var, rbar = float(np.var(x)), float(np.mean(x))
+    # mean, log omega, logit persistence, ARCH and GARCH logits, leverage
+    raw = np.array([rbar, -484.0, -30.0, -700.0, -700.0, 0.0, 0.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ll, g = garch_loglik(volatility._raw_to_natural(raw, spec)[0], x, spec,
+                             seed_var, rbar)
+    assert math.isfinite(ll) and not np.isfinite(g).all()
+    f, grad = volatility._objective(x, spec, seed_var, rbar)(raw)
+    assert f == 1e12
+    assert grad.tobytes() == np.zeros(raw.shape[0]).tobytes()
+
+
 def test_fit_through_scipy_minimize_is_the_same_fit(monkeypatch):
     """Where the kernel's signature differs, fit_garch calls scipy's own
     driver, which takes the same steps."""
