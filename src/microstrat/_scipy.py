@@ -1,27 +1,30 @@
-"""Compiled scipy modules, each loaded without the package around it.
+"""The one module that knows where scipy keeps the routines microstrat calls.
 
 Importing a scipy subpackage runs its package init, which loads several
 other scipy subpackages: `scipy.signal` loads about a dozen, and
 `scipy.optimize` loads `scipy.linalg`, `scipy.sparse` and `scipy.special`.
-The `vpin`, `garch` and `backtest` commands each need single compiled
-routines from these packages, so `extension` loads just the compiled module
-that holds each:
+So each accessor loads, through `extension`, just the compiled module that
+holds its routine, and resolves the routine once:
 
-- `scipy.signal._sigtools`, lfilter's kernel, for `volatility._ar_filter`
-- `scipy.optimize._lbfgsb`, L-BFGS-B's `setulb`, for `volatility._setulb`
-- `scipy.special._special_ufuncs`, the normal CDF `ndtr`, for
-  `vpin._standalone_ndtr`
-
-`_setulb` and `_standalone_ndtr` return None where their routine is missing
-or differs, as on older scipy, and their callers then take the public scipy
-import.
+- `linear_filter`, lfilter's kernel, from `scipy.signal._sigtools`
+- `setulb`, L-BFGS-B's kernel, from `scipy.optimize._lbfgsb`, or None where
+  it differs, as on older scipy, and the GARCH fit then calls `minimize`
+- `special(name)`, a ufunc such as `ndtr`, from
+  `scipy.special._special_ufuncs`, or from the `scipy.special` package where
+  that module lacks it, as on scipy 1.9 and for `betainc`
 """
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
 import sys
+
+# The compiled kernel's signature that `volatility._lbfgsb` is written
+# against, as the first line of its docstring; it is scipy 1.17's C kernel.
+_SETULB_SIGNATURE = ("setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,"
+                     "isave,dsave,maxls,ln_task)")
 
 
 def extension(name: str):
@@ -44,3 +47,33 @@ def extension(name: str):
         sys.modules[name] = module
         spec.loader.exec_module(module)
     return module
+
+
+@functools.cache
+def special(name: str):
+    """scipy's ufunc `name`, the very object `scipy.special` exports."""
+    try:
+        return getattr(extension("scipy.special._special_ufuncs"), name)
+    except (ImportError, AttributeError):
+        import scipy.special
+
+        return getattr(scipy.special, name)
+
+
+@functools.cache
+def linear_filter():
+    """`_linear_filter(b, a, x, axis[, zi])`, the compiled kernel that
+    `scipy.signal.lfilter` calls whenever len(a) > 1."""
+    return extension("scipy.signal._sigtools")._linear_filter
+
+
+@functools.cache
+def setulb():
+    """scipy's L-BFGS-B kernel, or None where it is missing or its signature
+    is not `_SETULB_SIGNATURE` (older scipy builds it with f2py)."""
+    try:
+        kernel = extension("scipy.optimize._lbfgsb").setulb
+    except (ImportError, AttributeError):
+        return None
+    doc = kernel.__doc__ or ""
+    return kernel if doc.partition("\n")[0] == _SETULB_SIGNATURE else None

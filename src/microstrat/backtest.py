@@ -93,8 +93,10 @@ class CostModel:
 
     def __post_init__(self) -> None:
         # negated comparisons, so that NaN fails them
-        if not (self.capital > 0 and self.multiplier > 0 and self.tick_size >= 0):
+        if not (self.capital > 0 and self.multiplier > 0):
             raise DataError("capital and multiplier must be positive")
+        if not self.tick_size >= 0:
+            raise DataError(f"tick_size must be >= 0, got {self.tick_size}")
         if not (0 < self.margin_rate <= 1 and self.fee_rate >= 0):
             raise DataError("bad margin or fee rate")
         if self.maintenance_rate is not None and not 0 < self.maintenance_rate <= 1:
@@ -359,7 +361,7 @@ class _MarketState:
     ask: np.ndarray
     benchmark: np.ndarray
     periods_per_year: int
-    vpin_now: list[float]
+    vpin_now: np.ndarray
     z: np.ndarray
     stop_sigma: np.ndarray
     delta1_fit: np.ndarray
@@ -506,7 +508,7 @@ def _svm_training_rows(fz: np.ndarray, rz: np.ndarray, vp: np.ndarray,
 
 
 def _svm_path(z: np.ndarray, rets: np.ndarray, h: np.ndarray,
-              vpin_now: list[float], day_starts: np.ndarray,
+              vpin_now: np.ndarray, day_starts: np.ndarray,
               eng: EngineConfig) -> tuple[np.ndarray, int]:
     """The gate's -1/+1 prediction at each bar (0 without a model or feature
     vector) and the failed refit count. Each trading day trains on the rows
@@ -525,7 +527,7 @@ def _svm_path(z: np.ndarray, rets: np.ndarray, h: np.ndarray,
     n_rz = np.searchsorted(rz_at, z_at, side="right")
     j = np.flatnonzero(n_rz >= lags)
     gate_at, n_rz = z_at[j], n_rz[j]
-    v = np.asarray(vpin_now)[gate_at]
+    v = vpin_now[gate_at]  # a copy, so the fill leaves the column as it is
     v[~np.isfinite(v)] = 0.5
     # the last `lags` standardized forecasts and returns, and the VPIN
     back = np.arange(-lags, 0)
@@ -609,8 +611,8 @@ def _market_state(ticks: TickSeries, cfg: StrategyConfig, costs: CostModel,
     vpin_values, vpin_end_ts, bucket_end_ts, bucket_fluct = \
         _vpin_stream(ticks, days, eng)
     # latest completed VPIN at each decision instant
-    k = np.searchsorted(vpin_end_ts, decision_ts, side="left").tolist()
-    vpin_now = [float(vpin_values[i - 1]) if i > 0 else math.nan for i in k]
+    k = np.searchsorted(vpin_end_ts, decision_ts, side="left")
+    vpin_now = np.append(np.nan, vpin_values)[k]
 
     z, h, garch_failures = _garch_path(rets, first_trading, eng)
     delta1_fit = _delta1_path(z, rets, first_trading, cfg, eng)

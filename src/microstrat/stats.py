@@ -7,8 +7,8 @@ ARCH-effect check on squared demeaned returns, and two-directional Granger
 causality F-tests.
 
 The ADF lag is chosen by the Schwarz criterion over lags 0..max_lag on a
-common sample. The candidate regressions are nested, so one in-place QR
-factorization of the largest design with dy appended gives every
+common sample. The candidate regressions are nested, so one QR
+factorization of the largest design with dy appended, numpy's, gives every
 candidate's SSR (Golub & Van Loan, least squares by QR); the first minimum
 wins a tie, and only the chosen lag is fitted by OLS.
 """
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _scipy
 from .errors import DataError, NumericalError
 
 # ---------------------------------------------------------------------------
@@ -53,9 +54,7 @@ def chi2_sf(x: float, df: float) -> float:
         raise DataError(f"chi-squared df must be positive, got {df}")
     if x <= 0:
         return 1.0
-    from scipy.special import gammaincc
-
-    return float(gammaincc(df / 2.0, x / 2.0))
+    return float(_scipy.special("gammaincc")(df / 2.0, x / 2.0))
 
 
 def f_sf(x: float, d1: float, d2: float) -> float:
@@ -66,9 +65,7 @@ def f_sf(x: float, d1: float, d2: float) -> float:
         return 1.0
     if math.isinf(x):
         return 0.0
-    from scipy.special import betainc
-
-    return float(betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x)))
+    return float(_scipy.special("betainc")(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x)))
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +204,7 @@ def _mackinnon_p(tau: float) -> float:
     z = 0.0
     for c in reversed(coeffs):
         z = z * tau + c
-    from scipy.special import ndtr
-
-    return float(ndtr(z))
+    return float(_scipy.special("ndtr")(z))
 
 
 def adf_critical_values(nobs: int) -> dict[str, float]:
@@ -224,8 +219,8 @@ def adf_critical_values(nobs: int) -> dict[str, float]:
 def _adf_design(y: np.ndarray, dy: np.ndarray, k: int, start: int) -> np.ndarray:
     """``[1, y_{t-1}, dy_{t-1} .. dy_{t-k} | dy_t]`` over t = start .. len(dy)-1.
 
-    One Fortran-order array written column by column from slice views, so
-    the lag sweep can factor it in place.
+    One Fortran-order array, LAPACK's layout, written column by column from
+    slice views.
     """
     z = np.empty((dy.shape[0] - start, k + 3), order="F")
     z[:, 0] = 1.0
@@ -246,11 +241,11 @@ def _sic_values(y: np.ndarray, dy: np.ndarray, max_lag: int) -> np.ndarray:
     block are those of the candidate's design, which gives the rank that
     ``lstsq`` reports with its default cut-off.
     """
-    from scipy.linalg import qr
-
     z = _adf_design(y, dy, max_lag, start=max_lag)
-    m = z.shape[0]
-    (_, _), r = qr(z, mode="raw", overwrite_a=True, check_finite=False)
+    m, n = z.shape
+    # numpy's raw mode returns LAPACK's factored array transposed, with R in
+    # its upper triangle
+    r = np.triu(np.linalg.qr(z, mode="raw")[0].T[:n])
     ssr = np.cumsum(r[::-1, -1] ** 2)[::-1]
     cutoff = np.finfo(np.float64).eps * m
     sic = np.empty(max_lag + 1)

@@ -29,11 +29,11 @@ The optimizer is L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995). `_lbfgsb` drives
 scipy's compiled kernel, `setulb`, with the calls `scipy.optimize.minimize`
 makes, so every fit takes the same steps without importing `scipy.optimize`,
 whose package init loads `scipy.linalg`, `scipy.sparse` and `scipy.special`.
-It is used only where the kernel's docstring shows the exact signature it was
-written against; on any other scipy, such as 1.9 with its f2py kernel,
-`fit_garch` calls `minimize` itself. Both compiled kernels, `setulb` and the
-filter's, come from `_scipy.extension`, which loads each compiled module
-without the scipy package around it.
+Where `_scipy.setulb` finds no kernel with the exact signature the driver
+was written against, as on scipy 1.9 with its f2py kernel, `fit_garch` calls
+`minimize` itself. The kernels, `setulb`, the filter's `linear_filter` and
+the `expit` ufunc of the persistence transform, all come from `_scipy`,
+which loads each compiled module without the scipy package around it.
 
 Presample convention: h is seeded with the sample variance of the input
 (assigned to h_0 and used for every h_{t-j} before the sample), presample
@@ -182,19 +182,13 @@ class GarchFit:
 # ---------------------------------------------------------------------------
 
 
-def _lfilter_kernel():
-    """`_linear_filter(b, a, x, axis[, zi])`, the compiled kernel that
-    `scipy.signal.lfilter` calls whenever len(a) > 1."""
-    return _scipy.extension("scipy.signal._sigtools")._linear_filter
-
-
 def _ar_filter(a_poly: np.ndarray, x: np.ndarray,
                presample: np.ndarray | None = None) -> np.ndarray:
     """y with a_poly[0] y_t + a_poly[1] y_{t-1} + ... = x_t, bit for bit
     `lfilter([1], a_poly, x, zi=lfiltic([1], a_poly, presample))[0]`, where
     `presample` holds y_{-1}, y_{-2}, ...; without it the presample is zero.
     """
-    kernel, unit = _lfilter_kernel(), np.ones(1)
+    kernel, unit = _scipy.linear_filter(), np.ones(1)
     if presample is None:
         return kernel(unit, a_poly, x, -1)
     # lfiltic's state for a unit numerator and a_poly[0] == 1
@@ -389,15 +383,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def _logistic(x: float) -> float:
-    """1 / (1 + e^-x), bit for bit `scipy.special.expit`: 0.0 where e^-x
-    overflows."""
-    try:
-        return 1.0 / (1.0 + math.exp(-x))
-    except OverflowError:
-        return 0.0
-
-
 def _raw_to_natural(raw: np.ndarray, spec: GarchSpec):
     nm, p, q = spec.n_mean, spec.p, spec.q
     m = p + q
@@ -407,7 +392,7 @@ def _raw_to_natural(raw: np.ndarray, spec: GarchSpec):
     # clamp so a wild line-search step degrades the objective instead of
     # overflowing exp; the optimum is nowhere near the boundary
     omega = math.exp(min(max(raw[nm], -700.0), 700.0))
-    s = _logistic(raw[nm + 1])
+    s = _scipy.special("expit")(raw[nm + 1])
     logits = np.concatenate([raw[nm + 2:nm + 1 + m], [0.0]])
     wts = _softmax(logits)
     coefs = s * wts
@@ -481,10 +466,6 @@ def _objective(x: np.ndarray, spec: GarchSpec, seed_var: float, rbar: float):
     return objective
 
 
-# The compiled kernel's signature that `_lbfgsb` is written against, as the
-# first line of its docstring; it is scipy 1.17's C kernel.
-_SETULB_SIGNATURE = ("setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,"
-                     "isave,dsave,maxls,ln_task)")
 _MAX_FIT_EVALS = 15000  # scipy's default maxfun
 # scipy's names for the kernel's stop codes: task[0], then task[1]
 _LBFGSB_STATES = {4: "CONVERGENCE", 5: "STOP", 6: "WARNING", 7: "ERROR",
@@ -499,18 +480,6 @@ _LBFGSB_REASONS = {
     603: "STP = STPMIN",
     604: "XTOL TEST SATISFIED",
 }
-
-
-def _setulb():
-    """scipy's compiled L-BFGS-B kernel `setulb`, loaded without the
-    `scipy.optimize` package, or None where it is missing or its signature is
-    not `_SETULB_SIGNATURE` (older scipy builds it with f2py)."""
-    try:
-        setulb = _scipy.extension("scipy.optimize._lbfgsb").setulb
-    except (ImportError, AttributeError):
-        return None
-    doc = setulb.__doc__ or ""
-    return setulb if doc.partition("\n")[0] == _SETULB_SIGNATURE else None
 
 
 def _lbfgsb(objective, x0: np.ndarray, setulb):
@@ -561,9 +530,9 @@ def _lbfgsb(objective, x0: np.ndarray, setulb):
 
 
 def _minimize(objective, x0: np.ndarray):
-    """`_lbfgsb` on scipy's kernel where `_setulb` finds it, else scipy's own
-    driver, `minimize`, with the same options."""
-    setulb = _setulb()
+    """`_lbfgsb` on scipy's kernel where `_scipy.setulb` finds it, else
+    scipy's own driver, `minimize`, with the same options."""
+    setulb = _scipy.setulb()
     if setulb is not None:
         return _lbfgsb(objective, x0, setulb)
     from scipy.optimize import minimize

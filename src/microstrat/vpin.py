@@ -14,11 +14,9 @@ volume.
 Integer bucket volumes keep all boundary arithmetic exact in float64 (tick
 volumes are integer contracts), so volume conservation holds bit-exactly.
 
-Phi is scipy's `ndtr` ufunc. `classify_buckets` takes it from the compiled
-module `scipy.special._special_ufuncs`, loaded on its own by
-`_scipy.extension`, so VPIN does not pay for the `scipy.special` package's
-imports; `scipy.special.ndtr` is that same ufunc object. Where the module or
-its `ndtr` is missing, as on scipy 1.9, it imports `scipy.special` instead.
+Phi is scipy's `ndtr` ufunc, from `_scipy.special`, which loads it without
+the `scipy.special` package's imports wherever scipy keeps it in a
+standalone compiled module.
 """
 from __future__ import annotations
 
@@ -110,23 +108,11 @@ def sigma_delta_p(price: np.ndarray) -> float:
     return sigma
 
 
-def _standalone_ndtr():
-    """scipy's normal CDF ufunc `ndtr`, loaded without the `scipy.special`
-    package, or None where `scipy.special._special_ufuncs` or its `ndtr` is
-    missing."""
-    try:
-        return _scipy.extension("scipy.special._special_ufuncs").ndtr
-    except (ImportError, AttributeError):
-        return None
-
-
 def classify_buckets(buckets: Buckets, sigma_dp: float) -> np.ndarray:
     """Buy volume of every complete bucket, clipped to [0, bucket_volume]."""
     if not sigma_dp > 0:
         raise DataError(f"sigma_dp must be positive, got {sigma_dp}")
-    ndtr = _standalone_ndtr()
-    if ndtr is None:
-        from scipy.special import ndtr
+    ndtr = _scipy.special("ndtr")
     offsets = buckets.offsets[:buckets.complete + 1]
     n = offsets[-1]
     buy = buckets.volume[:n] * ndtr(buckets.delta_p[:n] / sigma_dp)

@@ -165,6 +165,8 @@ def test_cost_model_validation():
         CostModel(capital=0.0)
     with pytest.raises(DataError):
         CostModel(margin_rate=1.5)
+    with pytest.raises(DataError, match=r"^tick_size must be >= 0, got -1\.0$"):
+        CostModel(tick_size=-1.0)
 
 
 # every float field of the run dataclasses a library caller builds directly;

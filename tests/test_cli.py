@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import microstrat
-from microstrat import volatility, vpin
+from microstrat import _scipy
 from microstrat.cli import main
 from microstrat.config import _PARSE, _opt_float, load_config
 from microstrat.errors import ConfigError, DataError
@@ -147,8 +148,8 @@ def test_generate_constraint_error(shared, tmp_path, capsys):
     ("backtest", "delta1_every", "0"), ("backtest", "garch_refit_every", "0"),
     ("backtest", "delta1_window", "29"), ("backtest", "sigma_window", "-5"),
     ("backtest", "garch_min_obs", "3000"), ("backtest", "garch_min_obs", "-1"),
-    ("backtest", "trading_days_per_year", "0"), ("vpin", "window", "0"),
-    ("vpin", "buckets_per_day", "0")])
+    ("backtest", "trading_days_per_year", "0"), ("backtest", "tick_size", "-0.2"),
+    ("vpin", "window", "0"), ("vpin", "buckets_per_day", "0")])
 def test_bad_engine_value_fails_before_the_run(shared, tmp_path, capsys,
                                               section, key, value):
     ini = tmp_path / "bad.ini"
@@ -581,7 +582,8 @@ commands = [
     ("vpin", ["vpin", ticks, "--window", "10"]),
     ("garch", ["garch", ticks]),
     # G only on two days: the GARCH refits start on the second day
-    ("backtest", ["--config", g_only, "backtest", two_days])]
+    ("backtest", ["--config", g_only, "backtest", two_days]),
+    ("diagnose", ["diagnose", ticks])]
 for name, argv in commands:
     assert cli.main(["--out", out, *argv]) == 0, name
     seen[name] = scipy_loaded()
@@ -623,19 +625,24 @@ def test_scipy_loads_only_in_the_functions_that_use_it(tmp_path):
     assert "scipy.optimize" not in seen["vpin"]
     assert "scipy.signal" not in seen["garch"]
     assert "scipy.signal._sigtools" in seen["garch"]
-    if volatility._setulb() is None:
+    if _scipy.setulb() is None:
         # another L-BFGS-B kernel signature: the fit calls scipy's minimize
         assert "scipy.optimize" in seen["garch"]
         return
     assert "scipy.optimize._lbfgsb" in seen["garch"]
-    if vpin._standalone_ndtr() is None:
-        # no ndtr outside scipy.special: VPIN imports the package
-        assert "scipy.special" in seen["vpin"]
+    ufuncs = sys.modules.get("scipy.special._special_ufuncs")
+    if not all(_scipy.special(name) is getattr(ufuncs, name, None)
+               for name in ("ndtr", "gammaincc")):
+        # no ndtr or gammaincc outside scipy.special: VPIN or the
+        # diagnostics import the package
+        assert "scipy.special" in seen["diagnose"]
         return
     assert "scipy.special._special_ufuncs" in seen["vpin"]
+    # the commands run in turn in one interpreter, so each record holds the
+    # modules of the commands before it too
     packages = {"scipy.special", "scipy.linalg", "scipy.optimize",
                 "scipy.signal"}
-    for name in ("vpin", "garch", "backtest"):
+    for name in ("vpin", "garch", "backtest", "diagnose"):
         assert not packages & set(seen[name]), name
 
 
@@ -670,3 +677,34 @@ def test_every_public_name_is_reached_from_the_package():
     unreached = sorted(owner for owner, name in public
                        if not any(n == name and o != owner for n, o in refs))
     assert unreached == []
+
+
+def test_scipy_is_reached_only_through_its_accessors():
+    # outside `_scipy`, no module imports scipy or holds a string that names
+    # a scipy module, such as one handed to a loader; the one exception is
+    # the GARCH fit's `minimize`, for a scipy whose L-BFGS-B kernel the
+    # in-repo driver was not written against
+    pkg = Path(microstrat.__file__).parent
+    found = set()
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "_scipy.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # each node's innermost function: the walk is breadth first, so an
+        # inner function overwrites its outer one
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name) for node in ast.walk(func))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]
+            else:
+                continue
+            found |= {(f"{path.stem}.{owner.get(node, '')}", name)
+                      for name in names if re.fullmatch(r"scipy(\.\w+)*", name)}
+    assert found == {("volatility._minimize", "scipy.optimize")}

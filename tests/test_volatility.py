@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import microstrat
-from microstrat import volatility, vpin
+from microstrat import _scipy, volatility
 from microstrat.errors import DataError, NonConvergenceError
 from microstrat.marketdata import simulate_garch
 from microstrat.volatility import (
@@ -319,7 +319,7 @@ def _lbfgsb_cases():
 def test_lbfgsb_driver_matches_scipy_minimize(case, monkeypatch):
     """The driver makes the calls scipy's L-BFGS-B makes on the same kernel,
     so it takes the same steps bit for bit."""
-    setulb = volatility._setulb()
+    setulb = _scipy.setulb()
     if setulb is None:
         pytest.skip("this scipy's L-BFGS-B kernel has another signature; "
                     "fit_garch calls scipy.optimize.minimize there")
@@ -391,22 +391,24 @@ def test_fit_through_scipy_minimize_is_the_same_fit(monkeypatch):
     driver, which takes the same steps."""
     x, spec = _bench_window(), GarchSpec(1, 1, False, "ar1")
     driven = fit_garch(x, spec)
-    monkeypatch.setattr(volatility, "_setulb", lambda: None)
+    monkeypatch.setattr(_scipy, "setulb", lambda: None)
     minimized = fit_garch(x, spec)
     assert minimized.theta().tobytes() == driven.theta().tobytes()
     assert minimized.iterations == driven.iterations
 
 
 def test_logistic_matches_expit_bit_for_bit():
+    """The persistence weight is scipy's `expit` of its logit, 1.0 or 0.0
+    without a warning where e^-x overflows."""
     from scipy.special import expit
 
-    rng = np.random.default_rng(4)
-    xs = np.concatenate([rng.uniform(-40.0, 40.0, 200_000),
-                         [700.0, -700.0, 709.8, -709.8, 800.0, -800.0]])
+    spec = GarchSpec(1, 1, False, "zero")
+    logits = np.array([700.0, -700.0, 709.8, -709.8, 800.0, -800.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = np.array([volatility._logistic(v) for v in xs])
-    assert got.tobytes() == expit(xs).tobytes()
+        got = np.array([volatility._raw_to_natural(np.array([0.0, v, 0.0]),
+                                                   spec)[2] for v in logits])
+    assert got.tobytes() == expit(logits).tobytes()
     assert got[-1] == 0.0 and got[-2] == 1.0
 
 
@@ -521,7 +523,8 @@ import sys
 import numpy as np
 from microstrat.marketdata import SynthSpec, synth_ticks
 from microstrat.volatility import _ar_filter
-from microstrat.vpin import _standalone_ndtr, vpin_from_ticks
+from microstrat import _scipy
+from microstrat.vpin import vpin_from_ticks
 
 rng = np.random.default_rng(5)
 cases = []
@@ -537,7 +540,7 @@ assert "scipy.signal" not in sys.modules
 if sys.argv[1:] == ["standalone"]:
     assert "scipy.special" not in sys.modules
     ufuncs = sys.modules["scipy.special._special_ufuncs"]
-    ndtr = _standalone_ndtr()
+    ndtr = _scipy.special("ndtr")
     assert ndtr is ufuncs.ndtr
     grid = np.concatenate([np.linspace(-40.0, 40.0, 16_001),
                            [0.0, -0.0, np.inf, -np.inf, np.nan]])
@@ -563,8 +566,14 @@ for a_poly, x, presample, bare, seeded in cases:
 """
 
 
+def _standalone(name: str) -> bool:
+    """Whether `_scipy.special` finds `name` in scipy's standalone module."""
+    return _scipy.special(name) is getattr(
+        sys.modules.get("scipy.special._special_ufuncs"), name, None)
+
+
 def test_standalone_kernels_match_scipy_bit_for_bit():
-    standalone = vpin._standalone_ndtr() is not None
+    standalone = _standalone("ndtr")
     src = os.path.dirname(os.path.dirname(microstrat.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
