@@ -234,11 +234,9 @@ class Account:
         self.equity: list[float] = []
         self.max_residual = 0.0
 
-    def unrealized(self, price: float) -> float:
-        return (price - self.entry_price) * self.position * self.costs.multiplier
-
     def equity_at(self, price: float) -> float:
-        return self.cash + self.margin_held + self.unrealized(price)
+        return (self.cash + self.margin_held
+                + (price - self.entry_price) * self.position * self.costs.multiplier)
 
     def mark(self, price: float) -> float:
         eq = self.equity_at(price)
@@ -249,8 +247,7 @@ class Account:
         residual = d_cash + d_margin + fee - realized
         self.max_residual = max(self.max_residual, abs(residual))
 
-    def open(self, ts: int, side: str, qty: int, price: float,
-             kind: str = "open") -> Trade:
+    def open(self, ts: int, side: str, qty: int, price: float) -> Trade:
         if self.position != 0:
             raise DataError("cannot open onto an existing position")
         if qty < 1:
@@ -265,7 +262,7 @@ class Account:
         self.position = qty if side == SIDE_BUY else -qty
         self.entry_price = price
         self._book(self.cash - cash0, self.margin_held - margin0, fee, 0.0)
-        return Trade(ts, side, qty, price, fee, self.position, self.cash, kind)
+        return Trade(ts, side, qty, price, fee, self.position, self.cash, "open")
 
     def close(self, ts: int, price: float, kind: str = "close") -> Trade:
         if self.position == 0:
@@ -574,12 +571,9 @@ def _quotes(ticks: TickSeries, decision_ts: np.ndarray, costs: CostModel):
     price -+ half a tick where that side has no quote."""
     last = np.searchsorted(ticks.ts, decision_ts, side="left") - 1
     half = costs.tick_size / 2.0
-    bid, ask = ticks.price[last] - half, ticks.price[last] + half
-    if ticks.bid1 is not None:
-        bid = np.where(np.isfinite(ticks.bid1[last]), ticks.bid1[last], bid)
-    if ticks.ask1 is not None:
-        ask = np.where(np.isfinite(ticks.ask1[last]), ticks.ask1[last], ask)
-    return bid, ask
+    px, bid, ask = ticks.price[last], ticks.bid1[last], ticks.ask1[last]
+    return (np.where(np.isfinite(bid), bid, px - half),
+            np.where(np.isfinite(ask), ask, px + half))
 
 
 def _market_state(ticks: TickSeries, cfg: StrategyConfig, costs: CostModel,

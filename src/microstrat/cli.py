@@ -371,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("vpin", help="volume-bucket VPIN series")
     p.add_argument("data")
-    p.add_argument("--bucket-volume", type=float)
+    p.add_argument("--bucket-volume", type=float,
+                   help="contracts per bucket, a whole number of at least 1 "
+                        "(default: mean daily volume / buckets per day)")
     _key_flag(p, "--window", "vpin.window", type=int)
     _key_flag(p, "--buckets-per-day", "vpin.buckets_per_day", type=int)
     p.add_argument("-o", "--output")

@@ -30,7 +30,8 @@ class WaveletDecomposition:
     """Approximation at the deepest level plus details for levels 1..L.
 
     `details[0]` is the finest level. `padded[k]` records whether the input
-    to level k+1 was extended by one sample.
+    to level k+1 was extended by one sample, which it is exactly when that
+    input has odd length.
     """
 
     level: int
@@ -44,6 +45,9 @@ class WaveletDecomposition:
             raise DataError("decomposition level disagrees with coefficient layout")
         n = self.original_length
         for k in range(self.level):
+            if self.padded[k] != (n % 2 == 1):
+                raise DataError(f"level {k + 1} padded flag {self.padded[k]} does not "
+                                f"match its input length {n}")
             n = (n + 1) // 2
             if self.details[k].shape[0] != n:
                 raise DataError(f"level {k + 1} detail length {self.details[k].shape[0]}"
@@ -92,21 +96,17 @@ def haar_dwt(signal: np.ndarray, level: int = DEFAULT_LEVEL) -> WaveletDecomposi
 
 
 def haar_idwt(dec: WaveletDecomposition) -> np.ndarray:
-    """Exact inverse of haar_dwt; padding is stripped."""
+    """Exact inverse of haar_dwt; padding is stripped. The decomposition's
+    layout check guarantees every level's lengths."""
     current = dec.approximation
     for k in range(dec.level - 1, -1, -1):
         d = dec.details[k]
-        if d.shape[0] != current.shape[0]:
-            raise DataError(f"level {k + 1} detail length {d.shape[0]} does not "
-                            f"match approximation length {current.shape[0]}")
         out = np.empty(2 * current.shape[0])
         out[0::2] = (current + d) / SQRT2
         out[1::2] = (current - d) / SQRT2
         if dec.padded[k]:
             out = out[:-1]
         current = out
-    if current.shape[0] != dec.original_length:
-        raise DataError("reconstruction length does not match the original")
     return current
 
 

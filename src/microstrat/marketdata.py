@@ -61,7 +61,8 @@ class TickSeries:
     Columns are stored as numpy arrays. Every tick has a positive finite
     price, a volume of at least 1, a timestamp no earlier than the tick
     before and inside a CSI300 session. Each quote is NaN (missing) or
-    positive and finite, and a bid never exceeds its ask.
+    positive and finite, and a bid never exceeds its ask; a quote column
+    that is not given is all NaN.
     """
 
     ts: np.ndarray
@@ -76,12 +77,13 @@ class TickSeries:
                             ("volume", np.int64), ("bid1", np.float64),
                             ("ask1", np.float64)):
             col = getattr(self, name)
-            if col is not None:
-                col = np.ascontiguousarray(col, dtype=dtype)
-                if col.shape[0] != n:
-                    raise DataError("tick columns must have equal length")
-                object.__setattr__(self, name, col)
+            col = (np.full(n, np.nan) if col is None
+                   else np.ascontiguousarray(col, dtype=dtype))
+            if col.shape[0] != n:
+                raise DataError("tick columns must have equal length")
+            object.__setattr__(self, name, col)
         ts, price, volume = self.ts, self.price, self.volume
+        bid, ask = self.bid1, self.ask1
 
         def check(bad: np.ndarray, reason) -> None:
             if bad.any():
@@ -93,15 +95,11 @@ class TickSeries:
         check(volume < 1, lambda i: f"volume {volume[i]} is below 1")
         check(np.r_[False, ts[1:] < ts[:-1]],
               lambda i: f"timestamp {ts[i]} decreases from the tick before")
-        for name in ("bid1", "ask1"):
-            q = getattr(self, name)
-            if q is not None:
-                check(~(np.isnan(q) | ((q > 0) & (q < np.inf))),
-                      lambda i: f"{name} {q[i]} is neither missing (NaN) nor "
-                                "positive and finite")
-        if self.bid1 is not None and self.ask1 is not None:
-            check(self.bid1 > self.ask1,
-                  lambda i: f"crossed quotes: bid1 {self.bid1[i]} > ask1 {self.ask1[i]}")
+        for name, q in (("bid1", bid), ("ask1", ask)):
+            check(~(np.isnan(q) | ((q > 0) & (q < np.inf))),
+                  lambda i: f"{name} {q[i]} is neither missing (NaN) nor "
+                            "positive and finite")
+        check(bid > ask, lambda i: f"crossed quotes: bid1 {bid[i]} > ask1 {ask[i]}")
         check(session_index(ts) < 0,
               lambda i: f"timestamp {ts[i]} falls outside every session interval")
 
@@ -202,12 +200,13 @@ def load_ticks(path: str) -> TickSeries:
 
 
 def save_ticks(path: str, ticks: TickSeries) -> None:
-    """Write the tick CSV schema, including quote columns when present.
+    """Write the tick CSV schema; the quote columns are left out only when
+    every bid and every ask is missing.
 
     Prices and quotes are written as %.12g, lines end in CRLF.
     """
     cols = [ticks.ts, ticks.price, ticks.volume]
-    if ticks.bid1 is not None and ticks.ask1 is not None:
+    if not (np.isnan(ticks.bid1).all() and np.isnan(ticks.ask1).all()):
         cols += [ticks.bid1, ticks.ask1]
     row = ",".join(("%d", "%.12g", "%d", "%.12g", "%.12g")[:len(cols)]) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:

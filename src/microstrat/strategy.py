@@ -178,14 +178,12 @@ def calibrate_vpin_thresholds(vpin, future_fluct,
     d2, d3 = float(grid[i2]), float(grid[best_j[i2]])
     obj = int(a[i2] + best_b[i2])
 
-    def count(c2, c3):
-        return int(((v > c2) != hi_mask).sum() + ((v < c3) != lo_mask).sum())
-
     rng = np.random.default_rng(0)
     for _ in range(200):
         c2, c3 = np.clip((d2, d3) + rng.normal(0.0, 0.005, 2), 0.0, 1.0)
         c3 = min(c3, c2)
-        cand = count(c2, c3)
+        a, b = _misclass_curves(v, hi_mask, lo_mask, np.array([c2, c3]))
+        cand = int(a[0] + b[1])
         if cand < obj:
             d2, d3, obj = float(c2), float(c3), cand
     return VpinThresholds(d2, d3, obj, flat_objective=False)

@@ -107,30 +107,10 @@ class _Panel:
                        f'text-anchor="end">{_escape(label)}</text>')
 
 
-def _document(panels: list[tuple[str, list[Series]]], width: int,
-              panel_height: int) -> str:
-    margin_l, margin_r, margin_t, margin_b, gap = 70, 20, 30, 40, 24
-    total_h = margin_t + len(panels) * (panel_height + margin_b) \
-        + (len(panels) - 1) * gap
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-           f'height="{total_h}" viewBox="0 0 {width} {total_h}">',
-           f'<rect width="{width}" height="{total_h}" fill="#ffffff"/>']
-    top = float(margin_t)
-    for title, series in panels:
-        panel = _Panel(series, margin_l, top,
-                       width - margin_l - margin_r, panel_height)
-        panel.render(out, title)
-        top += panel_height + margin_b + gap
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
-
-
 def line_chart(path: str, title: str, series: Sequence[Series],
                width: int = 960, height: int = 360) -> None:
     """One panel, any number of overlaid series."""
-    doc = _document([(title, _clean(series))], width, height)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(doc)
+    stacked_chart(path, [(title, series)], width, height)
 
 
 def stacked_chart(path: str, panels: Sequence[tuple[str, Sequence[Series]]],
@@ -139,6 +119,18 @@ def stacked_chart(path: str, panels: Sequence[tuple[str, Sequence[Series]]],
     if not panels:
         raise DataError("no panels to plot")
     cleaned = [(title, _clean(series)) for title, series in panels]
-    doc = _document(cleaned, width, panel_height)
+    margin_l, margin_r, margin_t, margin_b, gap = 70, 20, 30, 40, 24
+    total_h = margin_t + len(cleaned) * (panel_height + margin_b) \
+        + (len(cleaned) - 1) * gap
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+           f'height="{total_h}" viewBox="0 0 {width} {total_h}">',
+           f'<rect width="{width}" height="{total_h}" fill="#ffffff"/>']
+    top = float(margin_t)
+    for title, series in cleaned:
+        panel = _Panel(series, margin_l, top,
+                       width - margin_l - margin_r, panel_height)
+        panel.render(out, title)
+        top += panel_height + margin_b + gap
+    out.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(doc)
+        fh.write("\n".join(out) + "\n")

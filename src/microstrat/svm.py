@@ -6,8 +6,10 @@ by maximal-violating-pair selection: the most violating index from the
 violation gap falls below the training tolerance. That stopping rule bounds
 every KKT residual by the tolerance.
 
-Models keep only the support vectors. Feature standardization is provided
-separately because the RBF width is only meaningful on a fixed scale.
+Models keep only the support vectors, and `decision_value` and `predict`
+take a batch of rows and return one value per row. Feature standardization
+is provided separately because the RBF width is only meaningful on a fixed
+scale.
 """
 from __future__ import annotations
 
@@ -139,29 +141,22 @@ class SvmModel:
         if abs(float(coefs.sum())) > self.training_tol:
             raise DataError("dual coefficients do not satisfy the equality constraint")
 
-    @property
-    def n_features(self) -> int:
-        return int(self.support_vectors.shape[1])
+
+def decision_value(model: SvmModel, X: np.ndarray) -> np.ndarray:
+    """Sum of dual_coefs * K(sv, x) + bias for each row x of X; a 1-D X is
+    one row."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    n_features = model.support_vectors.shape[1]
+    if X.shape[1] != n_features:
+        raise DataError(f"expected {n_features} features, got {X.shape[1]}")
+    return kernel_matrix(X, model.support_vectors, model.kernel) @ model.dual_coefs \
+        + model.bias
 
 
-def decision_value(model: SvmModel, x: np.ndarray) -> float | np.ndarray:
-    """Sum of dual_coefs * K(sv, x) + bias; vectorized over rows of x."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    X = np.atleast_2d(x)
-    if X.shape[1] != model.n_features:
-        raise DataError(f"expected {model.n_features} features, got {X.shape[1]}")
-    values = kernel_matrix(X, model.support_vectors, model.kernel) @ model.dual_coefs
-    values += model.bias
-    return float(values[0]) if single else values
-
-
-def predict(model: SvmModel, x: np.ndarray) -> int | np.ndarray:
-    """Sign of the decision value; an exact zero maps to +1."""
-    values = decision_value(model, x)
-    if np.isscalar(values):
-        return 1 if values >= 0 else -1
-    return np.where(np.asarray(values) >= 0, 1, -1)
+def predict(model: SvmModel, X: np.ndarray) -> np.ndarray:
+    """-1/+1 per row of X, the sign of its decision value; an exact zero
+    maps to +1."""
+    return np.where(decision_value(model, X) >= 0, 1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +196,22 @@ def train_smo(X: np.ndarray, y: np.ndarray, c: float = DEFAULT_C,
     iterations = 0
     while True:
         yg = -y * G
-        up = ((y > 0) & (alpha < c - beps)) | ((y < 0) & (alpha > beps))
-        low = ((y < 0) & (alpha < c - beps)) | ((y > 0) & (alpha > beps))
-        if not up.any() or not low.any():
-            gap = 0.0
-            break
-        up_vals = np.where(up, yg, -np.inf)
-        low_vals = np.where(low, yg, np.inf)
+        # the working sets: +-inf marks an index outside 'up' or 'low'
+        up_vals = np.where(((y > 0) & (alpha < c - beps)) | ((y < 0) & (alpha > beps)),
+                           yg, -np.inf)
+        low_vals = np.where(((y < 0) & (alpha < c - beps)) | ((y > 0) & (alpha > beps)),
+                            yg, np.inf)
         i = int(np.argmax(up_vals))
         j = int(np.argmin(low_vals))
+        if up_vals[i] == -np.inf or low_vals[j] == np.inf:
+            gap = 0.0
+            break
         gap = float(up_vals[i] - low_vals[j])
         if gap <= tol:
             break
         if iterations >= max_iter:
-            viol = int(np.sum(np.where(up, yg, -np.inf) > low_vals[j] + tol)
-                       + np.sum(np.where(low, yg, np.inf) < up_vals[i] - tol))
+            viol = int(np.sum(up_vals > low_vals[j] + tol)
+                       + np.sum(low_vals < up_vals[i] - tol))
             raise NonConvergenceError(
                 f"SMO failed to converge in {max_iter} iterations; "
                 f"{viol} points still violate the pairing tolerance (gap {gap:.3e})",
@@ -237,16 +233,12 @@ def train_smo(X: np.ndarray, y: np.ndarray, c: float = DEFAULT_C,
         # maximized dual W = e'a - 0.5 a'Qa = 0.5 (sum(a) - a'G)
         objective_log.append(0.5 * float(alpha.sum() - alpha @ G))
 
+    # the loop leaves before it changes alpha: yg and the sets are current
     free = (alpha > beps) & (alpha < c - beps)
-    yg = -y * G
     if free.any():
         bias = float(np.mean(yg[free]))
     else:
-        hi = np.where(((y > 0) & (alpha < c - beps)) | ((y < 0) & (alpha > beps)),
-                      yg, -np.inf)
-        lo = np.where(((y < 0) & (alpha < c - beps)) | ((y > 0) & (alpha > beps)),
-                      yg, np.inf)
-        bias = float((hi.max() + lo.min()) / 2.0)
+        bias = float((up_vals.max() + low_vals.min()) / 2.0)
 
     margin = G + 1.0 + y * bias  # y_i * f(x_i)
     at_zero = alpha <= beps

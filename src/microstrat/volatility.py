@@ -53,7 +53,7 @@ from .errors import DataError, NonConvergenceError
 
 LOG_2PI = math.log(2.0 * math.pi)
 
-MEAN_PARAM_COUNT = {"zero": 0, "constant": 1, "ar1": 2}
+MEAN_PARAMS = {"zero": (), "constant": ("mu",), "ar1": ("mu", "phi")}
 MAX_FIT_ITER = 500
 
 
@@ -74,14 +74,14 @@ class GarchSpec:
     def __post_init__(self) -> None:
         if self.p < 0 or self.q < 0 or self.p + self.q < 1:
             raise DataError(f"need p + q >= 1, got p={self.p}, q={self.q}")
-        if self.mean_model not in MEAN_PARAM_COUNT:
+        if self.mean_model not in MEAN_PARAMS:
             raise DataError(f"unknown mean model {self.mean_model!r}")
         if self.leverage and self.p < 1:
             raise DataError("the leverage term requires p >= 1")
 
     @property
     def n_mean(self) -> int:
-        return MEAN_PARAM_COUNT[self.mean_model]
+        return len(MEAN_PARAMS[self.mean_model])
 
     @property
     def n_params(self) -> int:
@@ -93,8 +93,8 @@ class GarchSpec:
         return 50 * (self.p + self.q)
 
     def param_names(self) -> tuple[str, ...]:
-        names = {"zero": [], "constant": ["mu"], "ar1": ["mu", "phi"]}[self.mean_model]
-        names = names + ["omega"] + [f"alpha{i}" for i in range(1, self.p + 1)]
+        names = [*MEAN_PARAMS[self.mean_model], "omega"]
+        names += [f"alpha{i}" for i in range(1, self.p + 1)]
         if self.leverage:
             names.append("lambda")
         names += [f"gamma{j}" for j in range(1, self.q + 1)]
@@ -433,7 +433,7 @@ def _initial_raw(spec: GarchSpec, seed_var: float, rbar: float) -> np.ndarray:
     nm, p, q = spec.n_mean, spec.p, spec.q
     m = p + q
     raw = np.zeros(nm + 1 + m + int(spec.leverage))
-    if spec.mean_model in ("constant", "ar1"):
+    if nm:
         raw[0] = rbar
     # start at persistence 0.9: a tenth in the ARCH terms, the rest GARCH
     s0 = 0.9

@@ -11,8 +11,9 @@ fragments with per-bucket offsets and end times, `classify_buckets` one buy
 volume per complete bucket, and a bucket's sell volume is V minus its buy
 volume.
 
-Integer bucket volumes keep all boundary arithmetic exact in float64 (tick
-volumes are integer contracts), so volume conservation holds bit-exactly.
+A bucket volume is a whole number of contracts, at least 1: with integer
+tick volumes that keeps all boundary arithmetic exact in float64, so volume
+conservation holds bit-exactly.
 
 Phi is scipy's `ndtr` ufunc, from `_scipy.special`, which loads it without
 the `scipy.special` package's imports wherever scipy keeps it in a
@@ -76,9 +77,13 @@ def default_bucket_volume(ts: np.ndarray, volume: np.ndarray,
 
 
 def bucket_fill(ticks: TickSeries, bucket_volume: float) -> Buckets:
-    """Partition ticks into equal-volume buckets, splitting boundary ticks."""
-    if not bucket_volume > 0:
-        raise DataError(f"bucket volume must be positive, got {bucket_volume}")
+    """Partition ticks into equal-volume buckets, splitting boundary ticks.
+
+    `bucket_volume` must be a whole number of contracts, at least 1.
+    """
+    if not (bucket_volume >= 1 and float(bucket_volume).is_integer()):
+        raise DataError(f"bucket volume must be a whole number of contracts, "
+                        f"at least 1, got {bucket_volume}")
     if len(ticks) == 0:
         raise DataError("cannot bucket an empty tick series")
     v = float(bucket_volume)

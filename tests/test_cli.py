@@ -118,6 +118,12 @@ def test_non_finite_ticks_are_data_errors(tmp_path, capsys):
         assert "finite" in capsys.readouterr().err
 
 
+def test_fractional_bucket_volume_is_a_data_error(shared, tmp_path, capsys):
+    assert run("--out", str(tmp_path), "vpin", str(shared / "two_day.csv"),
+               "--bucket-volume", "0.5") == 2
+    assert "whole number of contracts" in capsys.readouterr().err
+
+
 def test_generate_constraint_error(shared, tmp_path, capsys):
     code = run("--out", str(tmp_path), "generate",
                "--alpha", "0.5", "--beta", "0.6")

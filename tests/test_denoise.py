@@ -95,6 +95,15 @@ def test_tampered_detail_length_is_rejected():
                              original_length=dec.original_length, padded=dec.padded)
 
 
+def test_padded_flag_must_match_the_level_input_length():
+    dec = haar_dwt(np.arange(10.0), level=2)  # level inputs of length 10 and 5
+    assert dec.padded == (False, True)
+    with pytest.raises(DataError, match="level 2 padded flag False"):
+        WaveletDecomposition(level=dec.level, approximation=dec.approximation,
+                             details=dec.details, original_length=dec.original_length,
+                             padded=(False, False))
+
+
 # ---------------------------------------------------------------------------
 # Thresholding
 # ---------------------------------------------------------------------------

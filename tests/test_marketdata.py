@@ -123,6 +123,28 @@ def test_tick_csv_round_trip(tmp_path):
     assert loaded.bid1[1] == 99.9 and np.isnan(loaded.ask1[1])
 
 
+def test_lone_quote_column_survives_a_round_trip(tmp_path):
+    bid = np.array([99.9, math.nan, 100.0])
+    ticks = TickSeries(ts_of(34200) + np.arange(3) * NS_PER_SEC,
+                       np.full(3, 100.1), np.full(3, 5), bid)
+    path = tmp_path / "ticks.csv"
+    save_ticks(str(path), ticks)
+    loaded = load_ticks(str(path))
+    np.testing.assert_array_equal(loaded.bid1, bid)
+    # the ask column that was not given is all missing
+    assert np.isnan(ticks.ask1).all() and np.isnan(loaded.ask1).all()
+
+
+def test_all_missing_quotes_save_as_three_columns(tmp_path):
+    ticks = TickSeries(ts_of(34200) + np.arange(2) * NS_PER_SEC,
+                       np.full(2, 100.0), np.full(2, 5),
+                       np.full(2, math.nan), np.full(2, math.nan))
+    path = tmp_path / "ticks.csv"
+    save_ticks(str(path), ticks)
+    assert path.read_text().splitlines()[0] == "ts_ns,price,volume"
+    assert np.isnan(load_ticks(str(path)).bid1).all()
+
+
 def test_load_ticks_reports_failing_line(tmp_path):
     path = tmp_path / "bad.csv"
     good = f"{ts_of(34200)},100.0,5\n"

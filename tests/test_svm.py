@@ -105,6 +105,16 @@ def test_non_convergence_reports_violations():
         train_smo(X, y, c=1.0, kernel=Kernel.rbf(1.0), max_iter=2)
 
 
+def test_non_convergence_message_is_pinned():
+    rng = np.random.default_rng(42)
+    X = rng.standard_normal((60, 2))
+    y = np.where(rng.standard_normal(60) > 0, 1, -1)
+    with pytest.raises(NonConvergenceError) as info:
+        train_smo(X, y, c=1.0, kernel=Kernel.rbf(1.0), max_iter=2)
+    assert str(info.value) == ("SMO failed to converge in 2 iterations; 60 points "
+                               "still violate the pairing tolerance (gap 2.319e+00)")
+
+
 # ---------------------------------------------------------------------------
 # KKT certification and dual monotonicity
 # ---------------------------------------------------------------------------

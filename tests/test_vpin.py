@@ -85,6 +85,14 @@ def test_bucket_fill_rejects_bad_inputs():
                                np.empty(0, np.int64)), 40.0)
 
 
+@pytest.mark.parametrize("v", [0.5, 2.5, 1e-9, float("inf"), float("nan")])
+def test_bucket_fill_rejects_sub_and_fractional_contract_volumes(v):
+    ticks = make_ticks([100.0, 100.1], [10, 10])
+    with pytest.raises(DataError, match=rf"a whole number of contracts, at least 1, "
+                                        rf"got {v}$"):
+        bucket_fill(ticks, v)
+
+
 def test_bucket_fill_conserves_volume_exactly():
     ticks = synth_ticks(SynthSpec(count=100_000, seed=21))
     v = default_bucket_volume(ticks.ts, ticks.volume)
