@@ -748,7 +748,8 @@ def run_backtest(ticks: TickSeries, cfg: StrategyConfig,
 def run_variants(ticks: TickSeries, cfg: StrategyConfig,
                  costs: CostModel | None = None,
                  engine: EngineConfig | None = None) -> dict[str, BacktestResult]:
-    """The four layer combinations on identical data, keyed by variant tag.
+    """The four layer combinations on identical data, keyed by variant tag
+    in `VARIANTS` order.
 
     One market-state pass serves all four replays, so every GARCH window is
     fit and every SVM trained once.
@@ -756,10 +757,6 @@ def run_variants(ticks: TickSeries, cfg: StrategyConfig,
     costs = costs if costs is not None else CostModel()
     eng = engine if engine is not None else EngineConfig()
     state = _market_state(ticks, cfg, costs, eng, vpin=True, svm=True)
-    out: dict[str, BacktestResult] = {}
-    for use_vpin, use_svm in ((False, False), (False, True),
-                              (True, False), (True, True)):
-        variant_cfg = replace(cfg, use_vpin=use_vpin, use_svm=use_svm)
-        result = _replay(state, variant_cfg, costs, eng)
-        out[result.report.variant] = result
-    return out
+    return {tag: _replay(state, replace(cfg, use_vpin="V" in tag,
+                                        use_svm="S" in tag), costs, eng)
+            for tag in VARIANTS}

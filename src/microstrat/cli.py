@@ -32,7 +32,7 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 import numpy as np  # noqa: E402
 
-from .backtest import (VARIANTS, BacktestResult, Metrics, run_backtest, run_variants,
+from .backtest import (BacktestResult, Metrics, run_backtest, run_variants,
                        variant_tag)
 from .config import KEYS, RunConfig, config_key_help, load_config
 from .denoise import DEFAULT_LEVEL, denoise
@@ -247,7 +247,7 @@ def cmd_backtest(args, cfg: RunConfig, out_dir: str) -> int:
     if args.variants:
         results = run_variants(ticks, cfg.strategy, costs=cfg.costs,
                                engine=cfg.engine)
-        ordered = [(tag, results[tag]) for tag in VARIANTS]
+        ordered = list(results.items())
     else:
         res = run_backtest(ticks, cfg.strategy, costs=cfg.costs,
                            engine=cfg.engine)

@@ -29,7 +29,14 @@ CSI300_SESSIONS: tuple[tuple[int, int], ...] = (
 SESSION_OPENS_NS = np.array([o for o, _ in CSI300_SESSIONS], dtype=np.int64) * NS_PER_SEC
 SESSION_CLOSES_NS = np.array([c for _, c in CSI300_SESSIONS], dtype=np.int64) * NS_PER_SEC
 
-TICK_CSV_HEADER = ("ts_ns", "price", "volume", "bid1", "ask1")
+# the tick CSV's columns, one (header, TickSeries field, dtype, save format)
+# row each; a file has all five or the first three
+_TICK_COLUMNS = (("ts_ns", "ts", np.int64, "%d"),
+                 ("price", "price", np.float64, "%.12g"),
+                 ("volume", "volume", np.int64, "%d"),
+                 ("bid1", "bid1", np.float64, "%.12g"),
+                 ("ask1", "ask1", np.float64, "%.12g"))
+TICK_CSV_HEADER = tuple(header for header, _, _, _ in _TICK_COLUMNS)
 
 
 def session_index(ts: np.ndarray) -> np.ndarray:
@@ -73,9 +80,7 @@ class TickSeries:
 
     def __post_init__(self) -> None:
         n = np.shape(self.ts)[0]
-        for name, dtype in (("ts", np.int64), ("price", np.float64),
-                            ("volume", np.int64), ("bid1", np.float64),
-                            ("ask1", np.float64)):
+        for _, name, dtype, _ in _TICK_COLUMNS:
             col = getattr(self, name)
             col = (np.full(n, np.nan) if col is None
                    else np.ascontiguousarray(col, dtype=dtype))
@@ -132,8 +137,7 @@ class BarSeries:
 # ---------------------------------------------------------------------------
 
 
-_TICK_DTYPE = [("ts", np.int64), ("price", np.float64), ("volume", np.int64),
-               ("bid1", np.float64), ("ask1", np.float64)]
+_TICK_DTYPE = [(name, dtype) for _, name, dtype, _ in _TICK_COLUMNS]
 _WRITE_ROWS = 8192  # rows formatted per write, which bounds save_ticks' memory
 
 
@@ -203,12 +207,12 @@ def save_ticks(path: str, ticks: TickSeries) -> None:
     """Write the tick CSV schema; the quote columns are left out only when
     every bid and every ask is missing.
 
-    Prices and quotes are written as %.12g, lines end in CRLF.
+    Each column is written in its `_TICK_COLUMNS` format, lines end in CRLF.
     """
-    cols = [ticks.ts, ticks.price, ticks.volume]
-    if not (np.isnan(ticks.bid1).all() and np.isnan(ticks.ask1).all()):
-        cols += [ticks.bid1, ticks.ask1]
-    row = ",".join(("%d", "%.12g", "%d", "%.12g", "%.12g")[:len(cols)]) + "\r\n"
+    quoted = not (np.isnan(ticks.bid1).all() and np.isnan(ticks.ask1).all())
+    columns = _TICK_COLUMNS if quoted else _TICK_COLUMNS[:3]
+    cols = [getattr(ticks, name) for _, name, _, _ in columns]
+    row = ",".join(fmt for _, _, _, fmt in columns) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(TICK_CSV_HEADER[:len(cols)]) + "\r\n")
         for start in range(0, len(ticks), _WRITE_ROWS):

@@ -119,8 +119,6 @@ class GrangerResult:
 def ols(X: np.ndarray, y: np.ndarray) -> OlsFit:
     """Least squares with classical (homoscedastic) standard errors."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
     y = np.asarray(y, dtype=np.float64).ravel()
     n, k = X.shape
     if y.shape[0] != n:

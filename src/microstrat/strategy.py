@@ -166,14 +166,11 @@ def calibrate_vpin_thresholds(vpin, future_fluct,
     if a.max() == a.min() and b.max() == b.min():
         return VpinThresholds(cfg.delta2, cfg.delta3, int(a[0] + b[0]), flat_objective=True)
 
-    # delta3 is constrained below delta2: prefix argmin folds the constraint in
-    best_b = np.empty(101, dtype=np.int64)
-    best_j = np.empty(101, dtype=np.int64)
-    run, run_j = b[0], 0
-    for j in range(101):
-        if b[j] < run:
-            run, run_j = b[j], j
-        best_b[j], best_j[j] = run, run_j
+    # delta3 is constrained below delta2: the prefix minimum of b folds the
+    # constraint in, and best_j is where that minimum was first reached
+    best_b = np.minimum.accumulate(b)
+    new_min = np.r_[True, b[1:] < best_b[:-1]]
+    best_j = np.maximum.accumulate(np.where(new_min, np.arange(101), 0))
     i2 = int(np.argmin(a + best_b))
     d2, d3 = float(grid[i2]), float(grid[best_j[i2]])
     obj = int(a[i2] + best_b[i2])

@@ -17,6 +17,10 @@ it over the fit's own returns followed by later ones, and the entry after
 each return is the one-step variance forecast for the next. The backtest
 engine reads its forecasts from there.
 
+`GarchSpec.split` and `GarchSpec.join` are the one home of the layout of
+theta, the natural parameter vector: every function here that reads theta,
+or a gradient in it, takes its pieces from `split` and builds one with `join`.
+
 The GARCH(1,1) simulator that the synthetic tick generator and the tests
 draw from is `marketdata.simulate_garch`.
 
@@ -92,6 +96,22 @@ class GarchSpec:
         """The fewest returns `fit_garch` accepts."""
         return 50 * (self.p + self.q)
 
+    def split(self, theta: np.ndarray):
+        """(mean, omega, alphas, lam, gammas) of a vector in the natural
+        layout [mean params..., omega, alpha_1..p, (lambda,) gamma_1..q],
+        the one place that layout is written; lam is 0.0 without the
+        leverage term, and the arrays are views of `theta`."""
+        nm, p = self.n_mean, self.p
+        g = nm + 1 + p + int(self.leverage)  # the first gamma
+        return (theta[:nm], float(theta[nm]), theta[nm + 1:nm + 1 + p],
+                float(theta[g - 1]) if self.leverage else 0.0, theta[g:])
+
+    def join(self, mean, omega: float, alphas, lam: float, gammas) -> np.ndarray:
+        """The natural parameter vector from its pieces; `split` inverted."""
+        return np.concatenate([mean, [omega], alphas,
+                               [lam] if self.leverage else [], gammas],
+                              dtype=np.float64)
+
     def param_names(self) -> tuple[str, ...]:
         names = [*MEAN_PARAMS[self.mean_model], "omega"]
         names += [f"alpha{i}" for i in range(1, self.p + 1)]
@@ -135,11 +155,8 @@ class GarchFit:
 
     def theta(self) -> np.ndarray:
         """Natural parameter vector in the garch_loglik layout."""
-        parts = [self.mean_params, [self.omega], self.alphas]
-        if self.spec.leverage:
-            parts.append([self.leverage_coef])
-        parts.append(self.gammas)
-        return np.concatenate([np.atleast_1d(np.asarray(p, float)) for p in parts])
+        return self.spec.join(self.mean_params, self.omega, self.alphas,
+                              self.leverage_coef, self.gammas)
 
     def parameter_table(self, r: np.ndarray) -> list[tuple[str, float, float]]:
         """(name, estimate, Hessian standard error) on the fitted returns `r`."""
@@ -256,14 +273,6 @@ def _mean_derivative(m: int, r: np.ndarray, r_prev: float,
     return np.negative(_lag(r, 1, out, fill=r_prev), out=out)
 
 
-def _coefficients(theta: np.ndarray, spec: GarchSpec):
-    """(omega, alphas, lambda, gammas) from the natural parameter vector."""
-    nm, p = spec.n_mean, spec.p
-    lam = float(theta[nm + 1 + p]) if spec.leverage else 0.0
-    return (float(theta[nm]), theta[nm + 1:nm + 1 + p], lam,
-            theta[nm + 1 + p + int(spec.leverage):])
-
-
 def _variance_path(theta: np.ndarray, x: np.ndarray, spec: GarchSpec,
                    seed_var: float, r_prev: float,
                    work: _Workspace | None = None):
@@ -275,8 +284,8 @@ def _variance_path(theta: np.ndarray, x: np.ndarray, spec: GarchSpec,
     """
     if work is None:
         work = _Workspace(x.shape[0])
-    omega, alphas, lam, gammas = _coefficients(theta, spec)
-    _mean_residuals(theta[:spec.n_mean], x, spec.mean_model, r_prev, work)
+    mean, omega, alphas, lam, gammas = spec.split(theta)
+    _mean_residuals(mean, x, spec.mean_model, r_prev, work)
     eps, e2, h, lag = work.eps, work.e2, work.h, work.lag
     np.multiply(eps, eps, out=e2)
     # the forcing term, filtered in place below
@@ -312,7 +321,7 @@ def garch_loglik(theta: np.ndarray, r: np.ndarray, spec: GarchSpec,
                  work: _Workspace | None = None) -> tuple[float, np.ndarray]:
     """Gaussian quasi log-likelihood and its gradient in natural parameters.
 
-    Layout: [mean params..., omega, alpha_1..p, (lambda,) gamma_1..q].
+    theta and the gradient are in the layout `GarchSpec.split` reads.
     Infeasible points (any h_t <= 0) return -inf with a zero gradient.
     Intermediates go into `work`, a fresh workspace when None.
     """
@@ -332,8 +341,8 @@ def garch_loglik(theta: np.ndarray, r: np.ndarray, spec: GarchSpec,
     if ll == -math.inf:
         return ll, np.zeros(spec.n_params)
 
-    nm, p, q = spec.n_mean, spec.p, spec.q
-    _, alphas, lam, _ = _coefficients(theta, spec)
+    p, q = spec.p, spec.q
+    _, _, alphas, lam, _ = spec.split(theta)
     dldh, lag, src, out = work.dldh, work.lag, work.src, work.out
     # dl/dh = 0.5 * (e2 / h - 1) / h
     np.divide(e2, h, out=dldh)
@@ -347,8 +356,8 @@ def garch_loglik(theta: np.ndarray, r: np.ndarray, spec: GarchSpec,
         out[1:] = v[1:] if q == 0 else _ar_filter(a_poly, v[1:])
         return float(dldh @ out)
 
-    grad = np.empty(spec.n_params)
-    for m in range(nm):
+    g_mean = []
+    for m in range(spec.n_mean):
         dm = _mean_derivative(m, x, r_prev, src)
         # dl/de = -eps / h, dotted with dm before `out` is reused
         direct = float(np.divide(np.negative(eps, out=out), h, out=out) @ dm)
@@ -358,18 +367,15 @@ def garch_loglik(theta: np.ndarray, r: np.ndarray, spec: GarchSpec,
             src += np.multiply(alphas[i - 1], _lag(deps2, i, lag), out=lag)
         if spec.leverage:
             src += np.multiply(lam, _lag_negative(deps2, eps, lag), out=lag)
-        grad[m] = dldh_dot_filtered(src) + direct
+        g_mean.append(dldh_dot_filtered(src) + direct)
     src.fill(1.0)
-    grad[nm] = dldh_dot_filtered(src)
-    for i in range(1, p + 1):
-        grad[nm + i] = dldh_dot_filtered(_lag(e2, i, lag))
-    off = nm + 1 + p
-    if spec.leverage:
-        grad[off] = dldh_dot_filtered(_lag_negative(e2, eps, lag))
-        off += 1
-    for j in range(1, q + 1):
-        grad[off + j - 1] = dldh_dot_filtered(_lag(h, j, lag, fill=seed_var))
-    return ll, grad
+    g_omega = dldh_dot_filtered(src)
+    g_alphas = [dldh_dot_filtered(_lag(e2, i, lag)) for i in range(1, p + 1)]
+    g_lam = (dldh_dot_filtered(_lag_negative(e2, eps, lag)) if spec.leverage
+             else 0.0)
+    g_gammas = [dldh_dot_filtered(_lag(h, j, lag, fill=seed_var))
+                for j in range(1, q + 1)]
+    return ll, spec.join(g_mean, g_omega, g_alphas, g_lam, g_gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +390,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _raw_to_natural(raw: np.ndarray, spec: GarchSpec):
-    nm, p, q = spec.n_mean, spec.p, spec.q
-    m = p + q
+    """theta from the raw vector the optimizer moves, laid out as [mean
+    params, log omega, logit s, p+q-1 softmax logits, (lambda)]: phi is
+    tanh of its raw value, and the p+q ARCH and GARCH coefficients are the
+    persistence s times the softmax of the logits and a last logit of 0.
+    Also returns omega, s and those weights, which `_chain_gradient` reads."""
+    nm, m = spec.n_mean, spec.p + spec.q
     mean = raw[:nm].copy()
     if spec.mean_model == "ar1":
         mean[1] = math.tanh(raw[1])
@@ -393,58 +403,41 @@ def _raw_to_natural(raw: np.ndarray, spec: GarchSpec):
     # overflowing exp; the optimum is nowhere near the boundary
     omega = math.exp(min(max(raw[nm], -700.0), 700.0))
     s = _scipy.special("expit")(raw[nm + 1])
-    logits = np.concatenate([raw[nm + 2:nm + 1 + m], [0.0]])
-    wts = _softmax(logits)
+    wts = _softmax(np.concatenate([raw[nm + 2:nm + 1 + m], [0.0]]))
     coefs = s * wts
-    theta = np.empty(spec.n_params)
-    theta[:nm] = mean
-    theta[nm] = omega
-    theta[nm + 1:nm + 1 + p] = coefs[:p]
-    off = nm + 1 + p
-    if spec.leverage:
-        theta[off] = raw[nm + 1 + m]
-        off += 1
-    theta[off:] = coefs[p:]
-    return theta, omega, s, wts
+    lam = raw[nm + 1 + m] if spec.leverage else 0.0
+    return (spec.join(mean, omega, coefs[:spec.p], lam, coefs[spec.p:]),
+            omega, s, wts)
 
 
 def _chain_gradient(g_nat: np.ndarray, raw: np.ndarray, spec: GarchSpec,
                     omega: float, s: float, wts: np.ndarray) -> np.ndarray:
-    nm, p, q = spec.n_mean, spec.p, spec.q
-    m = p + q
-    g = np.empty(raw.shape[0])
-    g[:nm] = g_nat[:nm]
+    """`g_nat`, a gradient in theta, carried to `_raw_to_natural`'s layout."""
+    g_mean, g_omega, g_alphas, g_lam, g_gammas = spec.split(g_nat)
     if spec.mean_model == "ar1":
         phi = math.tanh(raw[1])
-        g[1] = g_nat[1] * (1.0 - phi * phi)
-    g[nm] = g_nat[nm] * omega
-    off = nm + 1 + p
-    gc = np.concatenate([g_nat[nm + 1:nm + 1 + p],
-                         g_nat[off + int(spec.leverage):]])
+        g_mean = g_mean * np.array([1.0, 1.0 - phi * phi])
+    gc = np.concatenate([g_alphas, g_gammas])
     avg = float(wts @ gc)
-    g[nm + 1] = s * (1.0 - s) * avg
-    g[nm + 2:nm + 1 + m] = s * wts[:-1] * (gc[:-1] - avg)
-    if spec.leverage:
-        g[nm + 1 + m] = g_nat[off]
-    return g
+    return np.concatenate([g_mean, [g_omega * omega, s * (1.0 - s) * avg],
+                           s * wts[:-1] * (gc[:-1] - avg),
+                           [g_lam] if spec.leverage else []])
 
 
 def _initial_raw(spec: GarchSpec, seed_var: float, rbar: float) -> np.ndarray:
-    nm, p, q = spec.n_mean, spec.p, spec.q
-    m = p + q
-    raw = np.zeros(nm + 1 + m + int(spec.leverage))
-    if nm:
-        raw[0] = rbar
+    p, q = spec.p, spec.q
     # start at persistence 0.9: a tenth in the ARCH terms, the rest GARCH
     s0 = 0.9
     if p and q:
         wts = np.concatenate([np.full(p, 0.1 / p), np.full(q, 0.8 / q)]) / s0
     else:
-        wts = np.full(m, 1.0 / m)
-    raw[nm] = math.log(seed_var * (1.0 - s0))
-    raw[nm + 1] = math.log(s0 / (1.0 - s0))
-    raw[nm + 2:nm + 1 + m] = np.log(wts[:-1] / wts[-1])
-    return raw
+        wts = np.full(p + q, 1.0 / (p + q))
+    # mu starts at the sample mean and phi at 0
+    return np.concatenate([[rbar, 0.0][:spec.n_mean],
+                           [math.log(seed_var * (1.0 - s0)),
+                            math.log(s0 / (1.0 - s0))],
+                           np.log(wts[:-1] / wts[-1]),
+                           [0.0] if spec.leverage else []])
 
 
 def _objective(x: np.ndarray, spec: GarchSpec, seed_var: float, rbar: float):
@@ -574,14 +567,14 @@ def fit_garch(r: np.ndarray, spec: GarchSpec | None = None) -> GarchFit:
     # writes to
     work = _Workspace(n)
     h, eps, _, _ = _variance_path(theta, x, spec, seed_var, rbar, work)
-    omega, alphas, lam, gammas = _coefficients(theta, spec)
+    mean, omega, alphas, lam, gammas = spec.split(theta)
     return GarchFit(
         spec=spec,
         omega=omega,
         alphas=alphas,
         gammas=gammas,
         leverage_coef=lam,
-        mean_params=theta[:spec.n_mean],
+        mean_params=mean,
         cond_variance=h,
         residuals=eps,
         log_likelihood=_quasi_loglik(work),

@@ -402,6 +402,62 @@ def test_failed_garch_refit_is_counted_and_logged(ticks, monkeypatch, caplog):
     assert sum("budget spent" in r.getMessage() for r in caplog.records) == 1
 
 
+def test_failed_svm_refit_keeps_the_previous_model(ticks, monkeypatch, caplog):
+    """The SVM trains at the starts of the third and fourth days. When the
+    second refit fails, the gating variants count it, and the fourth day's
+    240 bars carry the third day's model's predictions."""
+    train, predict = bt.train_smo, bt.predict
+    models, predicted = [], []
+
+    def every_second_fails(*args, **kwargs):
+        if len(models) % 2:
+            models.append(None)
+            raise NonConvergenceError("planted", iterations=3)
+        models.append(train(*args, **kwargs))
+        return models[-1]
+
+    def recorded(model, X):
+        predicted.append((model, predict(model, X)))
+        return predicted[-1][1]
+
+    monkeypatch.setattr(bt, "train_smo", every_second_fails)
+    with caplog.at_level(logging.DEBUG, logger="microstrat.backtest"):
+        vs = run_variants(ticks, StrategyConfig())
+    assert len(models) == 2
+    assert {tag: res.svm_failures for tag, res in vs.items()} == \
+        {"G": 0, "G+S": 1, "G+V": 0, "G+V+S": 1}
+    assert sum("planted" in r.getMessage() for r in caplog.records) == 1
+
+    monkeypatch.setattr(bt, "predict", recorded)
+    state = bt._market_state(ticks, StrategyConfig(), CostModel(), EngineConfig(),
+                             vpin=False, svm=True)
+    assert models[2] is not None and models[3] is None
+    # one prediction call for each day with a model, both with the one model
+    # that was trained
+    assert [m for m, _ in predicted] == [models[2], models[2]]
+    last_day = state.svm_pred[720:]
+    assert last_day.shape[0] == 240 and np.all(last_day != 0)
+    np.testing.assert_array_equal(last_day, predicted[1][1])
+
+
+def test_bars_before_the_first_forecast_are_marked_not_traded(ticks):
+    """With garch_min_obs = 400 the first forecast comes at bar 403, well
+    after trading starts at bar 240: every trading bar is marked, but the
+    signal log and the trades start at the first forecast."""
+    eng = EngineConfig(garch_min_obs=400)
+    cfg = StrategyConfig(use_vpin=False, use_svm=False)
+    state = bt._market_state(ticks, cfg, CostModel(), eng, vpin=False, svm=False)
+    forecast_at = np.flatnonzero(np.isfinite(state.z))
+    assert state.first_trading == 240 and forecast_at[0] == 403
+    res = run_backtest(ticks, cfg, engine=eng)
+    assert res.equity.shape[0] == 720
+    first_ts = int(state.decision_ts[forecast_at[0]])
+    assert res.signal_log[0].ts == first_ts
+    assert [s.ts for s in res.signal_log] == state.decision_ts[forecast_at].tolist()
+    assert len(res.signal_log) == 557
+    assert res.trades and min(t.ts for t in res.trades) >= first_ts
+
+
 def test_garch_path_serves_each_bar_the_latest_fit_through_its_returns(monkeypatch):
     """The GARCH stage against a bar-by-bar reference: refits follow the
     schedule (first at garch_min_obs finite returns, retried the next bar

@@ -119,6 +119,15 @@ def test_separable_vpin_recovers_both_thresholds():
     assert not th.flat_objective
 
 
+def test_delta3_is_where_the_lowest_rule_two_count_is_first_reached():
+    # quiet rows at 0.1 and neutral rows at 0.5: every delta3 in (0.1, 0.5]
+    # scores 0 on rule two, and of those grid points 0.11 comes first
+    v = np.repeat([0.1, 0.5], 3)
+    f = np.repeat([0.0002, 0.001], 3)
+    th = calibrate_vpin_thresholds(v, f)
+    assert (th.delta2, th.delta3, th.misclassified) == (0.5, 0.11, 0)
+
+
 def test_flat_objective_falls_back():
     # four rows per VPIN level, two on each side of both rules: moving either
     # threshold across a level swaps equal counts, so the objective is flat

@@ -17,6 +17,8 @@ from microstrat.marketdata import simulate_garch
 from microstrat.volatility import (
     GarchFit,
     GarchSpec,
+    _initial_raw,
+    _objective,
     _variance_path,
     _Workspace,
     fit_garch,
@@ -112,6 +114,38 @@ def test_reused_workspace_matches_a_fresh_one(p, q, leverage, mean_model, seed):
         ll_w, grad_w = garch_loglik(theta, x, spec, work=work)
         assert np.float64(ll_w).tobytes() == np.float64(ll).tobytes()
         assert grad_w.tobytes() == grad.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 2), st.booleans(),
+       st.sampled_from(("zero", "constant", "ar1")), st.integers(0, 2**16))
+def test_raw_gradient_matches_finite_differences(p, q, leverage, mean_model, seed):
+    """The gradient the optimizer gets, the likelihood's carried through the
+    raw transform by `_chain_gradient`, matches central differences of the
+    objective's value at a point near the optimizer's start."""
+    assume(p + q >= 1 and (p >= 1 or not leverage))
+    spec = GarchSpec(p, q, leverage, mean_model)
+    rng = np.random.default_rng(seed)
+    x = 1e-3 * rng.standard_normal(300)
+    seed_var, rbar = float(np.var(x)), float(np.mean(x))
+    raw = _initial_raw(spec, seed_var, rbar)
+    jitter = rng.uniform(-0.2, 0.2, raw.shape[0])
+    if spec.n_mean:
+        jitter[0] *= np.std(x)  # mu is on the returns' scale
+    if leverage:
+        jitter[-1] = abs(jitter[-1])  # a positive lambda keeps h positive
+    raw += jitter
+    objective = _objective(x, spec, seed_var, rbar)
+    f, g = objective(raw)
+    assert f < 1e12
+    g_fd = np.empty(raw.shape[0])
+    for i in range(raw.shape[0]):
+        step = 1e-6 * max(abs(raw[i]), 1e-3)
+        up, dn = raw.copy(), raw.copy()
+        up[i] += step
+        dn[i] -= step
+        g_fd[i] = (objective(up)[0] - objective(dn)[0]) / (2.0 * step)
+    np.testing.assert_allclose(g, g_fd, rtol=1e-5, atol=1e-2)
 
 
 def test_fit_paths_are_not_a_reused_buffer():
