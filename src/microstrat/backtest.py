@@ -441,14 +441,7 @@ def _garch_path(rets: np.ndarray, first_trading: int, eng: EngineConfig):
         var_path, mean_path = fit.path(stream[lo:seen[min(s_next, n_bars - 1)]])
         served = np.arange(max(s, first_trading), s_next)
         pos = seen[served] - lo  # the path entry after each bar's returns
-        var_fc = var_path[pos]
-        bad = served[var_fc <= 0]
-        if bad.shape[0]:
-            raise DataError(
-                f"GARCH refit at bar {s} gave a non-positive variance forecast "
-                f"at bar {bad[0]} (alpha_1 + lambda = "
-                f"{fit.alphas[:1].sum() + fit.leverage_coef:.4g})")
-        z[served] = mean_path[pos] / np.sqrt(var_fc)
+        z[served] = mean_path[pos] / np.sqrt(var_path[pos])
         absorbed = s + 1 + np.flatnonzero(finite[s + 1:s_next + 1])
         h[absorbed] = var_path[seen[absorbed] - 1 - lo]
     return z, h, failures

@@ -26,8 +26,10 @@ draw from is `marketdata.simulate_garch`.
 
 The optimizer works on transformed parameters (log variance intercept,
 logistic persistence split across terms) so the positivity and stationarity
-constraints hold by construction; the leverage coefficient is unconstrained
-and guarded by a feasibility check on h.
+constraints hold by construction. Leverage splits alpha_1's weight into a+
+for up shocks and a- for down ones, each counting half in the persistence
+sum alpha + lambda / 2 + sum gamma: alpha_1 = a+ and lambda = a- - a+, so
+alpha_1 + lambda = a- >= 0 and every h after the seed is at least omega.
 
 The optimizer is L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995). `_lbfgsb` drives
 scipy's compiled kernel, `setulb`, with the calls `scipy.optimize.minimize`
@@ -59,6 +61,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 MEAN_PARAMS = {"zero": (), "constant": ("mu",), "ar1": ("mu", "phi")}
 MAX_FIT_ITER = 500
+# (alpha_1, lambda) = (a+, a- - a+) from the persistence shares (a+ / 2, a- / 2)
+_LEVERAGE_MAP = np.array([[2.0, 0.0], [-2.0, 2.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +148,8 @@ class GarchFit:
             raise DataError("omega must be positive")
         if np.any(self.alphas < 0) or np.any(self.gammas < 0):
             raise DataError("ARCH/GARCH coefficients must be non-negative")
+        if self.alphas[:1].sum() + self.leverage_coef < 0:
+            raise DataError("alpha_1 + lambda must be non-negative")
         if not self.persistence < 1.0:
             raise DataError(f"persistence {self.persistence} violates stationarity")
         if np.any(self.cond_variance <= 0):
@@ -151,7 +157,7 @@ class GarchFit:
 
     @property
     def persistence(self) -> float:
-        return float(self.alphas.sum() + self.gammas.sum())
+        return float(self.alphas.sum() + self.leverage_coef / 2.0 + self.gammas.sum())
 
     def theta(self) -> np.ndarray:
         """Natural parameter vector in the garch_loglik layout."""
@@ -383,19 +389,14 @@ def garch_loglik(theta: np.ndarray, r: np.ndarray, spec: GarchSpec,
 # ---------------------------------------------------------------------------
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def _raw_to_natural(raw: np.ndarray, spec: GarchSpec):
-    """theta from the raw vector the optimizer moves, laid out as [mean
-    params, log omega, logit s, p+q-1 softmax logits, (lambda)]: phi is
-    tanh of its raw value, and the p+q ARCH and GARCH coefficients are the
-    persistence s times the softmax of the logits and a last logit of 0.
-    Also returns omega, s and those weights, which `_chain_gradient` reads."""
-    nm, m = spec.n_mean, spec.p + spec.q
+    """theta from the raw vector the optimizer moves, [mean params, log
+    omega, logit s, k-1 softmax logits]: phi is tanh of its raw value, and s
+    times the softmax of the logits and a last 0 splits the persistence into
+    k shares [alpha_1 or a+ / 2, a- / 2, alpha_2..p, gamma_1..q], the leverage
+    pair mapped by _LEVERAGE_MAP. Also returns omega, s and the weights, for
+    `_chain_gradient`."""
+    nm = spec.n_mean
     mean = raw[:nm].copy()
     if spec.mean_model == "ar1":
         mean[1] = math.tanh(raw[1])
@@ -403,9 +404,13 @@ def _raw_to_natural(raw: np.ndarray, spec: GarchSpec):
     # overflowing exp; the optimum is nowhere near the boundary
     omega = math.exp(min(max(raw[nm], -700.0), 700.0))
     s = _scipy.special("expit")(raw[nm + 1])
-    wts = _softmax(np.concatenate([raw[nm + 2:nm + 1 + m], [0.0]]))
-    coefs = s * wts
-    lam = raw[nm + 1 + m] if spec.leverage else 0.0
+    logits = np.concatenate([raw[nm + 2:], [0.0]])
+    wts = np.exp(logits - logits.max())
+    wts /= wts.sum()  # the softmax
+    coefs, lam = s * wts, 0.0
+    if spec.leverage:
+        alpha1, lam = _LEVERAGE_MAP @ coefs[:2]
+        coefs = np.concatenate([[alpha1], coefs[2:]])
     return (spec.join(mean, omega, coefs[:spec.p], lam, coefs[spec.p:]),
             omega, s, wts)
 
@@ -417,11 +422,12 @@ def _chain_gradient(g_nat: np.ndarray, raw: np.ndarray, spec: GarchSpec,
     if spec.mean_model == "ar1":
         phi = math.tanh(raw[1])
         g_mean = g_mean * np.array([1.0, 1.0 - phi * phi])
+    if spec.leverage:
+        g_alphas = np.concatenate([_LEVERAGE_MAP.T @ [g_alphas[0], g_lam], g_alphas[1:]])
     gc = np.concatenate([g_alphas, g_gammas])
     avg = float(wts @ gc)
     return np.concatenate([g_mean, [g_omega * omega, s * (1.0 - s) * avg],
-                           s * wts[:-1] * (gc[:-1] - avg),
-                           [g_lam] if spec.leverage else []])
+                           s * wts[:-1] * (gc[:-1] - avg)])
 
 
 def _initial_raw(spec: GarchSpec, seed_var: float, rbar: float) -> np.ndarray:
@@ -432,12 +438,13 @@ def _initial_raw(spec: GarchSpec, seed_var: float, rbar: float) -> np.ndarray:
         wts = np.concatenate([np.full(p, 0.1 / p), np.full(q, 0.8 / q)]) / s0
     else:
         wts = np.full(p + q, 1.0 / (p + q))
+    if spec.leverage:  # a+ = a-, so lambda starts at 0
+        wts = np.concatenate([[wts[0] / 2.0], [wts[0] / 2.0], wts[1:]])
     # mu starts at the sample mean and phi at 0
     return np.concatenate([[rbar, 0.0][:spec.n_mean],
                            [math.log(seed_var * (1.0 - s0)),
                             math.log(s0 / (1.0 - s0))],
-                           np.log(wts[:-1] / wts[-1]),
-                           [0.0] if spec.leverage else []])
+                           np.log(wts[:-1] / wts[-1])])
 
 
 def _objective(x: np.ndarray, spec: GarchSpec, seed_var: float, rbar: float):

@@ -1,6 +1,5 @@
 import logging
 import math
-import re
 from dataclasses import fields
 
 import numpy as np
@@ -30,7 +29,7 @@ from microstrat.marketdata import (
     synth_ticks,
 )
 from microstrat.strategy import SIDE_BUY, SIDE_SELL, StrategyConfig
-from microstrat.volatility import GarchFit, GarchSpec
+from microstrat.volatility import GarchSpec
 
 
 @pytest.fixture(scope="module")
@@ -584,24 +583,32 @@ def test_stop_sigma_equals_per_bar_std(window):
     np.testing.assert_array_equal(bt._stop_sigma(closes, window), expected)
 
 
-def test_non_positive_variance_forecast_is_a_data_error(ticks, monkeypatch):
-    path = GarchFit.path
+def test_tgarch_forecasts_stay_finite_after_down_shocks(monkeypatch):
+    """On two days of the benchmark's process at shock seed 4, TGARCH(2,2)
+    refits with an AR(1) mean find negative leverage, yet each keeps
+    alpha_1 + lambda >= 0, so every forecast bar's standardized forecast
+    is finite."""
+    ticks = synth_ticks(SynthSpec(count=2 * 28800, seed=4, phi=0.15,
+                                  omega=2e-8, alpha=0.08, beta=0.88))
+    fits, served = [], []
+    fit_garch, garch_path = bt.fit_garch, bt._garch_path
 
-    def zero_variances(self, r):
-        h, mean = path(self, r)
-        return np.zeros_like(h), mean
+    def spy_fit(*args):
+        fits.append(fit_garch(*args))
+        return fits[-1]
 
-    monkeypatch.setattr(GarchFit, "path", zero_variances)
-    with pytest.raises(DataError, match="variance forecast") as err:
-        run_backtest(ticks, StrategyConfig(use_vpin=False, use_svm=False))
-    # the message names the refit, the first bad bar and alpha_1 + lambda
-    found = re.fullmatch(r"GARCH refit at bar (\d+) gave a non-positive variance "
-                         r"forecast at bar (\d+) \(alpha_1 \+ lambda = (\S+)\)",
-                         str(err.value))
-    assert found is not None
-    refit_bar, bad_bar = int(found[1]), int(found[2])
-    assert 0 < refit_bar <= bad_bar
-    assert 0.0 <= float(found[3]) < 1.0
+    def spy_path(rets, first_trading, eng):
+        z, h, failures = garch_path(rets, first_trading, eng)
+        served.append(z[first_trading:])
+        return z, h, failures
+
+    monkeypatch.setattr(bt, "fit_garch", spy_fit)
+    monkeypatch.setattr(bt, "_garch_path", spy_path)
+    run_backtest(ticks, StrategyConfig(use_vpin=False, use_svm=False),
+                 engine=EngineConfig(garch_spec=GarchSpec(2, 2, True, "ar1")))
+    assert min(f.leverage_coef for f in fits) < 0.0
+    assert all(f.alphas[0] + f.leverage_coef >= 0.0 for f in fits)
+    assert served[0].shape[0] > 0 and np.isfinite(served[0]).all()
 
 
 def test_no_lookahead_signals_unchanged_by_future_shift(ticks, full_run):

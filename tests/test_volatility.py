@@ -132,8 +132,6 @@ def test_raw_gradient_matches_finite_differences(p, q, leverage, mean_model, see
     jitter = rng.uniform(-0.2, 0.2, raw.shape[0])
     if spec.n_mean:
         jitter[0] *= np.std(x)  # mu is on the returns' scale
-    if leverage:
-        jitter[-1] = abs(jitter[-1])  # a positive lambda keeps h positive
     raw += jitter
     objective = _objective(x, spec, seed_var, rbar)
     f, g = objective(raw)
@@ -253,12 +251,15 @@ def test_std_errors_finite_and_named():
 
 
 def test_tgarch_recovers_leverage_sign():
+    """Nine fits in ten find the positive leverage, and each recovers the
+    simulator's persistence alpha + lambda / 2 + beta = 0.955."""
     pos = 0
     for seed in range(10):
         r = simulate_garch(np.random.default_rng(100 + seed).standard_normal(20000),
                            1e-6, 0.05, 0.88, leverage=0.05)
         fit = fit_garch(r, GarchSpec(leverage=True))
         pos += fit.leverage_coef > 0
+        assert abs(fit.persistence - 0.955) < 0.02
     assert pos >= 9
 
 
@@ -284,6 +285,16 @@ def test_fit_rejects_bad_input():
         GarchSpec(0, 1, leverage=True)
     with pytest.raises(DataError):
         GarchSpec(1, 1, mean_model="ewma")
+
+
+def test_fit_rejects_negative_alpha1_plus_lambda():
+    """A down shock may not lower the next variance: alpha_1 + lambda < 0
+    is not a GarchFit, even where the in-sample variances stay positive."""
+    with pytest.raises(DataError, match=r"alpha_1 \+ lambda"):
+        GarchFit(spec=GarchSpec(1, 1, True, "zero"), omega=1e-6,
+                 alphas=[0.05], gammas=[0.9], leverage_coef=-0.06,
+                 mean_params=[], cond_variance=[1e-5, 1e-5], residuals=[1e-3, 1e-3],
+                 log_likelihood=0.0, seed_variance=1e-5, iterations=0)
 
 
 def test_fit_is_deterministic():
@@ -327,7 +338,8 @@ def _lbfgsb_cases():
     ar1, tgarch = GarchSpec(1, 1, False, "ar1"), GarchSpec(2, 2, True, "constant")
     lev = GarchSpec(1, 1, True, "constant")
     lev_start = volatility._initial_raw(lev, float(np.var(x)), float(np.mean(x)))
-    lev_start[-1] = -0.05  # a line search then steps where some h_t < 0
+    # from omega e^300 a line search steps where h overflows
+    lev_start[lev.n_mean] = 300.0
 
     def arch(seed):
         return simulate_garch(np.random.default_rng(seed).standard_normal(400),
@@ -409,8 +421,9 @@ def test_non_finite_gradient_is_an_infeasible_point():
     spec = GarchSpec(2, 2, True, "constant")
     x = simulate_garch(np.random.default_rng(5).standard_normal(500), 2e-8, 0.1, 0.8)
     seed_var, rbar = float(np.var(x)), float(np.mean(x))
-    # mean, log omega, logit persistence, ARCH and GARCH logits, leverage
-    raw = np.array([rbar, -484.0, -30.0, -700.0, -700.0, 0.0, 0.0])
+    # mean, log omega, logit persistence, then the logits of the up- and
+    # down-shock weights, alpha_2 and gamma_1; gamma_2's is 0
+    raw = np.array([rbar, -484.0, -30.0, -700.0, -700.0, -700.0, 0.0])
     with np.errstate(over="ignore", invalid="ignore"):
         ll, g = garch_loglik(volatility._raw_to_natural(raw, spec)[0], x, spec,
                              seed_var, rbar)
@@ -507,7 +520,9 @@ def test_path_is_causal_property(p, q, leverage, mean_model, data):
     coefs = data.draw(st.floats(0.0, 0.98)) * weights / weights.sum()
     alphas, gammas = coefs[:p], coefs[p:]
     omega = data.draw(st.floats(1e-7, 1e-5))
-    lam = data.draw(st.floats(0.0, 0.2)) if leverage else 0.0
+    # alpha_1 + lambda >= 0, and sum alpha + lambda / 2 + sum gamma <= 0.99
+    lam = (data.draw(st.floats(-alphas[0], 2.0 * (0.99 - coefs.sum())))
+           if leverage else 0.0)
     mean = np.array(data.draw(st.tuples(st.floats(-1e-4, 1e-4),
                                         st.floats(-0.5, 0.5))))[:spec.n_mean]
     theta = np.concatenate([mean, [omega], alphas, [lam] if leverage else [],
@@ -535,6 +550,39 @@ def test_path_is_causal_property(p, q, leverage, mean_model, data):
     var_m, mean_m = fit.path(x[:m])
     np.testing.assert_array_equal(var_m, var_path[:m + 1])
     np.testing.assert_array_equal(mean_m, mean_path[:m + 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 2),
+       st.sampled_from(("zero", "constant", "ar1")), st.data())
+def test_leverage_transform_is_feasible_property(p, q, mean_model, data):
+    """Every raw TGARCH point maps to alpha >= 0, alpha_1 + lambda >= 0 and
+    persistence s, so on returns with large down shocks every variance
+    after the seed, in sample and forecast, is at least omega."""
+    spec = GarchSpec(p, q, True, mean_model)
+    logits = data.draw(st.lists(st.floats(-20.0, 20.0), min_size=p + q,
+                                max_size=p + q))
+    raw = np.array([*data.draw(st.tuples(st.floats(-1e-4, 1e-4),
+                                         st.floats(-3.0, 3.0)))[:spec.n_mean],
+                    data.draw(st.floats(-25.0, -5.0)),
+                    data.draw(st.floats(-5.0, 5.0)), *logits])
+    theta, omega, s, _ = volatility._raw_to_natural(raw, spec)
+    mean, _, alphas, lam, gammas = spec.split(theta)
+    assert np.all(alphas >= 0.0) and np.all(gammas >= 0.0)
+    assert alphas[0] + lam >= 0.0
+
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    x = 1e-3 * rng.standard_normal(400)
+    x[rng.choice(400, 40, replace=False)] = -0.05
+    n = 300
+    seed_var, rbar = float(np.var(x[:n])), float(np.mean(x[:n]))
+    h, eps, _, _ = _variance_path(theta, x[:n], spec, seed_var, rbar)
+    fit = GarchFit(spec=spec, omega=omega, alphas=alphas, gammas=gammas,
+                   leverage_coef=lam, mean_params=mean, cond_variance=h,
+                   residuals=eps, log_likelihood=0.0, seed_variance=seed_var,
+                   iterations=0)
+    assert fit.persistence == pytest.approx(s, rel=1e-12, abs=0.0)
+    assert np.all(fit.path(x)[0][1:] >= omega)
 
 
 def test_path_needs_the_fitted_returns_first():
