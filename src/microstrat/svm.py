@@ -23,6 +23,7 @@ DEFAULT_C = 1.0
 DEFAULT_TOL = 1e-3
 _BOUND_EPS = 1e-12
 _SV_EPS = 1e-10
+_KERNEL_BLOCK = 1 << 16  # elements in kernel_matrix's row-block temporary
 
 
 # ---------------------------------------------------------------------------
@@ -61,17 +62,29 @@ def kernel_matrix(A: np.ndarray, B: np.ndarray, kernel: Kernel) -> np.ndarray:
 
     With B the same array as A the result is exactly symmetric: numpy forms
     A @ A.T by a symmetric rank-k update, and s_i + s_j == s_j + s_i.
+
+    The RBF kernel is finished in the buffer of A @ B.T, a block of rows at a
+    time, so its only other temporary holds about `_KERNEL_BLOCK` elements.
     """
     A = np.atleast_2d(np.asarray(A, dtype=np.float64))
     B = np.atleast_2d(np.asarray(B, dtype=np.float64))
     if A.shape[1] != B.shape[1]:
         raise DataError("feature dimensions differ")
+    K = A @ B.T
     if kernel.kind == "linear":
-        return A @ B.T
-    sq = (np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
-          - 2.0 * (A @ B.T))
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * kernel.sigma * kernel.sigma))
+        return K
+    # exp(-max(s_i + s_j - 2 k_ij, 0) / (2 sigma^2)), one operation at a time
+    sa = np.sum(A * A, axis=1)[:, None]
+    sb = np.sum(B * B, axis=1)[None, :]
+    K *= 2.0
+    step = max(1, _KERNEL_BLOCK // max(1, K.shape[1]))
+    for start in range(0, K.shape[0], step):
+        rows = K[start:start + step]
+        np.subtract(sa[start:start + step] + sb, rows, out=rows)
+    np.maximum(K, 0.0, out=K)
+    np.negative(K, out=K)
+    K /= 2.0 * kernel.sigma * kernel.sigma
+    return np.exp(K, out=K)
 
 
 # ---------------------------------------------------------------------------

@@ -576,6 +576,8 @@ with open(report, "w") as fh:
     fh.write(",".join(cli.REPORT_HEADER) + "\\n")
     fh.write(",".join(["G"] + ["0"] * (len(cli.REPORT_HEADER) - 1)) + "\\n")
 ticks = os.path.join(out, "ticks.csv")
+# another shock seed, ticking at the same instants as ticks.csv
+other = os.path.join(out, "other.csv")
 two_days = os.path.join(out, "two_days.csv")
 g_only = os.path.join(out, "g_only.ini")
 with open(g_only, "w") as fh:
@@ -589,7 +591,10 @@ commands = [
     ("garch", ["garch", ticks]),
     # G only on two days: the GARCH refits start on the second day
     ("backtest", ["--config", g_only, "backtest", two_days]),
-    ("diagnose", ["diagnose", ticks])]
+    ("diagnose", ["diagnose", ticks]),
+    ("generate_other", ["generate", "--count", "3000", "--phi", "0.15",
+                        "--seed", "4", "-o", other]),
+    ("granger", ["diagnose", ticks, "--granger", other])]
 for name, argv in commands:
     assert cli.main(["--out", out, *argv]) == 0, name
     seen[name] = scipy_loaded()
@@ -636,9 +641,11 @@ def test_scipy_loads_only_in_the_functions_that_use_it(tmp_path):
         assert "scipy.optimize" in seen["garch"]
         return
     assert "scipy.optimize._lbfgsb" in seen["garch"]
+    # resolve the ufuncs first: that is what loads _special_ufuncs here when
+    # no test before this one has
+    found = {name: _scipy.special(name) for name in ("ndtr", "gammaincc")}
     ufuncs = sys.modules.get("scipy.special._special_ufuncs")
-    if not all(_scipy.special(name) is getattr(ufuncs, name, None)
-               for name in ("ndtr", "gammaincc")):
+    if not all(f is getattr(ufuncs, name, None) for name, f in found.items()):
         # no ndtr or gammaincc outside scipy.special: VPIN or the
         # diagnostics import the package
         assert "scipy.special" in seen["diagnose"]
@@ -648,7 +655,7 @@ def test_scipy_loads_only_in_the_functions_that_use_it(tmp_path):
     # modules of the commands before it too
     packages = {"scipy.special", "scipy.linalg", "scipy.optimize",
                 "scipy.signal"}
-    for name in ("vpin", "garch", "backtest", "diagnose"):
+    for name in ("vpin", "garch", "backtest", "diagnose", "granger"):
         assert not packages & set(seen[name]), name
 
 

@@ -1,5 +1,6 @@
 """Kernels, SMO training fixtures, and KKT certification."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,40 @@ def test_kernel_matrix_is_symmetric_psd():
             K = kernel_matrix(X, X, kernel)
             assert np.array_equal(K, K.T)
             assert np.linalg.eigvalsh(K).min() >= -1e-8
+
+
+def _rbf_three_temporaries(A, B, sigma):
+    # the kernel as it was written before it was finished in one buffer
+    sq = (np.sum(A * A, axis=1)[:, None] + np.sum(B * B, axis=1)[None, :]
+          - 2.0 * (A @ B.T))
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-sq / (2.0 * sigma * sigma))
+
+
+def test_rbf_kernel_is_bit_equal_to_the_three_temporary_formula():
+    rng = np.random.default_rng(7)
+    shapes = [(1, 1, 3), (1, 40, 2), (40, 1, 2), (30, 30, 3), (257, 90, 11),
+              (1500, 1500, 11), (3, 40000, 2)]  # the last spans row blocks
+    for n, m, d in shapes:
+        A, B = rng.standard_normal((n, d)), rng.standard_normal((m, d))
+        for sigma in (0.1, 0.8, 3.0):
+            for right in (B, A):  # `right is A` takes the symmetric product
+                K = kernel_matrix(A, right, Kernel.rbf(sigma))
+                ref = _rbf_three_temporaries(A, right, sigma)
+                assert K.tobytes() == ref.tobytes(), (n, m, d, sigma)
+
+
+def test_rbf_kernel_allocates_about_one_result_array():
+    rng = np.random.default_rng(8)
+    for n, m in ((1500, 1500), (1200, 700)):
+        A, B = rng.standard_normal((n, 11)), rng.standard_normal((m, 11))
+        tracemalloc.start()
+        try:
+            kernel_matrix(A, B, Kernel.rbf(0.8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * n * m * 8, (n, m, peak)
 
 
 def test_kernel_validation():
