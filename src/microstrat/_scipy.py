@@ -11,7 +11,7 @@ holds its routine, and resolves the routine once:
   it differs, as on older scipy, and the GARCH fit then calls `minimize`
 - `special(name)`, a ufunc such as `ndtr`, from
   `scipy.special._special_ufuncs`, or from the `scipy.special` package where
-  that module lacks it, as on scipy 1.9
+  that module lacks it, as on scipy 1.9 and for `betainc`
 """
 from __future__ import annotations
 

@@ -142,25 +142,18 @@ _WRITE_ROWS = 8192  # rows formatted per write, which bounds save_ticks' memory
 
 
 def _quote(field: str) -> float:
-    # an empty quote field is a missing quote; str.strip() drops the padding
-    # numpy's parser skips, which float() keeps for U+001C..U+001F
-    return float(field.strip()) if field else math.nan
+    # an empty quote field is a missing quote
+    return float(field) if field else math.nan
 
 
-def _read_rows(lines, n_cols: int, empty_quotes: bool = True) -> np.ndarray:
+def _read_rows(lines, n_cols: int) -> np.ndarray:
     """Parse tick CSV data lines into a structured array; blank lines are
-    skipped, anything else that is not n_cols numbers raises ValueError.
-
-    Only with `empty_quotes` does an empty quote field parse, as NaN, by a
-    Python call per quote field; without it numpy parses every field, and
-    accepts a subset of those lines, to the same values.
-    """
-    converters = {3: _quote, 4: _quote} if empty_quotes and n_cols == 5 else None
+    skipped, anything else that is not n_cols numbers raises ValueError."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # no data rows
         return np.loadtxt(lines, dtype=_TICK_DTYPE[:n_cols], delimiter=",",
                           comments=None, ndmin=1, encoding="utf-8",
-                          converters=converters)
+                          converters={3: _quote, 4: _quote} if n_cols == 5 else None)
 
 
 def _first_unreadable(lines: list[str], n_cols: int) -> int:
@@ -190,13 +183,8 @@ def load_ticks(path: str) -> TickSeries:
         header = tuple(h.strip() for h in first.split(","))
         if header not in (TICK_CSV_HEADER, TICK_CSV_HEADER[:3]):
             raise DataError(f"{path}: unrecognized tick header {header}")
-        start = fh.tell()
         try:
-            try:
-                rows = _read_rows(fh, len(header), empty_quotes=False)
-            except ValueError:
-                fh.seek(start)  # an empty quote field, or a bad line
-                rows = _read_rows(fh, len(header))
+            rows = _read_rows(fh, len(header))
         except ValueError:
             fh.seek(0)
             lines = fh.read().split("\n")[1:]

@@ -6,11 +6,6 @@ and finite-sample critical values), Jarque-Bera normality, a Ljung-Box
 ARCH-effect check on squared demeaned returns, and two-directional Granger
 causality F-tests.
 
-The chi-squared tail is scipy's `gammaincc` ufunc. The F tail is an in-repo
-regularized incomplete beta, `_betainc`, the one routine whose scipy ufunc
-lives only in the `scipy.special` package, so the Granger test imports no
-scipy at all.
-
 The ADF lag is chosen by the Schwarz criterion over lags 0..max_lag on a
 common sample. The candidate regressions are nested, so one QR
 factorization of the largest design with dy appended, numpy's, gives every
@@ -52,10 +47,6 @@ _CV_SURFACE = {
 # Distribution tails
 # ---------------------------------------------------------------------------
 
-_BETA_EPS = 1e-15  # relative size of the last continued-fraction step
-_BETA_MAX_TERMS = 10_000
-_LENTZ_TINY = 1e-300  # stands in for a zero denominator
-
 
 def chi2_sf(x: float, df: float) -> float:
     """Chi-squared survival function via the regularized incomplete gamma."""
@@ -67,51 +58,14 @@ def chi2_sf(x: float, df: float) -> float:
 
 
 def f_sf(x: float, d1: float, d2: float) -> float:
-    """F-distribution survival function, I_{d2/(d2+d1 x)}(d2/2, d1/2), by
-    `_betainc`; a NaN statistic gives a NaN."""
+    """F-distribution survival function via the regularized incomplete beta."""
     if d1 <= 0 or d2 <= 0:
         raise DataError(f"F df must be positive, got ({d1}, {d2})")
     if x <= 0:
         return 1.0
     if math.isinf(x):
         return 0.0
-    return _betainc(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x))
-
-
-def _betainc(a: float, b: float, x: float) -> float:
-    """The regularized incomplete beta function I_x(a, b), for a, b > 0.
-
-    Its continued fraction is evaluated by the modified Lentz method on the
-    side of I_x(a, b) = 1 - I_{1-x}(b, a) where it converges fast (Press et
-    al., Numerical Recipes, 3rd ed., section 6.4), and the prefactor
-    x^a (1-x)^b / (a B(a, b)) is formed from `math.lgamma`. Against scipy's
-    `betainc` the relative error grows with a: about 1e-10 for a up to 6e4.
-    """
-    if not 0.0 < x < 1.0:
-        return x if math.isnan(x) else float(x >= 1.0)
-    flip = x > (a + 1.0) / (a + b + 2.0)
-    if flip:
-        a, b, x = b, a, 1.0 - x
-    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                     + a * math.log(x) + b * math.log1p(-x)) / a
-    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > _LENTZ_TINY else _LENTZ_TINY)
-    h = d
-    for m in range(1, _BETA_MAX_TERMS + 1):
-        # the even and the odd term of the fraction, as in Numerical Recipes
-        for num in (m * (b - m) * x / ((a + 2.0 * m - 1.0) * (a + 2.0 * m)),
-                    -(a + m) * (a + b + m) * x
-                    / ((a + 2.0 * m) * (a + 2.0 * m + 1.0))):
-            d = 1.0 + num * d
-            d = 1.0 / (d if abs(d) > _LENTZ_TINY else _LENTZ_TINY)
-            c = 1.0 + num / c
-            c = c if abs(c) > _LENTZ_TINY else _LENTZ_TINY
-            h *= d * c
-        if abs(d * c - 1.0) < _BETA_EPS:
-            value = front * h
-            return 1.0 - value if flip else value
-    raise NumericalError(f"incomplete beta I_x({a}, {b}) at x = {x} did not "
-                         f"converge in {_BETA_MAX_TERMS} terms")
+    return float(_scipy.special("betainc")(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x)))
 
 
 # ---------------------------------------------------------------------------

@@ -655,8 +655,12 @@ def test_scipy_loads_only_in_the_functions_that_use_it(tmp_path):
     # modules of the commands before it too
     packages = {"scipy.special", "scipy.linalg", "scipy.optimize",
                 "scipy.signal"}
-    for name in ("vpin", "garch", "backtest", "diagnose", "granger"):
+    for name in ("vpin", "garch", "backtest", "diagnose"):
         assert not packages & set(seen[name]), name
+    # the F tail's betainc lives only in the scipy.special package, which
+    # loads no other subpackage
+    assert "scipy.special" in seen["granger"]
+    assert not (packages - {"scipy.special"}) & set(seen["granger"])
 
 
 @pytest.mark.parametrize("preset,expected", [(None, "4"), ("28", "28")])

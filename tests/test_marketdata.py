@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microstrat import marketdata
 from microstrat.errors import DataError
 from microstrat.marketdata import (
     SESSION_OPENS_NS,
@@ -174,45 +173,6 @@ def test_load_ticks_rejects_infinite_price(tmp_path):
                     f"{ts_of(34201)},inf,5\n")
     with pytest.raises(DataError, match="line 3"):
         load_ticks(str(path))
-
-
-# Quote fields from the spellings float() and numpy's parser disagree on:
-# empty, nan, inf, signs, exponents, underscores, non-ASCII digits and
-# whitespace, including U+001C..U+001F, which only str.isspace() counts.
-_quote_fields = st.one_of(
-    st.sampled_from(["", " ", "nan", "-nan", "NaN", "inf", "-Infinity",
-                     "+1e3", "1e400", "-1e-400", "1_0", "\u0661", "\uff11",
-                     " 99.9 ", "\t1\t", "\x1c1", "1\x1f", "\xa01", "1.", ".5",
-                     "1e", "0x10"]),
-    st.text(alphabet="0123456789.+-eEinfatyINFAY_ \t\x1c\xa0\u0661", max_size=8),
-    st.floats(allow_nan=False).map(repr))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_quote_fields, _quote_fields)
-def test_fast_tick_parse_rejects_or_matches_the_converter_parse(bid, ask):
-    # load_ticks parses without the quote converters first and falls back to
-    # them on ValueError, so where the fast parse succeeds it must agree
-    line = [f"{ts_of(34200)},100.0,5,{bid},{ask}"]
-    try:
-        fast = marketdata._read_rows(line, 5, empty_quotes=False)
-    except ValueError:
-        return
-    assert fast.tobytes() == marketdata._read_rows(line, 5).tobytes()
-
-
-def test_empty_quote_on_the_last_row_loads_as_the_converter_parse(tmp_path):
-    # the fast parse reads every row but the last before it fails, and the
-    # fallback must start again right after the header
-    lines = [f"{ts_of(34200 + k)},100.0,5,99.9,100.1" for k in range(2000)]
-    lines[-1] = f"{ts_of(34200 + 1999)},100.0,5,,100.1"
-    path = tmp_path / "ticks.csv"
-    path.write_text("ts_ns,price,volume,bid1,ask1\n" + "\n".join(lines) + "\n")
-    loaded = load_ticks(str(path))
-    rows = marketdata._read_rows(lines, 5)
-    for name in ("ts", "price", "volume", "bid1", "ask1"):
-        assert getattr(loaded, name).tobytes() == rows[name].tobytes(), name
-    assert np.isnan(loaded.bid1[-1]) and len(loaded) == 2000
 
 
 def test_bad_row_after_an_empty_quote_reports_its_own_line(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from microstrat.errors import DataError
 from microstrat.marketdata import simulate_garch
 from microstrat.stats import (
-    _betainc,
     _sic_values,
     adf_critical_values,
     adf_test,
@@ -107,36 +106,6 @@ def test_tails_are_probabilities():
     for x in (0.01, 1.0, 10.0, 100.0):
         assert 0.0 <= chi2_sf(x, 5) <= 1.0
         assert 0.0 <= f_sf(x, 3, 9) <= 1.0
-
-
-# lgamma's rounding near a = 6e4 leaves about 1e-10 in the prefactor, and
-# 1 - I_{1-x}(b, a) multiplies that where the result is much below 1
-_BETAINC_RTOL = 5e-9
-
-
-def test_betainc_matches_scipy_on_granger_arguments():
-    # f_sf's call for the F(lag, n - 2 lag - 1) tail: a near n / 2, b = lag / 2
-    betainc = pytest.importorskip("scipy.special").betainc
-    for n in (50, 500, 5000, 28_800, 115_200):
-        for lag in (1, 2, 3, 5, 10):
-            d2 = n - 2 * lag - 1
-            for stat in np.geomspace(1e-4, 1e3, 60):
-                a, b, x = d2 / 2.0, lag / 2.0, d2 / (d2 + lag * stat)
-                ref = float(betainc(a, b, x))
-                if ref >= 1e-100:
-                    assert _betainc(a, b, x) == pytest.approx(
-                        ref, rel=_BETAINC_RTOL), (n, lag, stat)
-
-
-def test_betainc_matches_scipy_at_random_points():
-    betainc = pytest.importorskip("scipy.special").betainc
-    rng = np.random.default_rng(12)
-    a = np.exp(rng.uniform(math.log(0.5), math.log(6e4), 3000))
-    b = rng.uniform(0.5, 12.0, 3000)
-    x = rng.uniform(0.0, 1.0, 3000) ** 3  # many points near 0 as well
-    for ai, bi, xi, ref in zip(a, b, x, betainc(a, b, x)):
-        if ref >= 1e-100:
-            assert _betainc(ai, bi, xi) == pytest.approx(ref, rel=_BETAINC_RTOL)
 
 
 def test_f_sf_edges():
