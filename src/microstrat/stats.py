@@ -6,11 +6,21 @@ and finite-sample critical values), Jarque-Bera normality, a Ljung-Box
 ARCH-effect check on squared demeaned returns, and two-directional Granger
 causality F-tests.
 
+The chi-squared tail is scipy's `gammaincc` ufunc. The F tail is an in-repo
+regularized incomplete beta, `_betainc`: scipy keeps `betainc` only in the
+`scipy.special` package, so the Granger test loads no scipy package.
+
 The ADF lag is chosen by the Schwarz criterion over lags 0..max_lag on a
 common sample. The candidate regressions are nested, so one QR
 factorization of the largest design with dy appended, numpy's, gives every
-candidate's SSR (Golub & Van Loan, least squares by QR); the first minimum
+candidate's SSR (Golub & Van Loan, least squares by QR). The design is
+factored a block of rows at a time and never built whole; the first minimum
 wins a tie, and only the chosen lag is fitted by OLS.
+
+A dot product of two sample-length vectors is numpy's pairwise
+`np.sum(a * b)`, never a 1-D `@`: OpenBLAS splits a long `ddot` over its
+threads, and the split moves the last bits, so the results would depend on
+the BLAS thread count.
 """
 from __future__ import annotations
 
@@ -47,6 +57,14 @@ _CV_SURFACE = {
 # Distribution tails
 # ---------------------------------------------------------------------------
 
+_BETA_EPS = 1e-15  # relative size of the last continued-fraction step
+_BETA_MAX_TERMS = 10_000
+_LENTZ_TINY = 1e-300  # stands in for a zero denominator
+# Stirling's series, B_2k / (2k (2k - 1)) for k = 1..6: ln Gamma(z) is
+# (z - 1/2) ln z - z + ln(2 pi) / 2 + sum_k c_k z^(1 - 2k), to z^-11
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0,
+             1.0 / 1188.0, -691.0 / 360360.0)
+
 
 def chi2_sf(x: float, df: float) -> float:
     """Chi-squared survival function via the regularized incomplete gamma."""
@@ -58,14 +76,92 @@ def chi2_sf(x: float, df: float) -> float:
 
 
 def f_sf(x: float, d1: float, d2: float) -> float:
-    """F-distribution survival function via the regularized incomplete beta."""
+    """F-distribution survival function, I_{d2/s}(d2/2, d1/2) with
+    s = d2 + d1 x, by `_betainc`; a NaN statistic gives a NaN."""
     if d1 <= 0 or d2 <= 0:
         raise DataError(f"F df must be positive, got ({d1}, {d2})")
     if x <= 0:
         return 1.0
-    if math.isinf(x):
+    dx = d1 * x
+    if math.isinf(dx):
         return 0.0
-    return float(_scipy.special("betainc")(d2 / 2.0, d1 / 2.0, d2 / (d2 + d1 * x)))
+    # both arguments are formed directly: 1 - d2/s would lose dx/s's digits
+    # where it is small, as it is for a long sample
+    s = d2 + dx
+    return _betainc(d2 / 2.0, d1 / 2.0, d2 / s, dx / s)
+
+
+def _log_beta(a: float, b: float) -> float:
+    """ln B(a, b) for a, b > 0.
+
+    Where the larger argument q is at least 10, ln Gamma(p + q) - ln Gamma(q)
+    comes from Stirling's series as `algdiv` forms it (DiDonato & Morris
+    1992, ACM TOMS 18(3)), so no two lgammas of about q ln q are subtracted.
+    The series' difference at q and p + q is summed by the terms
+    q^-n - (p + q)^-n = q^-n (1 - x^n) with x = q / (p + q), whose
+    (1 - x^n) / (1 - x) = 1 + x + ... + x^(n-1) cancels nothing.
+    """
+    p, q = min(a, b), max(a, b)
+    if q < 10.0:
+        return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
+    x = q / (p + q)
+    t = 1.0 / (q * q)
+    s, tk, w = 1.0, 1.0, 0.0
+    for c in _STIRLING:
+        w += c * s * tk
+        s = 1.0 + x + x * x * s
+        tk *= t
+    w *= p / ((p + q) * q)
+    return (math.lgamma(p) + w - p * (math.log(q) - 1.0)
+            - (p + q - 0.5) * math.log1p(p / q))
+
+
+def _betainc(a: float, b: float, x: float, y: float) -> float:
+    """The regularized incomplete beta function I_x(a, b), for a, b > 0,
+    given both x and y = 1 - x, each formed by the caller.
+
+    Its continued fraction (Press et al., Numerical Recipes, 3rd ed.,
+    section 6.4) is evaluated by the modified Lentz method on the side of
+    I_x(a, b) = 1 - I_y(b, a) where it converges fast. Lentz's two steps per
+    term are taken as one: after an even term e the next denominator is
+    1 + e - x r, with x r the odd term's size, and that is formed as
+    s + e with s = y + x (1 - r), which cancels nothing when x is near 1.
+    The prefactor x^a y^b / (a B(a, b)) takes ln x and ln y from `log1p` of
+    the other argument where that is below 0.5, and ln B from `_log_beta`.
+    """
+    if math.isnan(x + y):
+        return math.nan
+    if x <= 0.0 or y <= 0.0:
+        return float(y <= 0.0)
+    flip = x > (a + 1.0) / (a + b + 2.0)
+    if flip:
+        a, b, x, y = b, a, y, x
+    log_x = math.log1p(-y) if y < 0.5 else math.log(x)
+    log_y = math.log1p(-x) if x < 0.5 else math.log(y)
+    front = math.exp(a * log_x + b * log_y - _log_beta(a, b)) / a
+    c, d = 1.0, 1.0 / _nonzero(y + x * (1.0 - b) / (a + 1.0))
+    h = d
+    for m in range(1, _BETA_MAX_TERMS + 1):
+        am = a + 2.0 * m
+        even = m * (b - m) * x / ((am - 1.0) * am)
+        # 1 - r, with r = (a + m)(a + b + m) / (am (am + 1)), in closed form
+        s = y + x * (a * (2.0 * m + 1.0 - b) + m * (3.0 * m + 2.0 - b)) \
+            / (am * (am + 1.0))
+        e, g = even * d, even / c
+        d = (1.0 + e) / _nonzero(s + e)
+        c = _nonzero((s + g) / _nonzero(1.0 + g))
+        step = (s + g) / _nonzero(s + e)
+        h *= step
+        if abs(step - 1.0) < _BETA_EPS:
+            value = front * h
+            return 1.0 - value if flip else value
+    raise NumericalError(f"incomplete beta I_x({a}, {b}) at x = {x} did not "
+                         f"converge in {_BETA_MAX_TERMS} terms")
+
+
+def _nonzero(v: float) -> float:
+    """v, or Lentz's stand-in for a zero denominator."""
+    return v if abs(v) > _LENTZ_TINY else _LENTZ_TINY
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +178,7 @@ class OlsFit:
 
     @property
     def ssr(self) -> float:
-        return float(self.residuals @ self.residuals)
+        return float(np.sum(self.residuals * self.residuals))
 
 
 @dataclass(frozen=True)
@@ -129,7 +225,7 @@ def ols(X: np.ndarray, y: np.ndarray) -> OlsFit:
     if rank < k:
         raise DataError(f"design matrix is rank deficient (rank {rank} < {k})")
     residuals = y - X @ coef
-    ssr = float(residuals @ residuals)
+    ssr = float(np.sum(residuals * residuals))
     sigma2 = ssr / (n - k)
     cov = sigma2 * np.linalg.inv(X.T @ X)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
@@ -176,12 +272,12 @@ def arch_effect_test(r: np.ndarray, lags: int = 12) -> TestResult:
         raise DataError(f"need more than {lags + 10} observations, got {n}")
     s = (x - x.mean()) ** 2
     d = s - s.mean()
-    denom = float(d @ d)
+    denom = float(np.sum(d * d))
     if denom == 0.0:
         raise DataError("ARCH-effect test is undefined for a constant series")
     q = 0.0
     for k in range(1, lags + 1):
-        rho = float(d[k:] @ d[:-k]) / denom
+        rho = float(np.sum(d[k:] * d[:-k])) / denom
         q += rho * rho / (n - k)
     q *= n * (n + 2.0)
     p = chi2_sf(q, lags)
@@ -214,6 +310,11 @@ def adf_critical_values(nobs: int) -> dict[str, float]:
     return out
 
 
+# Rows of the ADF design built and factored at a time by `_sic_values`:
+# 2048 x 52 float64 is 0.85 MB on one day's lag sweep
+_QR_ROWS = 2048
+
+
 def _adf_design(y: np.ndarray, dy: np.ndarray, k: int, start: int) -> np.ndarray:
     """``[1, y_{t-1}, dy_{t-1} .. dy_{t-k} | dy_t]`` over t = start .. len(dy)-1.
 
@@ -238,12 +339,19 @@ def _sic_values(y: np.ndarray, dy: np.ndarray, max_lag: int) -> np.ndarray:
     sum of squares of ``R[k+2:, -1]``. The singular values of R's leading
     block are those of the candidate's design, which gives the rank that
     ``lstsq`` reports with its default cut-off.
+
+    The design is never built whole. Each block of `_QR_ROWS` rows is
+    stacked under the R so far and factored again, which leaves the R of
+    all the rows up to the block (TSQR; Demmel et al. 2012, SIAM J. Sci.
+    Comput. 34(1)). R is then unique up to its rows' signs, which neither
+    the SSRs nor the singular values see.
     """
-    z = _adf_design(y, dy, max_lag, start=max_lag)
-    m, n = z.shape
-    # numpy's raw mode returns LAPACK's factored array transposed, with R in
-    # its upper triangle
-    r = np.triu(np.linalg.qr(z, mode="raw")[0].T[:n])
+    m, n = dy.shape[0] - max_lag, max_lag + 3
+    r = np.empty((0, n))
+    for lo in range(max_lag, dy.shape[0], _QR_ROWS):
+        hi = min(lo + _QR_ROWS, dy.shape[0])
+        block = _adf_design(y[:hi + 1], dy[:hi], max_lag, start=lo)
+        r = np.linalg.qr(np.vstack((r, block)), mode="r")
     ssr = np.cumsum(r[::-1, -1] ** 2)[::-1]
     cutoff = np.finfo(np.float64).eps * m
     sic = np.empty(max_lag + 1)

@@ -655,12 +655,32 @@ def test_scipy_loads_only_in_the_functions_that_use_it(tmp_path):
     # modules of the commands before it too
     packages = {"scipy.special", "scipy.linalg", "scipy.optimize",
                 "scipy.signal"}
-    for name in ("vpin", "garch", "backtest", "diagnose"):
+    # the F tail is the in-repo incomplete beta, so the Granger test loads
+    # no package either
+    for name in ("vpin", "garch", "backtest", "diagnose", "granger"):
         assert not packages & set(seen[name]), name
-    # the F tail's betainc lives only in the scipy.special package, which
-    # loads no other subpackage
-    assert "scipy.special" in seen["granger"]
-    assert not (packages - {"scipy.special"}) & set(seen["granger"])
+
+
+def test_diagnostics_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 20,000 ticks is above OpenBLAS's threading cutoff, where a threaded
+    # ddot splits its sum and moves the last bits
+    data, other = tmp_path / "data.csv", tmp_path / "other.csv"
+    for seed, path in (("3", data), ("4", other)):
+        assert run("--out", str(tmp_path), "generate", "--seed", seed,
+                   "--count", "20000", "--phi", "0.15", "--omega", "2e-8",
+                   "--alpha", "0.08", "--beta", "0.88", "-o", str(path)) == 0
+    src = os.path.dirname(os.path.dirname(microstrat.__file__))
+    written = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        out = tmp_path / f"threads_{threads}"
+        subprocess.run([sys.executable, "-m", "microstrat.cli", "--out",
+                        str(out), "diagnose", str(data), "--granger",
+                        str(other)], env=env, check=True, capture_output=True)
+        written.append((out / "diagnostics.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("preset,expected", [(None, "4"), ("28", "28")])

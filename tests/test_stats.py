@@ -1,12 +1,15 @@
 """Diagnostics: OLS core, distribution tails, ADF, JB, ARCH effect, Granger."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from microstrat import stats
 from microstrat.errors import DataError
 from microstrat.marketdata import simulate_garch
 from microstrat.stats import (
+    _betainc,
     _sic_values,
     adf_critical_values,
     adf_test,
@@ -112,6 +115,43 @@ def test_f_sf_edges():
     assert math.isnan(f_sf(math.nan, 2, 30))
     assert f_sf(1e-300, 2, 100) == 1.0  # x rounds to 1
     assert f_sf(1e308, 3, 10) == 0.0  # d1 * stat overflows, x is 0
+
+
+def test_betainc_matches_scipy_at_dyadic_points():
+    # at dyadic x, 1 - x is exact, so both sides see the same point; a
+    # reaches past the Granger test's d2 / 2 on long samples, and x runs to
+    # within 2^-30 of either end. The bound is relative, wherever the value
+    # is at least 1e-100
+    from scipy.special import betainc
+
+    xs = [k / 16.0 for k in range(1, 16)]
+    for j in range(4, 31, 2):
+        for k in (1, 3, 5, 7):
+            xs += [k * 2.0 ** -j, 1.0 - k * 2.0 ** -j]
+    xs = np.array(xs)
+    worst = 0.0
+    for big in (0.5, 1.0, 3.0, 10.0, 47.5, 300.0, 2500.0, 14400.5, 60000.0):
+        for small in np.arange(1, 25) / 2.0:
+            for a, b in ((big, small), (small, big)):
+                want = betainc(a, b, xs)
+                for x, w in zip(xs, want):
+                    if w >= 1e-100:
+                        got = _betainc(a, b, x, 1.0 - x)
+                        worst = max(worst, abs(got - w) / w)
+    assert worst <= 1e-11
+
+
+def test_f_sf_matches_two_numerator_df_closed_form_on_long_samples():
+    # F(2, d2) has the tail (1 + 2F/d2)^(-d2/2); a Granger test at lag 2 on
+    # one day of ticks has d2 near 28,800. The reference is exact up to its
+    # own rounding, about 1e-14 at 1e-100, so the bound is tighter than
+    # against scipy. The textbook Lentz steps, which form 1 - x r with x
+    # near 1, miss it by 1.5e-12 here
+    for d2 in (10, 100, 1000, 10_000, 28_792, 57_592, 120_000):
+        for x in (0.01, 0.1, 0.3, 0.6565, 1.0, 2.0, 5.0, 10.0, 30.0, 100.0):
+            want = math.exp(-(d2 / 2.0) * math.log1p(2.0 * x / d2))
+            if want >= 1e-100:
+                assert f_sf(x, 2, d2) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +308,38 @@ def test_adf_qr_sweep_matches_per_lag_ols():
                 if want[k] < want[first_min]:
                     first_min = k
             assert adf_test(y).lag == first_min
+
+
+def test_adf_qr_sweep_spans_row_blocks():
+    # three blocks of rows, the last holding a single row
+    max_lag = 12
+    n = 2 * stats._QR_ROWS + 1 + max_lag + 1
+    rng = np.random.default_rng(31)
+    e = rng.standard_normal(n)
+    d = np.zeros(n)
+    for t in range(2, n):
+        d[t] = 0.5 * d[t - 1] - 0.3 * d[t - 2] + e[t]
+    for y in (100.0 + np.cumsum(e), 3000.0 + np.cumsum(d)):
+        want = _per_lag_sic(y, max_lag)
+        np.testing.assert_allclose(_sic_values(y, np.diff(y), max_lag), want,
+                                   rtol=1e-8, atol=0)
+        assert adf_test(y, max_lag=max_lag).lag == int(np.argmin(want))
+
+
+def test_adf_qr_sweep_never_builds_the_whole_design():
+    # one day of ticks at Schwert's lag for it
+    y = 3000.0 + np.cumsum(np.random.default_rng(32).standard_normal(28_800))
+    dy = np.diff(y)
+    max_lag = 49
+    _sic_values(y, dy, max_lag)  # numpy's lazy set-up stays out of the peak
+    tracemalloc.start()
+    try:
+        _sic_values(y, dy, max_lag)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    design = (dy.shape[0] - max_lag) * (max_lag + 3) * 8
+    assert peak <= design / 2
 
 
 # ---------------------------------------------------------------------------
