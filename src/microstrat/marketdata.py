@@ -5,9 +5,12 @@ exchange's local clock. Every tick lies in one of the fixed CSI300 index
 futures sessions, 09:30-11:30 and 13:00-15:00 (`CSI300_SESSIONS`);
 resampling never builds a bar across a session break. `simulate_garch` is
 the one GARCH simulator: `synth_ticks` and the tests both draw from it.
+`load_ticks` parses the tick CSV in blocks of lines straight into columns,
+so at its peak it holds about one copy of the columns.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -42,9 +45,11 @@ TICK_CSV_HEADER = tuple(header for header, _, _, _ in _TICK_COLUMNS)
 def session_index(ts: np.ndarray) -> np.ndarray:
     """Session slot of each timestamp, or -1 when outside every session."""
     sod = np.asarray(ts, dtype=np.int64) % NS_PER_DAY
-    idx = np.searchsorted(SESSION_OPENS_NS, sod, side="right") - 1
-    ok = (idx >= 0) & (sod <= SESSION_CLOSES_NS[np.clip(idx, 0, None)])
-    return np.where(ok, idx, -1)
+    idx = np.full(sod.shape, -1, dtype=np.intp)
+    # the sessions are disjoint, so each stamp is written at most once
+    for k, (open_ns, close_ns) in enumerate(zip(SESSION_OPENS_NS, SESSION_CLOSES_NS)):
+        idx[(sod >= open_ns) & (sod <= close_ns)] = k
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -138,22 +143,41 @@ class BarSeries:
 
 
 _TICK_DTYPE = [(name, dtype) for _, name, dtype, _ in _TICK_COLUMNS]
-_WRITE_ROWS = 8192  # rows formatted per write, which bounds save_ticks' memory
+# rows parsed per block and formatted per write, which bounds the memory
+# load_ticks and save_ticks need beyond the columns themselves
+_CSV_BLOCK_ROWS = 8192
 
 
 def _quote(field: str) -> float:
-    # an empty quote field is a missing quote
-    return float(field) if field else math.nan
+    # an empty quote field is a missing quote; the strip drops the U+001C..
+    # U+001F padding that numpy's parser skips and float() rejects
+    return float(field.strip()) if field else math.nan
 
 
-def _read_rows(lines, n_cols: int) -> np.ndarray:
-    """Parse tick CSV data lines into a structured array; blank lines are
-    skipped, anything else that is not n_cols numbers raises ValueError."""
+def _parse(lines: list[str], n_cols: int, converters=None) -> np.ndarray:
+    """np.loadtxt over tick CSV data lines, into a structured array."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # no data rows
         return np.loadtxt(lines, dtype=_TICK_DTYPE[:n_cols], delimiter=",",
                           comments=None, ndmin=1, encoding="utf-8",
-                          converters={3: _quote, 4: _quote} if n_cols == 5 else None)
+                          converters=converters)
+
+
+def _read_rows(lines: list[str], n_cols: int) -> np.ndarray:
+    """Parse tick CSV data lines into a structured array; blank lines are
+    skipped, anything else that is not n_cols numbers raises ValueError.
+
+    numpy's C parser alone reads the lines first. Only where it fails on a
+    quoted file are they parsed again with `_quote` on the quote fields,
+    which reads an empty field as a missing quote, and also the spellings
+    that only float() reads.
+    """
+    try:
+        return _parse(lines, n_cols)
+    except ValueError:
+        if n_cols != 5:
+            raise
+    return _parse(lines, n_cols, {3: _quote, 4: _quote})
 
 
 def _first_unreadable(lines: list[str], n_cols: int) -> int:
@@ -172,8 +196,11 @@ def _first_unreadable(lines: list[str], n_cols: int) -> int:
 def load_ticks(path: str) -> TickSeries:
     """Load a tick CSV (``ts_ns,price,volume[,bid1,ask1]``) into a TickSeries.
 
-    The columns are parsed in bulk and validated by TickSeries; a bad file
-    raises DataError naming the 1-based line of the first bad row.
+    The data lines are parsed `_CSV_BLOCK_ROWS` at a time, and each block's
+    fields are copied out into per-column pieces, so the whole file's
+    structured array is never held; at the peak the load holds about one
+    copy of the columns. TickSeries validates them; a bad file raises
+    DataError naming the 1-based line of the first bad row.
     """
     # a byte that is not UTF-8 becomes U+FFFD, which no field parses
     with open(path, encoding="utf-8", errors="replace") as fh:
@@ -183,19 +210,31 @@ def load_ticks(path: str) -> TickSeries:
         header = tuple(h.strip() for h in first.split(","))
         if header not in (TICK_CSV_HEADER, TICK_CSV_HEADER[:3]):
             raise DataError(f"{path}: unrecognized tick header {header}")
-        try:
-            rows = _read_rows(fh, len(header))
-        except ValueError:
-            fh.seek(0)
-            lines = fh.read().split("\n")[1:]
-            k = _first_unreadable(lines, len(header))
-            raise DataError(f"{path}: line {k + 2}: {lines[k]!r} is not "
-                            f"{len(header)} numbers {','.join(header)}") from None
-        if rows.shape[0] == 0:
+        pieces: list[list[np.ndarray]] = [[] for _ in header]
+        line_no, n_rows = 2, 0  # the block's first line number, rows so far
+        while lines := list(itertools.islice(fh, _CSV_BLOCK_ROWS)):
+            try:
+                rows = _read_rows(lines, len(header))
+            except ValueError:
+                k = _first_unreadable(lines, len(header))
+                text = lines[k].rstrip("\n")
+                raise DataError(f"{path}: line {line_no + k}: {text!r} is not "
+                                f"{len(header)} numbers {','.join(header)}") from None
+            for piece, name in zip(pieces, rows.dtype.names):
+                piece.append(rows[name].copy())
+            line_no += len(lines)
+            n_rows += rows.shape[0]
+            # free this block's line strings before the next block is read,
+            # so that the small-object arenas they fill are reused
+            del lines, rows
+        if n_rows == 0:
             raise DataError(f"{path}: no data rows")
-        quotes = (rows["bid1"], rows["ask1"]) if len(header) == 5 else ()
+        columns = []
+        for piece in pieces:
+            columns.append(np.concatenate(piece))
+            piece.clear()
         try:
-            return TickSeries(rows["ts"], rows["price"], rows["volume"], *quotes)
+            return TickSeries(*columns)
         except TickError as exc:
             fh.seek(0)
             lines = fh.read().split("\n")
@@ -215,8 +254,8 @@ def save_ticks(path: str, ticks: TickSeries) -> None:
     row = ",".join(fmt for _, _, _, fmt in columns) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(TICK_CSV_HEADER[:len(cols)]) + "\r\n")
-        for start in range(0, len(ticks), _WRITE_ROWS):
-            chunk = [col[start:start + _WRITE_ROWS].tolist() for col in cols]
+        for start in range(0, len(ticks), _CSV_BLOCK_ROWS):
+            chunk = [col[start:start + _CSV_BLOCK_ROWS].tolist() for col in cols]
             fh.write("".join(map(row.__mod__, zip(*chunk))))
 
 

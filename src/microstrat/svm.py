@@ -207,13 +207,16 @@ def train_smo(X: np.ndarray, y: np.ndarray, c: float = DEFAULT_C,
     beps = _BOUND_EPS * max(1.0, c)
     objective_log = []
     iterations = 0
+    pos, neg_y, hi = y > 0, -y, c - beps
+    # the working sets; a step moves only alpha[i] and alpha[j], so only
+    # their entries are updated after it
+    up = np.where(pos, alpha < hi, alpha > beps)
+    low = np.where(pos, alpha > beps, alpha < hi)
     while True:
-        yg = -y * G
-        # the working sets: +-inf marks an index outside 'up' or 'low'
-        up_vals = np.where(((y > 0) & (alpha < c - beps)) | ((y < 0) & (alpha > beps)),
-                           yg, -np.inf)
-        low_vals = np.where(((y < 0) & (alpha < c - beps)) | ((y > 0) & (alpha > beps)),
-                            yg, np.inf)
+        yg = neg_y * G
+        # +-inf marks an index outside 'up' or 'low'
+        up_vals = np.where(up, yg, -np.inf)
+        low_vals = np.where(low, yg, np.inf)
         i = int(np.argmax(up_vals))
         j = int(np.argmin(low_vals))
         if up_vals[i] == -np.inf or low_vals[j] == np.inf:
@@ -240,6 +243,9 @@ def train_smo(X: np.ndarray, y: np.ndarray, c: float = DEFAULT_C,
             alpha[i] = c if y[i] > 0 else 0.0
         if t == cap_j:
             alpha[j] = 0.0 if y[j] > 0 else c
+        for k in (i, j):
+            below, above = alpha[k] < hi, alpha[k] > beps
+            up[k], low[k] = (below, above) if pos[k] else (above, below)
         # K is exactly symmetric (see kernel_matrix): read its contiguous rows
         G += y * t * (K[i] - K[j])
         iterations += 1
@@ -247,7 +253,7 @@ def train_smo(X: np.ndarray, y: np.ndarray, c: float = DEFAULT_C,
         objective_log.append(0.5 * float(alpha.sum() - alpha @ G))
 
     # the loop leaves before it changes alpha: yg and the sets are current
-    free = (alpha > beps) & (alpha < c - beps)
+    free = (alpha > beps) & (alpha < hi)
     if free.any():
         bias = float(np.mean(yg[free]))
     else:

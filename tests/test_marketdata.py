@@ -2,14 +2,17 @@
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from microstrat import marketdata
 from microstrat.errors import DataError
 from microstrat.marketdata import (
+    SESSION_CLOSES_NS,
     SESSION_OPENS_NS,
     SynthSpec,
     TickSeries,
@@ -247,6 +250,157 @@ def test_load_ticks_rejects_unknown_header(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# The blocked parse
+# ---------------------------------------------------------------------------
+
+QUOTED_HEADER = "ts_ns,price,volume,bid1,ask1\n"
+_QUOTE_CONVERTERS = {3: marketdata._quote, 4: marketdata._quote}
+
+_PADDING = st.sampled_from(["", " ", "\t", "\xa0", "\x1c", "\x1d", "\x1e", "\x1f"])
+_SPELLINGS = st.one_of(
+    st.sampled_from(["", " ", "nan", "NaN", "-nan", "+nan", "inf", "-inf",
+                     "+Infinity", "1_0", "1_000.5", "١", "٢.٥",
+                     "１", "１２.5e１", "0x10", "1e", "--1", "1d5"]),
+    st.builds(lambda sign, digits, exp: sign + digits + exp,
+              st.sampled_from(["", "+", "-"]),
+              st.from_regex(r"[0-9]{1,5}(\.[0-9]{0,4})?|\.[0-9]{1,4}", fullmatch=True),
+              st.sampled_from(["", "e0", "E+2", "e-3", "e05", "E", "e+"])))
+_quote_fields = st.builds(lambda left, text, right: left + text + right,
+                          _PADDING, _SPELLINGS, _PADDING)
+
+
+def _row(k, bid="99.9", ask="100.1", volume=5):
+    return f"{ts_of(34200 + k)},100.0,{volume},{bid},{ask}\n"
+
+
+def _parse_or_none(line, converters):
+    try:
+        return marketdata._parse([line], 5, converters)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_quote_fields)
+def test_numpy_parse_of_a_quote_is_the_converter_parse_or_fails(field):
+    line = _row(0, bid=field, ask=field)
+    fast = _parse_or_none(line, None)
+    slow = _parse_or_none(line, _QUOTE_CONVERTERS)
+    if fast is not None:
+        assert slow is not None and fast.tobytes() == slow.tobytes(), repr(field)
+    # a whole file with the field loads to the converter parse's value, or
+    # fails naming the field's line
+    for bid, ask, name in ((field, "", "bid1"), ("", field, "ask1")):
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "ticks.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(QUOTED_HEADER + _row(0) + _row(1, bid=bid, ask=ask))
+            value = None if slow is None else slow[name][0]
+            if value is not None and (math.isnan(value) or 0 < value < math.inf):
+                loaded = getattr(load_ticks(path), name)
+                assert loaded[1].tobytes() == value.tobytes(), repr(field)
+            else:
+                with pytest.raises(DataError, match=f"{path}: line 3: "):
+                    load_ticks(path)
+
+
+def test_bad_row_in_a_later_block_reports_its_own_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(marketdata, "_CSV_BLOCK_ROWS", 4)
+    path = tmp_path / "bad.csv"
+    bad = f"{ts_of(34205)},100.0,5,99.9,1_0x"
+    rows = [_row(k) for k in range(9)]
+    rows[4] = _row(4, bid="")  # the second block also needs the converters
+    rows[5] = bad + "\n"
+    for newline in ("\n", "\r\n"):
+        path.write_bytes((QUOTED_HEADER + "".join(rows)).replace("\n", newline).encode())
+        with pytest.raises(DataError) as info:
+            load_ticks(str(path))
+        assert str(info.value) == (f"{path}: line 7: {bad!r} is not 5 numbers "
+                                   "ts_ns,price,volume,bid1,ask1")
+    # in a 3-column file, on the third block's first line
+    rows = [f"{ts_of(34200 + k)},100.0,5\n" for k in range(9)]
+    rows[8] = "x\n"
+    path.write_text("ts_ns,price,volume\n" + "".join(rows))
+    with pytest.raises(DataError) as info:
+        load_ticks(str(path))
+    assert str(info.value) == f"{path}: line 10: 'x' is not 3 numbers ts_ns,price,volume"
+
+
+def test_empty_quotes_at_block_ends_are_missing_quotes(tmp_path, monkeypatch):
+    path = tmp_path / "ticks.csv"
+    rows = [_row(k) for k in range(10)]
+    rows[3] = _row(3, bid="")  # the first block's last row
+    rows[9] = _row(9, ask="")  # the file's last row, alone in its block
+    path.write_text(QUOTED_HEADER + "".join(rows))
+    whole = load_ticks(str(path))
+    monkeypatch.setattr(marketdata, "_CSV_BLOCK_ROWS", 4)
+    blocked = load_ticks(str(path))
+    bid = np.full(10, 99.9)
+    ask = np.full(10, 100.1)
+    bid[3] = ask[9] = math.nan
+    for loaded in (whole, blocked):
+        np.testing.assert_array_equal(loaded.bid1, bid)
+        np.testing.assert_array_equal(loaded.ask1, ask)
+        assert loaded.ts.tobytes() == whole.ts.tobytes()
+
+
+def test_blank_lines_around_a_block_boundary_keep_line_numbers(tmp_path, monkeypatch):
+    monkeypatch.setattr(marketdata, "_CSV_BLOCK_ROWS", 4)
+    path = tmp_path / "bad.csv"
+    head = QUOTED_HEADER + _row(0) + _row(1) + _row(2) + "\n" + "\n" + _row(3)
+    # lines 5 and 6, on either side of the boundary, are blank
+    path.write_text(head + _row(4, volume=0))
+    with pytest.raises(DataError) as info:
+        load_ticks(str(path))
+    assert str(info.value) == f"{path}: line 8: volume 0 is below 1"
+    path.write_text(head + "x\n")
+    with pytest.raises(DataError, match=f"{path}: line 8: 'x' is not 5 numbers"):
+        load_ticks(str(path))
+    path.write_text(head)
+    assert len(load_ticks(str(path))) == 4
+
+
+def test_files_of_one_block_and_one_block_and_a_row(tmp_path, monkeypatch):
+    path = tmp_path / "ticks.csv"
+    for n in (4, 5):
+        for header, row in ((QUOTED_HEADER, _row),
+                            ("ts_ns,price,volume\n",
+                             lambda k: f"{ts_of(34200 + k)},100.0,5\n")):
+            path.write_text(header + "".join(row(k) for k in range(n)))
+            monkeypatch.setattr(marketdata, "_CSV_BLOCK_ROWS", 8192)
+            whole = load_ticks(str(path))
+            monkeypatch.setattr(marketdata, "_CSV_BLOCK_ROWS", 4)
+            blocked = load_ticks(str(path))
+            assert len(blocked) == n
+            for name in ("ts", "price", "volume", "bid1", "ask1"):
+                col = getattr(blocked, name)
+                assert col.flags.c_contiguous
+                assert col.dtype == getattr(whole, name).dtype
+                assert col.tobytes() == getattr(whole, name).tobytes()
+    # a header and blank lines, over more than one block, have no data rows
+    for text in (QUOTED_HEADER, QUOTED_HEADER + "\n" * 9):
+        path.write_text(text)
+        with pytest.raises(DataError, match=f"{path}: no data rows"):
+            load_ticks(str(path))
+
+
+def test_load_ticks_holds_about_one_copy_of_the_columns(tmp_path):
+    n = 200_000
+    ticks = synth_ticks(SynthSpec(count=n, seed=5))
+    path = tmp_path / "ticks.csv"
+    save_ticks(str(path), ticks)
+    tracemalloc.start()
+    try:
+        loaded = load_ticks(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == n
+    columns = 5 * 8 * n
+    assert peak <= 1.6 * columns, peak / columns
+
+
+# ---------------------------------------------------------------------------
 # Returns
 # ---------------------------------------------------------------------------
 
@@ -294,6 +448,28 @@ def test_resample_anchors_at_session_open():
     sess = session_index(bars.ts)
     assert np.all(sess >= 0)
     assert np.all((sod - SESSION_OPENS_NS[sess]) % interval == 0)
+
+
+def _session_index_by_search(ts):
+    # session_index as it was written with searchsorted
+    sod = np.asarray(ts, dtype=np.int64) % NS_PER_DAY
+    idx = np.searchsorted(SESSION_OPENS_NS, sod, side="right") - 1
+    ok = (idx >= 0) & (sod <= SESSION_CLOSES_NS[np.clip(idx, 0, None)])
+    return np.where(ok, idx, -1)
+
+
+def test_session_index_matches_the_searchsorted_formulation():
+    rng = np.random.default_rng(48)
+    edges = np.concatenate([SESSION_OPENS_NS, SESSION_CLOSES_NS])
+    instants = np.concatenate([edges, edges - 1, edges + 1, [0, NS_PER_DAY - 1]])
+    days = rng.integers(-3, 20_000, size=instants.shape[0])
+    ts = np.concatenate([days * NS_PER_DAY + instants,
+                         rng.integers(0, 20_000 * NS_PER_DAY, size=230_400)])
+    got = session_index(ts)
+    ref = _session_index_by_search(ts)
+    assert got.dtype == ref.dtype
+    np.testing.assert_array_equal(got, ref)
+    assert set(got[:edges.shape[0]].tolist()) == {0, 1}  # opens and closes are in
 
 
 def test_session_log_returns_skip_breaks():

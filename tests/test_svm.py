@@ -186,6 +186,69 @@ def test_equality_constraint_holds():
     assert abs(float(model.dual_coefs.sum())) <= model.training_tol
 
 
+def _smo_recomputing_the_sets(X, y, c, kernel, tol):
+    # the SMO loop as it was written before it updated the working sets in
+    # place: both sets are rebuilt from alpha at every step
+    K = kernel_matrix(X, X, kernel)
+    n = X.shape[0]
+    alpha, G = np.zeros(n), -np.ones(n)
+    beps = 1e-12 * max(1.0, c)
+    objective_log, iterations = [], 0
+    while True:
+        yg = -y * G
+        up_vals = np.where(((y > 0) & (alpha < c - beps)) | ((y < 0) & (alpha > beps)),
+                           yg, -np.inf)
+        low_vals = np.where(((y < 0) & (alpha < c - beps)) | ((y > 0) & (alpha > beps)),
+                            yg, np.inf)
+        i, j = int(np.argmax(up_vals)), int(np.argmin(low_vals))
+        if up_vals[i] == -np.inf or low_vals[j] == np.inf:
+            break
+        gap = float(up_vals[i] - low_vals[j])
+        if gap <= tol:
+            break
+        eta = max(K[i, i] + K[j, j] - 2.0 * K[i, j], 1e-12)
+        cap_i = (c - alpha[i]) if y[i] > 0 else alpha[i]
+        cap_j = alpha[j] if y[j] > 0 else (c - alpha[j])
+        t = min(gap / eta, cap_i, cap_j)
+        alpha[i] += y[i] * t
+        alpha[j] -= y[j] * t
+        if t == cap_i:
+            alpha[i] = c if y[i] > 0 else 0.0
+        if t == cap_j:
+            alpha[j] = 0.0 if y[j] > 0 else c
+        G += y * t * (K[i] - K[j])
+        iterations += 1
+        objective_log.append(0.5 * float(alpha.sum() - alpha @ G))
+    free = (alpha > beps) & (alpha < c - beps)
+    if free.any():
+        bias = float(np.mean(yg[free]))
+    else:
+        bias = float((up_vals.max() + low_vals.min()) / 2.0)
+    keep = alpha > 1e-10
+    return alpha[keep] * y[keep], bias, iterations, tuple(objective_log)
+
+
+def test_smo_matches_the_loop_that_rebuilds_its_working_sets():
+    rng = np.random.default_rng(47)
+    for trial in range(24):
+        n = int(rng.integers(8, 120))
+        X = rng.standard_normal((n, 3))
+        y = np.where(X[:, 0] + rng.standard_normal(n) > 0, 1.0, -1.0)
+        y[:2] = (1.0, -1.0)
+        kernel = Kernel.rbf(0.7) if trial % 2 else Kernel.linear()
+        # a small C leaves most alphas at the bound
+        c = (0.01, 1.0, 4.0)[trial % 3]
+        model = train_smo(X, y, c=c, kernel=kernel)
+        coefs, bias, iterations, log = _smo_recomputing_the_sets(X, y, c, kernel,
+                                                                 model.training_tol)
+        assert model.dual_coefs.tobytes() == coefs.tobytes(), trial
+        assert model.bias == bias, trial
+        assert model.report.iterations == iterations, trial
+        assert model.report.objective_log == log, trial
+        if c == 0.01:
+            assert np.mean(np.abs(model.dual_coefs) >= c * (1 - 1e-9)) > 0.5, trial
+
+
 # ---------------------------------------------------------------------------
 # Prediction
 # ---------------------------------------------------------------------------
