@@ -40,9 +40,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import DataError, NonConvergenceError
 from .marketdata import (
     NS_PER_DAY,
-    SESSION_CLOSES_NS,
-    SESSION_OPENS_NS,
     TickSeries,
+    bar_offsets,
     resample,
     session_log_returns,
 )
@@ -134,8 +133,10 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.warmup_days < 1:
             raise DataError("need at least one warmup day")
-        if self.bar_interval_ns <= 0 or self.garch_window < 100:
-            raise DataError("bad bar interval or window")
+        # the grid rejects bars under 100 ms, here before any file is read
+        bar_offsets(self.bar_interval_ns)
+        if self.garch_window < 100:
+            raise DataError("bad garch window")
         # a window never holds more than garch_window returns, so a larger
         # garch_min_obs would never refit and the run would never trade
         if not 0 < self.garch_min_obs <= self.garch_window:
@@ -612,15 +613,11 @@ def _market_state(ticks: TickSeries, cfg: StrategyConfig, costs: CostModel,
         svm_pred, svm_failures = _svm_path(z, rets, h, vpin_now, day_starts, eng)
 
     bid, ask = _quotes(ticks, decision_ts, costs)
-    # resample starts a bar at each session open, so a session's last bar
-    # may be short
-    bars_per_day = int(np.sum(-((SESSION_OPENS_NS - SESSION_CLOSES_NS)
-                                // eng.bar_interval_ns)))
     return _MarketState(
         decision_ts=decision_ts, closes=bars.close, day_ord=day_ord,
         first_trading=first_trading, bid=bid, ask=ask,
         benchmark=costs.capital * bars.close[first_trading:] / bars.close[first_trading],
-        periods_per_year=bars_per_day * eng.trading_days_per_year,
+        periods_per_year=len(bar_offsets(eng.bar_interval_ns)) * eng.trading_days_per_year,
         vpin_now=vpin_now, z=z, stop_sigma=_stop_sigma(bars.close, eng.sigma_window),
         delta1_fit=delta1_fit, thresholds=thresholds, svm_pred=svm_pred,
         garch_failures=garch_failures, svm_failures=svm_failures)

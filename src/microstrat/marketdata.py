@@ -2,9 +2,10 @@
 
 Timestamps are integer nanoseconds since epoch and are interpreted in the
 exchange's local clock. Every tick lies in one of the fixed CSI300 index
-futures sessions, 09:30-11:30 and 13:00-15:00 (`CSI300_SESSIONS`);
-resampling never builds a bar across a session break. `simulate_garch` is
-the one GARCH simulator: `synth_ticks` and the tests both draw from it.
+futures sessions, 09:30-11:30 and 13:00-15:00 (`CSI300_SESSIONS`), closes
+included; `bar_offsets` is the one bar grid, and no bar spans a session break.
+`simulate_garch` is the one GARCH simulator: `synth_ticks` and the tests draw
+from it.
 `load_ticks` parses the tick CSV in blocks of lines straight into columns,
 so at its peak it holds about one copy of the columns.
 """
@@ -42,14 +43,25 @@ _TICK_COLUMNS = (("ts_ns", "ts", np.int64, "%d"),
 TICK_CSV_HEADER = tuple(header for header, _, _, _ in _TICK_COLUMNS)
 
 
-def session_index(ts: np.ndarray) -> np.ndarray:
-    """Session slot of each timestamp, or -1 when outside every session."""
-    sod = np.asarray(ts, dtype=np.int64) % NS_PER_DAY
-    idx = np.full(sod.shape, -1, dtype=np.intp)
-    # the sessions are disjoint, so each stamp is written at most once
-    for k, (open_ns, close_ns) in enumerate(zip(SESSION_OPENS_NS, SESSION_CLOSES_NS)):
-        idx[(sod >= open_ns) & (sod <= close_ns)] = k
-    return idx
+# a day of 100 ms bars is 144,000 bars, five times a day of 500 ms ticks
+MIN_BAR_INTERVAL_NS = 100_000_000
+
+
+def bar_offsets(interval_ns: int) -> np.ndarray:
+    """Start of each bar of a trading day in ns after midnight: every
+    `interval_ns` from each session open, so a session's last bar may be short."""
+    if not interval_ns >= MIN_BAR_INTERVAL_NS:
+        raise DataError(f"bar_interval_ns must be >= {MIN_BAR_INTERVAL_NS} "
+                        f"(100 ms), got {interval_ns}")
+    return np.concatenate([np.arange(o, c, interval_ns, dtype=np.int64)
+                           for o, c in zip(SESSION_OPENS_NS, SESSION_CLOSES_NS)])
+
+
+def _each_day(ts: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The stamps of `times` (ns after midnight) on each day the sorted `ts`
+    span, in order; they wrap back into int64 where a midnight does not."""
+    days = np.arange(ts[0] // NS_PER_DAY, ts[-1] // NS_PER_DAY + 1) if len(ts) else ts
+    return (days[:, None] * NS_PER_DAY + times).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +122,14 @@ class TickSeries:
                   lambda i: f"{name} {q[i]} is neither missing (NaN) nor "
                             "positive and finite")
         check(bid > ask, lambda i: f"crossed quotes: bid1 {bid[i]} > ask1 {ask[i]}")
-        check(session_index(ts) < 0,
-              lambda i: f"timestamp {ts[i]} falls outside every session interval")
+        # the stamps are sorted, so ticks lo[k]:hi[k] lie in session k and the
+        # first tick outside every session starts the first non-empty gap
+        lo = np.r_[np.searchsorted(ts, _each_day(ts, SESSION_OPENS_NS)), n]
+        hi = np.r_[0, np.searchsorted(ts, _each_day(ts, SESSION_CLOSES_NS), "right")]
+        outside = hi[lo > hi]
+        if outside.shape[0]:
+            i = int(outside[0])
+            raise TickError(i, f"timestamp {ts[i]} falls outside every session interval")
 
     def __len__(self) -> int:
         return int(self.ts.shape[0])
@@ -281,37 +299,29 @@ def log_returns(prices: np.ndarray | Sequence[float]) -> np.ndarray:
 def session_log_returns(bars: BarSeries) -> np.ndarray:
     """Close-to-close log returns aligned with the bars, never across a
     session break: NaN at the first bar of each session."""
-    sess = (bars.ts // NS_PER_DAY) * len(CSI300_SESSIONS) + session_index(bars.ts)
-    same = sess[1:] == sess[:-1]
     c = bars.close
-    r = np.full(len(bars), np.nan)
-    r[1:][same] = np.log(c[1:][same] / c[:-1][same])
-    return r
+    r = np.full(len(bars) + 1, np.nan)
+    r[1:-1] = np.log(c[1:] / c[:-1])
+    # the first bar at or after each session open starts a session
+    r[np.searchsorted(bars.ts, _each_day(bars.ts, SESSION_OPENS_NS))] = np.nan
+    return r[:-1]
 
 
 def resample(ticks: TickSeries, interval_ns: int) -> BarSeries:
     """Aggregate ticks into bars of the given interval, each closing at the
     price of its last tick.
 
-    Bar boundaries are anchored at each session open, so no bar spans a
-    session break. Intervals containing no ticks produce no bar.
+    Each day the ticks span gets the bars of `bar_offsets`, and a bar takes
+    the ticks from its start to the next bar's, so a tick stamped on a close
+    joins its session's last bar. Bars that hold no tick are left out.
     """
-    if interval_ns <= 0:
-        raise DataError("bar interval must be positive")
     if len(ticks) == 0:
         raise DataError("cannot resample an empty tick series")
-    sod = ticks.ts % NS_PER_DAY
-    sess_idx = session_index(ticks.ts)
-    open_ns = SESSION_OPENS_NS[sess_idx]
-    bar_in_sess = (sod - open_ns) // interval_ns
-    day = ticks.ts // NS_PER_DAY
-    # Composite group key; ticks are time ordered so keys are non-decreasing.
-    key = ((day * len(CSI300_SESSIONS) + sess_idx) * (NS_PER_DAY // interval_ns + 1)
-           + bar_in_sess)
-    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    ends = np.r_[starts[1:], len(ticks)]
-    bar_ts = day[starts] * NS_PER_DAY + open_ns[starts] + bar_in_sess[starts] * interval_ns
-    return BarSeries(bar_ts, ticks.price[ends - 1])
+    grid = _each_day(ticks.ts, bar_offsets(interval_ns))
+    first = np.searchsorted(ticks.ts, grid)
+    end = np.r_[first[1:], len(ticks)]
+    held = end > first
+    return BarSeries(grid[held], ticks.price[end[held] - 1])
 
 
 # ---------------------------------------------------------------------------

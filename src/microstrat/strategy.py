@@ -22,6 +22,10 @@ SIDE_BUY = "buy"
 SIDE_SELL = "sell"
 SIDE_NONE = "none"
 
+# 100 times the default grid's 100 points; a finer or wider grid is searched
+# at every delta1 recalibration
+DELTA1_GRID_MAX_POINTS = 10_000
+
 
 @dataclass(frozen=True)
 class StrategyConfig:
@@ -50,6 +54,13 @@ class StrategyConfig:
         # negated comparisons, so that NaN fails them
         if not (0 < self.delta1_lo < self.delta1_hi and self.delta1_step > 0):
             raise DataError("bad delta1 grid")
+        # counted, not built: the grid is first built at the first delta1
+        # recalibration, after the GARCH and SVM work
+        steps = (self.delta1_hi - self.delta1_lo) / self.delta1_step
+        if not (steps < math.inf and round(steps) < DELTA1_GRID_MAX_POINTS):
+            raise DataError(f"delta1_lo, delta1_hi and delta1_step make a grid "
+                            f"of {steps + 1:,.0f} points, more than "
+                            f"{DELTA1_GRID_MAX_POINTS:,}")
         if not 0.0 < self.position_fraction <= 1.0:
             raise DataError("position_fraction must be in (0, 1]")
         if not 0.0 < self.size_cap <= 1.0:

@@ -155,6 +155,9 @@ def test_generate_constraint_error(shared, tmp_path, capsys):
     ("backtest", "delta1_window", "29"), ("backtest", "sigma_window", "-5"),
     ("backtest", "garch_min_obs", "3000"), ("backtest", "garch_min_obs", "-1"),
     ("backtest", "trading_days_per_year", "0"), ("backtest", "tick_size", "-0.2"),
+    # bars under 100 ms, and a delta1 grid of 1.98e9 points
+    ("backtest", "bar_interval_ns", "1000000"), ("backtest", "bar_interval_ns", "1"),
+    ("strategy", "delta1_step", "1e-9"),
     ("vpin", "window", "0"), ("vpin", "buckets_per_day", "0")])
 def test_bad_engine_value_fails_before_the_run(shared, tmp_path, capsys,
                                               section, key, value):

@@ -12,15 +12,18 @@ from hypothesis import strategies as st
 from microstrat import marketdata
 from microstrat.errors import DataError
 from microstrat.marketdata import (
+    CSI300_SESSIONS,
     SESSION_CLOSES_NS,
     SESSION_OPENS_NS,
+    BarSeries,
     SynthSpec,
+    TickError,
     TickSeries,
+    bar_offsets,
     load_ticks,
     log_returns,
     resample,
     save_ticks,
-    session_index,
     session_log_returns,
     simulate_garch,
     synth_ticks,
@@ -440,36 +443,151 @@ def test_resample_hand_trace():
     np.testing.assert_array_equal(bars.close, [101.0, 99.0, 102.0, 103.0])
 
 
-def test_resample_anchors_at_session_open():
-    ticks = synth_ticks(SynthSpec(count=30_000, seed=3))
-    interval = 300 * NS_PER_SEC
-    bars = resample(ticks, interval)
-    sod = bars.ts % NS_PER_DAY
-    sess = session_index(bars.ts)
-    assert np.all(sess >= 0)
-    assert np.all((sod - SESSION_OPENS_NS[sess]) % interval == 0)
-
-
 def _session_index_by_search(ts):
-    # session_index as it was written with searchsorted
+    # the session slot of each stamp, or -1 outside every session: the
+    # per-tick lookup that TickSeries and resample made before the bar grid
     sod = np.asarray(ts, dtype=np.int64) % NS_PER_DAY
     idx = np.searchsorted(SESSION_OPENS_NS, sod, side="right") - 1
     ok = (idx >= 0) & (sod <= SESSION_CLOSES_NS[np.clip(idx, 0, None)])
     return np.where(ok, idx, -1)
 
 
-def test_session_index_matches_the_searchsorted_formulation():
-    rng = np.random.default_rng(48)
-    edges = np.concatenate([SESSION_OPENS_NS, SESSION_CLOSES_NS])
-    instants = np.concatenate([edges, edges - 1, edges + 1, [0, NS_PER_DAY - 1]])
-    days = rng.integers(-3, 20_000, size=instants.shape[0])
-    ts = np.concatenate([days * NS_PER_DAY + instants,
-                         rng.integers(0, 20_000 * NS_PER_DAY, size=230_400)])
-    got = session_index(ts)
-    ref = _session_index_by_search(ts)
-    assert got.dtype == ref.dtype
-    np.testing.assert_array_equal(got, ref)
-    assert set(got[:edges.shape[0]].tolist()) == {0, 1}  # opens and closes are in
+def _resample_by_key(ticks, interval_ns):
+    # resample as it was written before the bar grid: each tick keyed by its
+    # day, its session and its bar within the session
+    sod = ticks.ts % NS_PER_DAY
+    sess_idx = _session_index_by_search(ticks.ts)
+    open_ns = SESSION_OPENS_NS[sess_idx]
+    bar_in_sess = (sod - open_ns) // interval_ns
+    day = ticks.ts // NS_PER_DAY
+    key = ((day * len(CSI300_SESSIONS) + sess_idx) * (NS_PER_DAY // interval_ns + 1)
+           + bar_in_sess)
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    ends = np.r_[starts[1:], len(ticks)]
+    bar_ts = day[starts] * NS_PER_DAY + open_ns[starts] + bar_in_sess[starts] * interval_ns
+    return BarSeries(bar_ts, ticks.price[ends - 1])
+
+
+def test_resample_anchors_at_session_open():
+    ticks = synth_ticks(SynthSpec(count=30_000, seed=3))
+    interval = 300 * NS_PER_SEC
+    bars = resample(ticks, interval)
+    sod = bars.ts % NS_PER_DAY
+    sess = _session_index_by_search(bars.ts)
+    assert np.all(sess >= 0)
+    assert np.all((sod - SESSION_OPENS_NS[sess]) % interval == 0)
+    # no bar starts on a close
+    assert np.all(sod < SESSION_CLOSES_NS[sess])
+
+
+def test_bar_grid_starts_at_each_open_and_stops_before_each_close():
+    minute = 60 * NS_PER_SEC
+    grid = bar_offsets(minute)
+    np.testing.assert_array_equal(
+        grid, np.r_[np.arange(34200, 41400, 60), np.arange(46800, 54000, 60)] * NS_PER_SEC)
+    # 7 minutes do not divide a session: each session's 18th bar is 1 minute
+    grid = bar_offsets(7 * minute)
+    assert len(grid) == 36
+    assert grid[17] == SESSION_CLOSES_NS[0] - minute
+    for interval in (100_000_000 - 1, 1_000_000, 1, 0, -minute):
+        with pytest.raises(DataError, match="bar_interval_ns must be >= 100000000"):
+            bar_offsets(interval)
+    with pytest.raises(DataError, match="bar_interval_ns"):
+        resample(series([(34200, 100.0, 1)]), 1_000_000)
+
+
+def test_ticks_on_a_close_fall_in_the_sessions_last_bar():
+    ticks = series([
+        (41340.5, 100.0, 1),
+        (41400, 101.0, 1),  # 11:30:00.000
+        (53999.5, 102.0, 1),
+        (54000, 103.0, 1),  # 15:00:00.000
+    ])
+    bars = resample(ticks, 60 * NS_PER_SEC)
+    assert list(bars.ts) == [ts_of(41340), ts_of(53940)]  # 11:29 and 14:59
+    np.testing.assert_array_equal(bars.close, [101.0, 103.0])
+
+
+# intervals that divide a 2-hour session (100 ms to the whole session), then
+# intervals that leave each session a short last bar, or only one bar
+_DIVIDING = (100_000_000, NS_PER_SEC, 60 * NS_PER_SEC, 300 * NS_PER_SEC,
+             1800 * NS_PER_SEC, 7200 * NS_PER_SEC)
+_NOT_DIVIDING = (700_000_000, 4_999_000_000, 7 * NS_PER_SEC, 420 * NS_PER_SEC,
+                 10_800 * NS_PER_SEC)
+_SESSION_EDGES = np.r_[SESSION_OPENS_NS, SESSION_CLOSES_NS, SESSION_CLOSES_NS - 1]
+_in_session = st.one_of(
+    st.sampled_from(_SESSION_EDGES.tolist()),
+    st.sampled_from(CSI300_SESSIONS).flatmap(
+        lambda s: st.integers(s[0] * NS_PER_SEC, s[1] * NS_PER_SEC)))
+
+
+@st.composite
+def in_session_stamps(draw):
+    stamps = draw(st.lists(st.tuples(st.integers(-3, 3), _in_session,
+                                     st.integers(1, 3)), min_size=1, max_size=60))
+    # each stamp once to three times, so some ticks share an instant
+    return np.array(sorted(day * NS_PER_DAY + sod for day, sod, times in stamps
+                           for _ in range(times)), dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(in_session_stamps(), st.sampled_from(_DIVIDING + _NOT_DIVIDING))
+def test_resample_matches_the_keyed_reference(ts, interval):
+    n = ts.shape[0]
+    ticks = TickSeries(ts, 100.0 + np.arange(n), np.ones(n, dtype=np.int64))
+    bars = resample(ticks, interval)
+    # the one difference: where a close is a bar boundary, the reference
+    # opens a bar at the close for a tick stamped on it, and the grid puts
+    # that tick in the session's last bar, where the reference puts a tick
+    # 1 ns earlier
+    ref_ts = ts.copy()
+    if 7200 * NS_PER_SEC % interval == 0:
+        ref_ts[np.isin(ts % NS_PER_DAY, SESSION_CLOSES_NS)] -= 1
+    ref = _resample_by_key(TickSeries(ref_ts, ticks.price, ticks.volume), interval)
+    np.testing.assert_array_equal(bars.ts, ref.ts)
+    np.testing.assert_array_equal(bars.close, ref.close)
+
+
+# the first and last days whose sessions int64 nanoseconds hold
+_INT64_DAYS = (-(2**63) // NS_PER_DAY, (2**63 - 1) // NS_PER_DAY)
+_EDGES_AND_NEIGHBOURS = np.r_[_SESSION_EDGES, SESSION_OPENS_NS - 1,
+                              SESSION_CLOSES_NS + 1, 0, NS_PER_DAY - 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from((-2, -1, 0, 1, DAY) + _INT64_DAYS),
+                          st.one_of(_in_session,
+                                    st.sampled_from(_EDGES_AND_NEIGHBOURS.tolist()),
+                                    st.integers(0, NS_PER_DAY - 1)))
+                .map(lambda t: t[0] * NS_PER_DAY + t[1])
+                .filter(lambda v: -(2**63) <= v < 2**63),
+                min_size=1, max_size=40))
+def test_tick_series_session_check_matches_the_per_tick_reference(stamps):
+    ts = np.array(sorted(stamps), dtype=np.int64)
+    n = ts.shape[0]
+    cols = (ts, np.full(n, 100.0), np.ones(n, dtype=np.int64))
+    outside = np.flatnonzero(_session_index_by_search(ts) < 0)
+    if outside.shape[0] == 0:
+        assert len(TickSeries(*cols)) == n
+        return
+    i = int(outside[0])
+    with pytest.raises(TickError) as info:
+        TickSeries(*cols)
+    assert info.value.index == i
+    assert str(info.value) == f"tick {i}: timestamp {ts[i]} falls outside every session interval"
+
+
+def test_tick_series_validates_in_less_than_one_column_of_temporaries():
+    # 8 days of 500 ms ticks; a per-tick session lookup held two int64
+    # arrays per tick
+    ticks = synth_ticks(SynthSpec(count=8 * 28_800, seed=5))
+    tracemalloc.start()
+    try:
+        TickSeries(ticks.ts, ticks.price, ticks.volume, ticks.bid1, ticks.ask1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * len(ticks), peak / len(ticks)
 
 
 def test_session_log_returns_skip_breaks():

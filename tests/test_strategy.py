@@ -90,6 +90,21 @@ def test_calibration_is_deterministic_grid_point():
     assert np.min(np.abs(cfg.delta1_grid() - d1)) < 1e-12
 
 
+@pytest.mark.parametrize("grid", [
+    {"delta1_step": 1e-9}, {"delta1_hi": 1e9}, {"delta1_hi": float("inf")},
+    {"delta1_hi": 1e308, "delta1_step": 1e-300},
+    {"delta1_lo": 1.0, "delta1_hi": 10_001.0, "delta1_step": 1.0}])
+def test_an_oversized_delta1_grid_fails_before_it_is_built(grid):
+    with pytest.raises(DataError, match="delta1_lo, delta1_hi and delta1_step "
+                                        "make a grid of .* more than 10,000"):
+        StrategyConfig(**grid)
+
+
+def test_a_delta1_grid_of_ten_thousand_points_is_allowed():
+    cfg = StrategyConfig(delta1_lo=1.0, delta1_hi=10_000.0, delta1_step=1.0)
+    assert len(cfg.delta1_grid()) == 10_000
+
+
 def test_calibration_needs_thirty_points():
     with pytest.raises(DataError):
         calibrate_delta1(np.zeros(29), np.zeros(29))
