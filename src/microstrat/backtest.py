@@ -22,11 +22,12 @@ extremes, the SVM gate, position sizing, stops, margin calls, the
 double-entry ledger and the performance indicators. `run_variants`
 therefore shares one market-state pass among its four replays.
 
-Every decision at a bar close uses only data that ended strictly before that
-instant: a GARCH forecast has absorbed only completed session returns, and
-VPIN reads the latest completed bucket. Entries fill passively at the signalled
-book side; stops and margin calls pay the spread. Cash, margin and fees move
-through a double-entry ledger whose residual is tracked and exposed.
+A decision at a bar's end (its session's close, for a short last bar) sees
+the ticks `resample` puts in the bar, a tick on the close included, and all
+before them: GARCH has absorbed only completed session returns, VPIN is the
+latest bucket those ticks completed, and fills take its last tick's quotes,
+passively at the signalled book side, while stops and margin calls pay the
+spread. A double-entry ledger moves cash, margin and fees and tracks its residual.
 """
 from __future__ import annotations
 
@@ -465,17 +466,17 @@ def _delta1_path(z: np.ndarray, rets: np.ndarray, first_trading: int,
 
 
 def _threshold_path(vpin_values: np.ndarray, bucket_end_ts: np.ndarray,
-                    bucket_fluct: np.ndarray, decision_ts: np.ndarray,
+                    bucket_fluct: np.ndarray, seen_ts: np.ndarray,
                     day_starts: np.ndarray, cfg: StrategyConfig,
                     window: int) -> np.ndarray:
     """(delta2, delta3) in effect at each bar: the config's, then each fit on
-    the pairs complete at a trading day's first decision."""
-    out = np.tile([cfg.delta2, cfg.delta3], (decision_ts.shape[0], 1))
+    the pairs complete by `seen_ts`, the bar's last tick, at a day's first bar."""
+    out = np.tile([cfg.delta2, cfg.delta3], (seen_ts.shape[0], 1))
     # vpin value i belongs to bucket i + w - 1; fluct looks `basket_delay`
     # buckets ahead, to bucket j, and the pair counts once bucket j has ended
     # (bucket end times never decrease)
     lead = window - 1 + cfg.basket_delay
-    ended = np.searchsorted(bucket_end_ts, decision_ts[day_starts], side="left")
+    ended = np.searchsorted(bucket_end_ts, seen_ts[day_starts], side="right")
     for t, e in zip(day_starts.tolist(), ended.tolist()):
         n = max(0, min(vpin_values.shape[0], e - lead))
         fluct = bucket_fluct[lead:lead + n]
@@ -560,10 +561,8 @@ def _svm_path(z: np.ndarray, rets: np.ndarray, h: np.ndarray,
     return pred, failures
 
 
-def _quotes(ticks: TickSeries, decision_ts: np.ndarray, costs: CostModel):
-    """The bid and ask of the last tick before each decision, or its trade
-    price -+ half a tick where that side has no quote."""
-    last = np.searchsorted(ticks.ts, decision_ts, side="left") - 1
+def _quotes(ticks: TickSeries, last: np.ndarray, costs: CostModel):
+    """Bid and ask at each bar's `last` tick, its price -+ half a tick if missing."""
     half = costs.tick_size / 2.0
     px, bid, ask = ticks.price[last], ticks.bid1[last], ticks.ask1[last]
     return (np.where(np.isfinite(bid), bid, px - half),
@@ -593,13 +592,13 @@ def _market_state(ticks: TickSeries, cfg: StrategyConfig, costs: CostModel,
     first_trading = int(day_starts[0])
     if len(bars) - first_trading < 2:
         raise DataError("not enough trading bars to evaluate")
-    decision_ts = bars.ts + eng.bar_interval_ns
+    seen_ts = ticks.ts[bars.last]  # the last tick each decision sees
     rets = session_log_returns(bars)
 
     vpin_values, vpin_end_ts, bucket_end_ts, bucket_fluct = \
         _vpin_stream(ticks, days, eng)
-    # latest completed VPIN at each decision instant
-    k = np.searchsorted(vpin_end_ts, decision_ts, side="left")
+    # latest VPIN completed by the bar's last tick
+    k = np.searchsorted(vpin_end_ts, seen_ts, side="right")
     vpin_now = np.append(np.nan, vpin_values)[k]
 
     z, h, garch_failures = _garch_path(rets, first_trading, eng)
@@ -607,14 +606,14 @@ def _market_state(ticks: TickSeries, cfg: StrategyConfig, costs: CostModel,
     thresholds = None
     if vpin:
         thresholds = _threshold_path(vpin_values, bucket_end_ts, bucket_fluct,
-                                     decision_ts, day_starts, cfg, eng.vpin_window)
+                                     seen_ts, day_starts, cfg, eng.vpin_window)
     svm_pred, svm_failures = np.zeros(len(bars), dtype=np.int8), 0
     if svm:
         svm_pred, svm_failures = _svm_path(z, rets, h, vpin_now, day_starts, eng)
 
-    bid, ask = _quotes(ticks, decision_ts, costs)
+    bid, ask = _quotes(ticks, bars.last, costs)
     return _MarketState(
-        decision_ts=decision_ts, closes=bars.close, day_ord=day_ord,
+        decision_ts=bars.end_ts, closes=bars.close, day_ord=day_ord,
         first_trading=first_trading, bid=bid, ask=ask,
         benchmark=costs.capital * bars.close[first_trading:] / bars.close[first_trading],
         periods_per_year=len(bar_offsets(eng.bar_interval_ns)) * eng.trading_days_per_year,

@@ -48,13 +48,22 @@ MIN_BAR_INTERVAL_NS = 100_000_000
 
 
 def bar_offsets(interval_ns: int) -> np.ndarray:
-    """Start of each bar of a trading day in ns after midnight: every
-    `interval_ns` from each session open, so a session's last bar may be short."""
+    """One (start, end) row per bar of a trading day, in ns after midnight:
+    a bar starts every `interval_ns` from each session open and ends
+    `interval_ns` later or at the close, so a session's last bar may be short.
+    Any interval of one session or more gives one bar per session; above one
+    day it is rejected."""
     if not interval_ns >= MIN_BAR_INTERVAL_NS:
         raise DataError(f"bar_interval_ns must be >= {MIN_BAR_INTERVAL_NS} "
                         f"(100 ms), got {interval_ns}")
-    return np.concatenate([np.arange(o, c, interval_ns, dtype=np.int64)
-                           for o, c in zip(SESSION_OPENS_NS, SESSION_CLOSES_NS)])
+    if not interval_ns <= NS_PER_DAY:
+        raise DataError(f"bar_interval_ns must be <= {NS_PER_DAY} (1 day), "
+                        f"got {interval_ns}")
+    rows = []
+    for o, c in zip(SESSION_OPENS_NS, SESSION_CLOSES_NS):
+        start = np.arange(o, c, interval_ns, dtype=np.int64)
+        rows.append(np.c_[start, np.minimum(start, c - interval_ns) + interval_ns])
+    return np.concatenate(rows)
 
 
 def _each_day(ts: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -137,16 +146,23 @@ class TickSeries:
 
 @dataclass(frozen=True)
 class BarSeries:
-    """Bar start times and closing prices; bars never span a session break."""
+    """Bars as `resample` cuts them: each bar's start `ts`, its closing
+    instant `end_ts`, the index `last` of its last tick in the TickSeries it
+    was cut from, and `close`, that tick's price. Bars never span a session
+    break."""
 
     ts: np.ndarray
     close: np.ndarray
+    end_ts: np.ndarray
+    last: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "close", np.ascontiguousarray(self.close, dtype=np.float64))
-        object.__setattr__(self, "ts", np.ascontiguousarray(self.ts, dtype=np.int64))
+        for name, dtype in (("ts", np.int64), ("close", np.float64),
+                            ("end_ts", np.int64), ("last", np.intp)):
+            object.__setattr__(self, name, np.ascontiguousarray(getattr(self, name),
+                                                                dtype=dtype))
         n = self.ts.shape[0]
-        if self.close.shape[0] != n:
+        if not self.close.shape[0] == self.end_ts.shape[0] == self.last.shape[0] == n:
             raise DataError("bar columns must have equal length")
         if n > 1 and np.any(np.diff(self.ts) <= 0):
             raise DataError("bar timestamps must strictly increase")
@@ -313,15 +329,19 @@ def resample(ticks: TickSeries, interval_ns: int) -> BarSeries:
 
     Each day the ticks span gets the bars of `bar_offsets`, and a bar takes
     the ticks from its start to the next bar's, so a tick stamped on a close
-    joins its session's last bar. Bars that hold no tick are left out.
+    joins its session's last bar. Bars that hold no tick are left out. This
+    is the one place a bar's extent is decided: a decision at a bar's
+    `end_ts` sees the bar's ticks, through `last`, and every tick before.
     """
     if len(ticks) == 0:
         raise DataError("cannot resample an empty tick series")
-    grid = _each_day(ticks.ts, bar_offsets(interval_ns))
-    first = np.searchsorted(ticks.ts, grid)
+    grid = _each_day(ticks.ts, bar_offsets(interval_ns).ravel())
+    start, end_ts = grid.reshape(-1, 2).T
+    first = np.searchsorted(ticks.ts, start)
     end = np.r_[first[1:], len(ticks)]
     held = end > first
-    return BarSeries(grid[held], ticks.price[end[held] - 1])
+    last = end[held] - 1
+    return BarSeries(start[held], ticks.price[last], end_ts[held], last)
 
 
 # ---------------------------------------------------------------------------

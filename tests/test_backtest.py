@@ -22,6 +22,8 @@ from microstrat.config import load_config
 from microstrat.errors import DataError, NonConvergenceError
 from microstrat.marketdata import (
     NS_PER_DAY,
+    NS_PER_SEC,
+    SESSION_CLOSES_NS,
     SynthSpec,
     TickSeries,
     resample,
@@ -343,6 +345,51 @@ def test_fills_without_a_quote_use_the_trade_price(quotes):
     assert min(kinds.get(k, 0) for k in ("open", "close", "stop")) > 0
     n_trades = sum(kinds.values())
     assert quoted == 0 if quotes == "none" else 0 < quoted < n_trades
+
+
+def test_decisions_fall_at_each_bars_end_when_the_last_bar_is_short():
+    """7-minute bars leave each session a 1-minute last bar: its decision,
+    its equity mark and its signal fall at the close, never in a break."""
+    ticks = synth_ticks(SynthSpec(count=4 * 2880, seed=3, phi=0.15, omega=2e-8,
+                                  alpha=0.08, beta=0.88, tick_interval_ms=5000))
+    eng = EngineConfig(bar_interval_ns=7 * 60 * NS_PER_SEC, garch_window=100,
+                       garch_min_obs=100, garch_refit_every=36, delta1_every=12,
+                       delta1_window=30, sigma_window=20)
+    res = run_backtest(ticks, StrategyConfig(use_vpin=False, use_svm=False),
+                       engine=eng)
+    start = resample(ticks, eng.bar_interval_ns).ts
+    sod = start % NS_PER_DAY
+    close = start - sod + SESSION_CLOSES_NS[(sod > SESSION_CLOSES_NS[0]).astype(int)]
+    expected = np.minimum(start + eng.bar_interval_ns, close)[36:]  # after warmup
+    np.testing.assert_array_equal(res.equity_ts, expected)
+    signal_ts = {s.ts for s in res.signal_log}
+    assert signal_ts <= set(expected.tolist())
+    assert any(ts % NS_PER_DAY in SESSION_CLOSES_NS for ts in signal_ts)
+
+
+def test_a_tick_on_the_close_prices_its_decision_and_completes_its_vpin():
+    """A tick stamped 11:30:00.000 is its bar's last: the 11:30 decision
+    fills at its quotes and reads the VPIN of the bucket it completes."""
+    ticks = synth_ticks(SynthSpec(count=3 * 2880, seed=3, phi=0.15, omega=2e-8,
+                                  alpha=0.08, beta=0.88, tick_interval_ms=5000))
+    days = np.unique(ticks.ts // NS_PER_DAY)
+    at = int(days[1]) * NS_PER_DAY + int(SESSION_CLOSES_NS[0])
+    i = int(np.searchsorted(ticks.ts, at))
+    px = float(ticks.price[i - 1]) + 1.0
+    # heavy enough to complete at least one bucket
+    cols = [np.insert(col, i, v) for col, v in (
+        (ticks.ts, at), (ticks.price, px), (ticks.volume, int(ticks.volume.sum()) // 20),
+        (ticks.bid1, px - 0.3), (ticks.ask1, px + 0.3))]
+    ticks = TickSeries(*cols)
+    eng = EngineConfig(garch_window=200, garch_refit_every=240, garch_min_obs=100)
+    state = bt._market_state(ticks, StrategyConfig(use_vpin=False, use_svm=False),
+                             CostModel(), eng, vpin=False, svm=False)
+    t = int(np.flatnonzero(state.decision_ts == at)[0])
+    assert (state.bid[t], state.ask[t]) == (px - 0.3, px + 0.3)
+    values, end_ts, _, _ = bt._vpin_stream(ticks, days, eng)
+    assert end_ts[end_ts <= at][-1] == at
+    assert state.vpin_now[t] == values[end_ts <= at][-1]
+    assert state.vpin_now[t] != values[end_ts < at][-1]
 
 
 def test_variants_share_data_and_tags(variants):

@@ -12,11 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import microstrat
 from microstrat import _scipy
 from microstrat.cli import main
-from microstrat.config import _PARSE, _opt_float, load_config
+from microstrat.config import _PARSE, RunConfig, _opt_float, load_config
 from microstrat.errors import ConfigError, DataError
 from microstrat.svgplot import line_chart
 
@@ -155,8 +157,9 @@ def test_generate_constraint_error(shared, tmp_path, capsys):
     ("backtest", "delta1_window", "29"), ("backtest", "sigma_window", "-5"),
     ("backtest", "garch_min_obs", "3000"), ("backtest", "garch_min_obs", "-1"),
     ("backtest", "trading_days_per_year", "0"), ("backtest", "tick_size", "-0.2"),
-    # bars under 100 ms, and a delta1 grid of 1.98e9 points
+    # bars under 100 ms or over a day, and a delta1 grid of 1.98e9 points
     ("backtest", "bar_interval_ns", "1000000"), ("backtest", "bar_interval_ns", "1"),
+    ("backtest", "bar_interval_ns", str(10**30)), ("backtest", "bar_interval_ns", str(2**63)),
     ("strategy", "delta1_step", "1e-9"),
     ("vpin", "window", "0"), ("vpin", "buckets_per_day", "0")])
 def test_bad_engine_value_fails_before_the_run(shared, tmp_path, capsys,
@@ -238,6 +241,24 @@ def test_non_finite_float_key_rejected(tmp_path, key):
         ini.write_text(f"[{sect}]\n{name} = {value}\n")
         with pytest.raises(ConfigError, match=key):
             load_config(str(ini))
+
+
+_NUMERIC_KEYS = [key for key, parse in _PARSE.items() if parse in (int, float, _opt_float)]
+# zero, negative, tiny and huge, in each key's own type
+_EXTREMES = {int: (0, -1, 1, int(1e300), 10**30),
+             float: (0.0, -1.0, 5e-324, 1e300, 1e30)}
+
+
+# 255 (key, value) pairs, few enough that hypothesis tries every one
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(_NUMERIC_KEYS), st.integers(0, 4))
+def test_extreme_numeric_values_resolve_or_fail_as_config_errors(key, k):
+    value = _EXTREMES[int if _PARSE[key] is int else float][k]
+    try:
+        cfg = load_config(None, {key: value})
+    except (ConfigError, DataError):
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 def test_env_var_supplies_config(tmp_path, monkeypatch):

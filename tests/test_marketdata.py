@@ -454,7 +454,8 @@ def _session_index_by_search(ts):
 
 def _resample_by_key(ticks, interval_ns):
     # resample as it was written before the bar grid: each tick keyed by its
-    # day, its session and its bar within the session
+    # day, its session and its bar within the session; a bar ends an interval
+    # after its start or at its session's close, whichever is sooner
     sod = ticks.ts % NS_PER_DAY
     sess_idx = _session_index_by_search(ticks.ts)
     open_ns = SESSION_OPENS_NS[sess_idx]
@@ -465,7 +466,9 @@ def _resample_by_key(ticks, interval_ns):
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
     ends = np.r_[starts[1:], len(ticks)]
     bar_ts = day[starts] * NS_PER_DAY + open_ns[starts] + bar_in_sess[starts] * interval_ns
-    return BarSeries(bar_ts, ticks.price[ends - 1])
+    close_ts = day[starts] * NS_PER_DAY + SESSION_CLOSES_NS[sess_idx[starts]]
+    return BarSeries(bar_ts, ticks.price[ends - 1],
+                     np.minimum(bar_ts + interval_ns, close_ts), ends - 1)
 
 
 def test_resample_anchors_at_session_open():
@@ -483,14 +486,25 @@ def test_resample_anchors_at_session_open():
 def test_bar_grid_starts_at_each_open_and_stops_before_each_close():
     minute = 60 * NS_PER_SEC
     grid = bar_offsets(minute)
-    np.testing.assert_array_equal(
-        grid, np.r_[np.arange(34200, 41400, 60), np.arange(46800, 54000, 60)] * NS_PER_SEC)
+    starts = np.r_[np.arange(34200, 41400, 60), np.arange(46800, 54000, 60)] * NS_PER_SEC
+    np.testing.assert_array_equal(grid, np.c_[starts, starts + minute])
     # 7 minutes do not divide a session: each session's 18th bar is 1 minute
+    # and ends at its close
     grid = bar_offsets(7 * minute)
-    assert len(grid) == 36
-    assert grid[17] == SESSION_CLOSES_NS[0] - minute
+    assert grid.shape == (36, 2)
+    np.testing.assert_array_equal(grid[[17, 35]],
+                                  np.c_[SESSION_CLOSES_NS - minute, SESSION_CLOSES_NS])
+    np.testing.assert_array_equal(grid[:17, 1] - grid[:17, 0], 7 * minute)
+    # an interval of a session or more up to a day: one bar per session
+    for interval in (7200 * NS_PER_SEC, NS_PER_DAY):
+        np.testing.assert_array_equal(bar_offsets(interval),
+                                      np.c_[SESSION_OPENS_NS, SESSION_CLOSES_NS])
     for interval in (100_000_000 - 1, 1_000_000, 1, 0, -minute):
         with pytest.raises(DataError, match="bar_interval_ns must be >= 100000000"):
+            bar_offsets(interval)
+    # intervals above a day, where an int64 grid would overflow or be refused
+    for interval in (NS_PER_DAY + 1, 2**63 - 1, 2**63, 10**30):
+        with pytest.raises(DataError, match="bar_interval_ns must be <= 86400000000000"):
             bar_offsets(interval)
     with pytest.raises(DataError, match="bar_interval_ns"):
         resample(series([(34200, 100.0, 1)]), 1_000_000)
@@ -544,8 +558,8 @@ def test_resample_matches_the_keyed_reference(ts, interval):
     if 7200 * NS_PER_SEC % interval == 0:
         ref_ts[np.isin(ts % NS_PER_DAY, SESSION_CLOSES_NS)] -= 1
     ref = _resample_by_key(TickSeries(ref_ts, ticks.price, ticks.volume), interval)
-    np.testing.assert_array_equal(bars.ts, ref.ts)
-    np.testing.assert_array_equal(bars.close, ref.close)
+    for name in ("ts", "close", "end_ts", "last"):
+        np.testing.assert_array_equal(getattr(bars, name), getattr(ref, name), name)
 
 
 # the first and last days whose sessions int64 nanoseconds hold
